@@ -171,6 +171,67 @@ void BM_EnvironmentRound(benchmark::State& state) {
 BENCHMARK(BM_EnvironmentRound)->RangeMultiplier(8)->Range(256, 1 << 17);
 
 // ---------------------------------------------------------------------------
+// The fused counter round alone: step_masked_recruit_quiet under
+// counter-lottery pairing (classification + census + request packing, the
+// keyed lottery, and the matched-pairs bookkeeping) — the env half of the
+// packed optimal engine's steady-state round, without the pack kernels.
+// The op mix imitates optimal's steady state, about 78% recruit and 22% go
+// per round with most recruiters active, drawn per ant so the mix is as
+// irregular as the R1-R4 block positions make it; four such mixes rotate
+// so no round repeats its predecessor's. Targets are legalised by an
+// all-search first round, as in BM_EnvironmentRound (validation is off,
+// as on the packed engine, but the calls stay legal).
+
+void BM_FusedCounterRound(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  hh::env::EnvironmentConfig cfg;
+  cfg.num_ants = n;
+  cfg.qualities = hh::core::SimulationConfig::binary_qualities(8, 4);
+  cfg.seed = 3;
+  cfg.enforce_model = false;  // as the packed engine builds it (DESIGN.md §1)
+  hh::env::Environment environment(
+      std::move(cfg), hh::env::make_pairing_model(hh::env::PairingKind::kCounter));
+  environment.step(
+      std::vector<hh::env::Action>(n, hh::env::Action::search()));
+
+  constexpr std::size_t kMixes = 4;
+  std::vector<std::vector<hh::env::MaskedOp>> op(kMixes);
+  std::vector<std::vector<std::uint8_t>> active(kMixes);
+  std::vector<hh::env::NestId> targets(n);
+  for (hh::env::AntId a = 0; a < n; ++a) targets[a] = environment.location(a);
+  hh::util::Rng mix(11);
+  for (std::size_t r = 0; r < kMixes; ++r) {
+    op[r].resize(n);
+    active[r].resize(n);
+    for (hh::env::AntId a = 0; a < n; ++a) {
+      const bool recruit = mix.bernoulli(0.78);
+      op[r][a] = recruit ? hh::env::MaskedOp::kRecruit : hh::env::MaskedOp::kGo;
+      active[r][a] = recruit && mix.bernoulli(0.9) ? 1 : 0;
+    }
+  }
+  for (std::size_t warmup = 0; warmup < 16; ++warmup) {
+    environment.step_masked_recruit_quiet(op[warmup % kMixes],
+                                          active[warmup % kMixes], targets);
+  }
+
+  std::uint64_t allocs = 0;
+  std::size_t round = 0;
+  for (auto _ : state) {
+    const std::size_t r = round++ % kMixes;
+    const std::uint64_t before = allocation_count();
+    environment.step_masked_recruit_quiet(op[r], active[r], targets);
+    allocs += allocation_count() - before;
+    benchmark::DoNotOptimize(environment.recruit_results().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+  state.counters["allocs_per_round"] = benchmark::Counter(
+      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_FusedCounterRound)->Arg(4096);
+
+// ---------------------------------------------------------------------------
 // One lattice-backend round, steady state (the second env::Backend): an
 // all-search round is stationary by construction — walker positions move,
 // but every iteration does the same per-ant work. allocs_per_round == 0

@@ -192,6 +192,10 @@ void HomeNestBackend::round_phase1(const ActionAt& action_at) {
         if constexpr (kLoud) {
           outcomes_[a] = Outcome{ActionKind::kRecruit, action.target, 0.0, 0,
                                  false, false};
+        } else {
+          // The unrecruited return value; record_matching() overwrites it
+          // for the ants that get recruited.
+          recruit_result_[a] = action.target;
         }
         if (action.active) {
           ++stats_.active_recruits;
@@ -309,27 +313,50 @@ void HomeNestBackend::step_rows_quiet(const ActionAt& action_at) {
   count_.assign(k + 1, 0);
   for (AntId a = 0; a < cfg_.num_ants; ++a) ++count_[location_[a]];
 
-  // Matching bookkeeping (stats + tandem-run knowledge), indexed by
-  // request position x (request x's caller is requests_[x].ant). The same
-  // walk fills the ant-indexed recruit() return values and the successful-
-  // recruiter list the quiet observers read back.
-  success_ants_.clear();
-  for (std::size_t x = 0; x < requests_.size(); ++x) {
-    const std::int32_t recruiter = pairing_scratch_.recruited_by[x];
-    if (recruiter == kNotRecruited) {
-      recruit_result_[requests_[x].ant] = requests_[x].target;
-      continue;
-    }
-    const RecruitRequest& from = requests_[static_cast<std::size_t>(recruiter)];
-    recruit_result_[requests_[x].ant] = from.target;
-    success_ants_.push_back(from.ant);  // lint: capacity-reserved
-    ++stats_.successful_recruitments;
-    if (from.ant == requests_[x].ant) ++stats_.self_recruitments;
-    if (from.target != requests_[x].target) ++stats_.cross_nest_recruitments;
-    if (from.target != kHomeNest) grant_knowledge(requests_[x].ant, from.target);
-  }
-
+  record_matching();
   ++round_;
+}
+
+// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+void HomeNestBackend::record_matching() {
+  // Phase 1 already stored every recruit ant's own target in
+  // recruit_result_ (the return value when nobody recruits it), so only
+  // the matched pairs are left to visit. First a branch-free compaction
+  // gathers the recruited request positions x in ascending order — the
+  // irregular matched/unmatched pattern would mispredict a branch about
+  // every other slot — using success_ants_ as the arena; then one walk
+  // over just those pairs replaces each position with its recruiter's
+  // AntId (so the list keeps request order), delivers the recruited ant's
+  // return value j, grants the tandem-run knowledge, and counts the pairs.
+  const std::size_t m = requests_.size();
+  const std::int32_t* const recruited_by = pairing_scratch_.recruited_by.data();
+  success_ants_.resize(m);  // lint: capacity-reserved
+  AntId* const pairs = success_ants_.data();
+  std::size_t n_pairs = 0;
+  for (std::size_t x = 0; x < m; ++x) {
+    pairs[n_pairs] = static_cast<AntId>(x);
+    n_pairs += recruited_by[x] != kNotRecruited ? 1u : 0u;
+  }
+  success_ants_.resize(n_pairs);  // lint: capacity-reserved
+  // Raw lane pointers: the knowledge byte store may alias anything, so
+  // member loads would be repeated every pair.
+  const RecruitRequest* const requests = requests_.data();
+  NestId* const results = recruit_result_.data();
+  std::uint32_t self = 0;
+  std::uint32_t cross = 0;
+  for (std::size_t i = 0; i < n_pairs; ++i) {
+    const RecruitRequest& to = requests[pairs[i]];
+    const RecruitRequest& from =
+        requests[static_cast<std::size_t>(recruited_by[pairs[i]])];
+    pairs[i] = from.ant;
+    results[to.ant] = from.target;
+    self += from.ant == to.ant ? 1u : 0u;
+    cross += from.target != to.target ? 1u : 0u;
+    if (from.target != kHomeNest) grant_knowledge(to.ant, from.target);
+  }
+  stats_.successful_recruitments = static_cast<std::uint32_t>(n_pairs);
+  stats_.self_recruitments = self;
+  stats_.cross_nest_recruitments = cross;
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
@@ -450,6 +477,9 @@ void HomeNestBackend::step_masked_recruit_fused(
       const NestId loc = r ? kHomeNest : tgt;
       location_[a] = loc;
       ++count_[loc];
+      // A recruit ant's return value unless it gets recruited (a go ant's
+      // entry is never read; storing it too keeps the pass branch-free).
+      recruit_result_[a] = tgt;
       request_index_[a] = r ? mreq : kNoRequest;
       req_rows[mreq] = RecruitRequest{a, b != 0, tgt};
       flag_rows[mreq] = b;
@@ -480,26 +510,11 @@ void HomeNestBackend::step_masked_recruit_fused(
 
   // Pass 2 — the keyed lottery over the dense ranks (flags aliases
   // scratch.active, the same buffer pair_into packs), then the matching
-  // bookkeeping, identical to step_rows_quiet's.
+  // bookkeeping step_rows_quiet shares.
   pairing_->pair_active(flags, PairingCtx{rng_, pairing_seed_, round_ + 1},
                         pairing_scratch_);
   HH_ENSURES(pairing_scratch_.recruited_by.size() == requests_.size());
-  success_ants_.clear();
-  for (std::size_t x = 0; x < requests_.size(); ++x) {
-    const std::int32_t recruiter = pairing_scratch_.recruited_by[x];
-    if (recruiter == kNotRecruited) {
-      recruit_result_[requests_[x].ant] = requests_[x].target;
-      continue;
-    }
-    const RecruitRequest& from = requests_[static_cast<std::size_t>(recruiter)];
-    recruit_result_[requests_[x].ant] = from.target;
-    success_ants_.push_back(from.ant);  // lint: capacity-reserved
-    ++stats_.successful_recruitments;
-    if (from.ant == requests_[x].ant) ++stats_.self_recruitments;
-    if (from.target != requests_[x].target) ++stats_.cross_nest_recruitments;
-    if (from.target != kHomeNest) grant_knowledge(requests_[x].ant, from.target);
-  }
-
+  record_matching();
   ++round_;
 }
 

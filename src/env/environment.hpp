@@ -220,10 +220,12 @@ class HomeNestBackend final : public Backend {
   /// recruit_results()[a] = the recruit(b, i) return value j for every
   /// ant whose op was kRecruit in the last quiet recruit round: the
   /// recruiter's advertised nest when `a` was recruited, a's own target
-  /// otherwise. Entries of ants that made no recruit() call are stale —
-  /// callers must consult it only for their recruit lanes. One
-  /// sequential lane load where recruited_by_ant() chases the
-  /// request-index indirection plus two dependent random loads.
+  /// otherwise. Entries of ants that made no recruit() call hold no
+  /// return value — a go ant's entry is its go target after the fused
+  /// counter round, other entries are stale — so callers must consult it
+  /// only for their recruit lanes. One sequential lane load where
+  /// recruited_by_ant() chases the request-index indirection plus two
+  /// dependent random loads.
   [[nodiscard]] std::span<const NestId> recruit_results() const {
     return recruit_result_;
   }
@@ -267,6 +269,13 @@ class HomeNestBackend final : public Backend {
   /// the per-ant Outcome rows phase 4 completes.
   template <bool kLoud, typename ActionAt>
   void round_phase1(const ActionAt& action_at);
+  /// The matching bookkeeping after a quiet round's pairing, shared by
+  /// step_rows_quiet and the fused round: walks the matched pairs only —
+  /// successful_recruiters(), recruit_results() for the recruited ants,
+  /// tandem-run knowledge, and stats_'s pair/self/cross-nest counts.
+  /// Expects phase 1 to have stored each recruit ant's own target in
+  /// recruit_result_.
+  void record_matching();
 
   EnvironmentConfig cfg_;
   std::unique_ptr<PairingModel> pairing_;
@@ -306,9 +315,10 @@ class HomeNestBackend final : public Backend {
   PairingScratch pairing_scratch_;      // reused each round
   // Per-round results of the quiet recruit paths (see the accessors):
   // success_ants_ holds this round's successful recruiters;
-  // recruit_result_[a] holds ant a's recruit() return value j. Both are
-  // filled by the matching-bookkeeping walk, which already touches every
-  // pair — capacity reserved at construction, zero allocations per round.
+  // recruit_result_[a] holds ant a's recruit() return value j. Phase 1
+  // stores each recruit ant's own target, and the matching-bookkeeping
+  // walk over the pairs fills the rest — capacity reserved at
+  // construction, zero allocations per round.
   std::vector<AntId> success_ants_;
   std::vector<NestId> recruit_result_;
   RoundStats stats_;

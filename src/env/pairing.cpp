@@ -213,7 +213,11 @@ void CounterLotteryPairing::pair_active(std::span<const std::uint8_t> active,
     const auto t = static_cast<std::size_t>(stream.bounded(m));
     const std::uint64_t entry = (stream.next() & 0xffffffff00000000ULL) |
                                 static_cast<std::uint64_t>(m - x);
-    if (entry > scratch.ticket[t]) scratch.ticket[t] = entry;
+    // Max as a select with an unconditional store: whether a later
+    // proposer outbids the cell is a coin flip, so a branch would
+    // mispredict on every contested target.
+    const std::uint64_t held = scratch.ticket[t];
+    scratch.ticket[t] = entry > held ? entry : held;
   }
 
   // Acceptance in target-index order, draw-free. Tentative matches are
@@ -228,28 +232,33 @@ void CounterLotteryPairing::pair_active(std::span<const std::uint8_t> active,
     scratch.winner[n_hit] = static_cast<std::int32_t>(t);
     n_hit += scratch.ticket[t] != 0 ? 1u : 0u;
   }
+  // A pair (w, t) needs both endpoints in no pair yet, which reads as four
+  // loads, but two of them are known when t is visited: recruited_by[t] is
+  // still unset, because only t's own visit writes it; and
+  // recruit_succeeded[w] is still 0, because w proposed to t alone and so
+  // can win nowhere else. What is left is "t has not recruited and w has
+  // not been recruited" — which also covers a self-proposal (w == t),
+  // since recruited_by[t] is unset. Both stores are then unconditional:
+  // a rejected pair rewrites the values the two cells already hold. `ok`
+  // stays integer arithmetic (recruit_succeeded is 0/1, and kNotRecruited
+  // is the only negative recruited_by value): GCC turns a bool && / & back
+  // into two branches, which the irregular accept/reject pattern defeats.
+  // (Raw lane pointers: the byte stores below may alias anything, so
+  // vector-member loads would be repeated every iteration.)
+  const std::int32_t* const hits = scratch.winner.data();
+  const std::uint64_t* const lottery = scratch.ticket.data();
+  std::uint8_t* const succeeded = scratch.recruit_succeeded.data();
+  std::int32_t* const recruited_by = scratch.recruited_by.data();
   for (std::size_t i = 0; i < n_hit; ++i) {
-    const auto t = static_cast<std::size_t>(
-        static_cast<std::uint32_t>(scratch.winner[i]));
-    const std::uint64_t entry = scratch.ticket[t];
+    const auto t =
+        static_cast<std::size_t>(static_cast<std::uint32_t>(hits[i]));
     const auto w = static_cast<std::size_t>(
-        m - static_cast<std::size_t>(entry & 0xffffffffULL));
-    const bool target_free = scratch.recruited_by[t] == kNotRecruited &&
-                             scratch.recruit_succeeded[t] == 0;
-    if (w == t) {
-      // Self-proposal: the single endpoint only needs to be free once.
-      if (target_free) {
-        scratch.recruit_succeeded[w] = 1;
-        scratch.recruited_by[t] = static_cast<std::int32_t>(w);
-      }
-      continue;
-    }
-    const bool recruiter_free = scratch.recruited_by[w] == kNotRecruited &&
-                                scratch.recruit_succeeded[w] == 0;
-    if (target_free && recruiter_free) {
-      scratch.recruit_succeeded[w] = 1;
-      scratch.recruited_by[t] = static_cast<std::int32_t>(w);
-    }
+        m - static_cast<std::size_t>(lottery[t] & 0xffffffffULL));
+    const std::uint32_t w_unrecruited =
+        static_cast<std::uint32_t>(recruited_by[w]) >> 31;
+    const std::uint32_t ok = (succeeded[t] ^ 1u) & w_unrecruited;
+    succeeded[w] = static_cast<std::uint8_t>(ok);
+    recruited_by[t] = ok != 0 ? static_cast<std::int32_t>(w) : kNotRecruited;
   }
 }
 

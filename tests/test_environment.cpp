@@ -4,10 +4,14 @@
 #include "env/environment.hpp"
 
 #include <cmath>
+#include <span>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace hh::env {
 namespace {
@@ -393,18 +397,22 @@ TEST(Environment, RoundShapeFastPathsMatchGenericStep) {
 // The masked SoA entry points (step_masked_recruit/go and the quiet
 // forms) must be RNG- and state-equivalent to step() with the
 // corresponding MIXED action vector — the per-ant-phase packs (optimal)
-// and the pack-level fault lanes rest on this.
-TEST(Environment, MaskedEntryPointsMatchGenericStep) {
+// and the pack-level fault lanes rest on this. Run under every pairing
+// model: under counter-lottery the quiet recruit form is the fused
+// counter round, a separate implementation of the same round.
+class EnvironmentPairing : public ::testing::TestWithParam<PairingKind> {};
+
+TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
   constexpr std::uint32_t n = 64;
   const std::vector<double> qualities = {1.0, 1.0, 0.0, 0.0};
   auto cfg = config(n, qualities, 91);
   cfg.allow_idle = true;  // masked rounds carry crashed (idle) ants
-  Environment generic(cfg);
-  Environment masked(cfg);
-  Environment quiet(cfg);
+  Environment generic(cfg, make_pairing_model(GetParam()));
+  Environment masked(cfg, make_pairing_model(GetParam()));
+  Environment quiet(cfg, make_pairing_model(GetParam()));
 
   const auto expect_same_state = [&](const Environment& other,
-                                     const char* label) {
+                                     const std::string& label) {
     for (NestId i = 0; i <= generic.num_nests(); ++i) {
       EXPECT_EQ(generic.count(i), other.count(i)) << label << " nest " << i;
     }
@@ -415,16 +423,17 @@ TEST(Environment, MaskedEntryPointsMatchGenericStep) {
         EXPECT_EQ(generic.knows(a, i), other.knows(a, i)) << label;
       }
     }
-    EXPECT_EQ(generic.last_round_stats().successful_recruitments,
-              other.last_round_stats().successful_recruitments)
+    const RoundStats& want = generic.last_round_stats();
+    const RoundStats& got = other.last_round_stats();
+    EXPECT_EQ(want.searches, got.searches) << label;
+    EXPECT_EQ(want.gos, got.gos) << label;
+    EXPECT_EQ(want.active_recruits, got.active_recruits) << label;
+    EXPECT_EQ(want.passive_recruits, got.passive_recruits) << label;
+    EXPECT_EQ(want.idles, got.idles) << label;
+    EXPECT_EQ(want.successful_recruitments, got.successful_recruitments)
         << label;
-    EXPECT_EQ(generic.last_round_stats().idles,
-              other.last_round_stats().idles)
-        << label;
-    EXPECT_EQ(generic.last_round_stats().searches,
-              other.last_round_stats().searches)
-        << label;
-    EXPECT_EQ(generic.last_round_stats().gos, other.last_round_stats().gos)
+    EXPECT_EQ(want.self_recruitments, got.self_recruitments) << label;
+    EXPECT_EQ(want.cross_nest_recruitments, got.cross_nest_recruitments)
         << label;
   };
 
@@ -449,6 +458,55 @@ TEST(Environment, MaskedEntryPointsMatchGenericStep) {
   }
   expect_same_state(masked, "after masked search/idle");
   expect_same_state(quiet, "after quiet masked search/idle");
+
+  // A recruit-bearing round through all three environments, checked
+  // against the generic Outcomes, the ant-indexed matching views, the
+  // quiet recruit() return lane, and the successful-recruiter list.
+  const auto recruit_round = [&](const std::string& label) {
+    const std::vector<Outcome> generic_out = generic.step(actions);
+    const std::vector<Outcome>& masked_out =
+        masked.step_masked_recruit(op, active, targets);
+    quiet.step_masked_recruit_quiet(op, active, targets);
+    std::vector<AntId> recruiters;  // in request (= ant) order
+    for (AntId a = 0; a < n; ++a) {
+      EXPECT_EQ(generic_out[a].nest, masked_out[a].nest) << label << " ant " << a;
+      EXPECT_EQ(generic_out[a].count, masked_out[a].count)
+          << label << " ant " << a;
+      EXPECT_EQ(generic_out[a].recruited, masked_out[a].recruited)
+          << label << " ant " << a;
+      EXPECT_EQ(generic_out[a].recruit_succeeded, masked_out[a].recruit_succeeded)
+          << label << " ant " << a;
+      // Ant-indexed matching views agree with the Outcomes on both the
+      // loud and the quiet environment.
+      EXPECT_EQ(masked_out[a].recruited,
+                masked.recruited_by_ant(a) != kNotRecruited)
+          << label << " ant " << a;
+      EXPECT_EQ(masked_out[a].recruit_succeeded, masked.recruit_succeeded_ant(a))
+          << label << " ant " << a;
+      EXPECT_EQ(masked.recruited_by_ant(a), quiet.recruited_by_ant(a))
+          << label << " ant " << a;
+      EXPECT_EQ(generic_out[a].recruit_succeeded, quiet.recruit_succeeded_ant(a))
+          << label << " ant " << a;
+      if (op[a] != MaskedOp::kRecruit) continue;
+      // recruit() returns j: the recruiter's advertised nest, or the
+      // ant's own target when nobody recruited it.
+      EXPECT_EQ(quiet.recruit_results()[a], generic_out[a].nest)
+          << label << " ant " << a;
+      if (generic_out[a].recruited) {
+        const std::int32_t recruiter = quiet.recruited_by_ant(a);
+        ASSERT_GE(recruiter, 0) << label;
+        EXPECT_EQ(generic_out[a].nest,
+                  targets[static_cast<std::size_t>(recruiter)])
+            << label << " ant " << a;
+        recruiters.push_back(static_cast<AntId>(recruiter));
+      }
+    }
+    const std::span<const AntId> listed = quiet.successful_recruiters();
+    EXPECT_EQ(std::vector<AntId>(listed.begin(), listed.end()), recruiters)
+        << label;
+    expect_same_state(masked, label + " (masked)");
+    expect_same_state(quiet, label + " (quiet)");
+  };
 
   // Round 2: the full mix — recruiters (active and passive), goers,
   // searchers, and idlers in one round, as an Algorithm-2 block round
@@ -484,42 +542,56 @@ TEST(Environment, MaskedEntryPointsMatchGenericStep) {
         break;
     }
   }
-  const std::vector<Outcome> generic_r2 = generic.step(actions);
-  const std::vector<Outcome>& masked_r2 =
-      masked.step_masked_recruit(op, active, targets);
-  quiet.step_masked_recruit_quiet(op, active, targets);
-  for (AntId a = 0; a < n; ++a) {
-    EXPECT_EQ(generic_r2[a].nest, masked_r2[a].nest) << "ant " << a;
-    EXPECT_EQ(generic_r2[a].count, masked_r2[a].count) << "ant " << a;
-    EXPECT_EQ(generic_r2[a].recruited, masked_r2[a].recruited) << "ant " << a;
-    EXPECT_EQ(generic_r2[a].recruit_succeeded, masked_r2[a].recruit_succeeded)
-        << "ant " << a;
-    // Ant-indexed matching views agree with the Outcomes on both the loud
-    // and the quiet environment.
-    EXPECT_EQ(masked_r2[a].recruited,
-              masked.recruited_by_ant(a) != kNotRecruited)
-        << "ant " << a;
-    EXPECT_EQ(masked_r2[a].recruit_succeeded, masked.recruit_succeeded_ant(a))
-        << "ant " << a;
-    EXPECT_EQ(generic_r2[a].recruited,
-              quiet.recruited_by_ant(a) != kNotRecruited)
-        << "ant " << a;
-    EXPECT_EQ(generic_r2[a].recruit_succeeded, quiet.recruit_succeeded_ant(a))
-        << "ant " << a;
-    if (generic_r2[a].recruited) {
-      const std::int32_t recruiter = quiet.recruited_by_ant(a);
-      ASSERT_GE(recruiter, 0);
-      EXPECT_EQ(generic_r2[a].nest,
-                targets[static_cast<std::size_t>(recruiter)])
-          << "ant " << a;
+  recruit_round("mixed round 2");
+
+  // Rounds 3-10: a steady-state-like mix, mostly recruits (nine in ten
+  // active) and goes with a few searchers and idlers, redrawn each round
+  // so the pairs, self-recruitments and cross-nest returns vary. Targets
+  // are a nest the ant knows, kept legal by the generic environment.
+  util::Rng mix(17);
+  for (std::uint32_t round = 3; round <= 10; ++round) {
+    for (AntId a = 0; a < n; ++a) {
+      NestId known = kHomeNest;
+      for (NestId i = 1; i <= generic.num_nests() && known == kHomeNest; ++i) {
+        if (generic.knows(a, i) && mix.bernoulli(0.7)) known = i;
+      }
+      const double u = mix.uniform_double();
+      if (u < 0.75) {
+        const bool b = known != kHomeNest && mix.bernoulli(0.9);
+        actions[a] = Action::recruit(b, known);
+        op[a] = MaskedOp::kRecruit;
+        active[a] = b ? 1 : 0;
+        targets[a] = known;
+      } else if (u < 0.92 && known != kHomeNest) {
+        actions[a] = Action::go(known);
+        op[a] = MaskedOp::kGo;
+        targets[a] = known;
+      } else if (u < 0.97) {
+        actions[a] = Action::search();
+        op[a] = MaskedOp::kSearch;
+      } else {
+        actions[a] = Action::idle();
+        op[a] = MaskedOp::kIdle;
+      }
     }
+    recruit_round("round " + std::to_string(round));
   }
-  expect_same_state(masked, "after masked mixed round");
-  expect_same_state(quiet, "after quiet masked mixed round");
-  EXPECT_EQ(generic.round(), 2u);
-  EXPECT_EQ(masked.round(), 2u);
-  EXPECT_EQ(quiet.round(), 2u);
+  EXPECT_EQ(generic.round(), 10u);
+  EXPECT_EQ(masked.round(), 10u);
+  EXPECT_EQ(quiet.round(), 10u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPairings, EnvironmentPairing,
+    ::testing::Values(PairingKind::kPermutation, PairingKind::kUniformProposal,
+                      PairingKind::kCounter),
+    [](const ::testing::TestParamInfo<PairingKind>& info) {
+      std::string name(pairing_name(info.param));
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 TEST(Environment, SelfRecruitmentCountsInStats) {
   Environment e(config(1, {1.0}, 5));
