@@ -45,7 +45,7 @@ int list_algorithms() {
     }
     table.begin_row()
         .cell(name)
-        .cell(spec->simulation ? "custom" : capability_summary(*spec))
+        .cell(capability_summary(*spec))
         .cell(params.empty() ? "-" : params)
         .cell(spec->summary.empty() ? "-" : spec->summary);
   }

@@ -24,11 +24,10 @@ std::uint32_t believed_n(std::uint32_t num_ants, double error, util::Rng& rng) {
 /// The Algorithm-3 family (SimpleAnt and its subclasses) as state arrays.
 /// All four variants share one FSM and differ only in the
 /// recruit-probability rule. The phase is a per-ant lane: under full
-/// synchrony every ant stays in lockstep (and the uniform-shape fast paths
-/// still fire, via the phase census), but a sleeping ant freezes — it
-/// skips both decide and observe, exactly like the scalar ant — so under
-/// partial synchrony the colony's phases drift apart and rounds become
-/// permanently mixed.
+/// synchrony every ant stays in lockstep (every round's op lane is
+/// constant), but a sleeping ant freezes — it skips both decide and
+/// observe, exactly like the scalar ant — so under partial synchrony the
+/// colony's phases drift apart and rounds become permanently mixed.
 class SimpleFamilyPack final : public AntPack {
  public:
   SimpleFamilyPack(AlgorithmKind kind, std::uint32_t num_ants,
@@ -46,7 +45,6 @@ class SimpleFamilyPack final : public AntPack {
     active_.resize(n);
     count_.resize(n);
     quality_.resize(n);
-    round_targets_.reserve(n);  // quiet rounds must not allocate
     if (kind_ == AlgorithmKind::kRateBoosted) {
       initial_k_.resize(n);
       halving_period_.resize(n);
@@ -60,9 +58,6 @@ class SimpleFamilyPack final : public AntPack {
     const auto num_ants = size();
     reset_commitments();
     std::fill(phase_.begin(), phase_.end(), Phase::kInit);
-    phase_count_[static_cast<std::size_t>(Phase::kInit)] = num_ants;
-    phase_count_[static_cast<std::size_t>(Phase::kRecruit)] = 0;
-    phase_count_[static_cast<std::size_t>(Phase::kAssess)] = 0;
     for (env::AntId a = 0; a < num_ants; ++a) {
       // Identical stream derivation to make_colony (colony.cpp).
       rng_[a].reseed(util::mix_seed(colony_seed, a, 0xA17));
@@ -91,70 +86,16 @@ class SimpleFamilyPack final : public AntPack {
     return true;
   }
 
-  [[nodiscard]] RoundShape correct_shape(std::uint32_t /*round*/) const override {
-    if (all_in(Phase::kInit)) return RoundShape::kAllSearch;
-    if (all_in(Phase::kRecruit)) return RoundShape::kAllRecruit;
-    if (all_in(Phase::kAssess)) return RoundShape::kAllGo;
-    // Drifted phases (sleep lanes, or ants frozen mid-phase by a crash).
-    // Any ant still parked in its recruit phase forces the recruit-capable
-    // entry point; if none is, the round is pure movement.
-    return phase_count_[static_cast<std::size_t>(Phase::kRecruit)] > 0
-               ? RoundShape::kMaskedRecruit
-               : RoundShape::kMaskedGo;
-  }
-
-  void fill_recruit_requests(std::uint32_t round,
-                             std::span<env::RecruitRequest> requests) override {
-    HH_EXPECTS(all_in(Phase::kRecruit));
-    HH_EXPECTS(requests.size() == rng_.size());
-    for (std::size_t a = 0; a < requests.size(); ++a) {
-      const bool b = decide_b(a, round);  // lines 6 / 10
-      requests[a] = env::RecruitRequest{static_cast<env::AntId>(a), b,
-                                        nest_[a]};           // line 7
-    }
-  }
-
-  [[nodiscard]] std::span<const env::NestId> fill_recruit_soa(
-      std::uint32_t round, std::span<std::uint8_t> active) override {
-    HH_EXPECTS(all_in(Phase::kRecruit));
-    HH_EXPECTS(active.size() == rng_.size());
-    // Snapshot the advertised nests: observe_recruit_pairing mutates the
-    // nest lane while recruiters' targets must stay the round's values.
-    round_targets_.assign(nest_.begin(), nest_.end());
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      active[a] = decide_b(a, round) ? 1 : 0;  // lines 6 / 10
-    }
-    return round_targets_;
-  }
-
-  [[nodiscard]] std::span<const env::NestId> go_targets() const override {
-    return nest_;  // lines 8 / 14: go(nest)
-  }
-
   void decide_masked(std::uint32_t round, std::span<const std::uint8_t> act,
                      std::span<env::MaskedOp> op,
                      std::span<std::uint8_t> active,
                      std::span<env::NestId> targets) override {
     for (std::size_t a = 0; a < act.size(); ++a) {
       if (!act[a]) continue;
-      switch (phase_[a]) {
-        case Phase::kInit:
-          op[a] = env::MaskedOp::kSearch;  // line 2
-          break;
-        case Phase::kRecruit:
-          op[a] = env::MaskedOp::kRecruit;
-          active[a] = decide_b(a, round) ? 1 : 0;  // lines 6 / 10
-          targets[a] = nest_[a];                   // line 7
-          break;
-        case Phase::kAssess:
-          op[a] = env::MaskedOp::kGo;  // lines 8 / 14
-          targets[a] = nest_[a];
-          break;
-      }
+      decide_one(a, round, op, active, targets);
     }
   }
 
-  // observe_all is the base forward onto this kernel (act all-ones).
   void observe_masked_acting(std::span<const std::uint8_t> act,
                              std::span<const env::Outcome> outcomes) override {
     for (std::size_t a = 0; a < act.size(); ++a) {
@@ -178,61 +119,30 @@ class SimpleFamilyPack final : public AntPack {
   void observe_masked_quiet_acting(
       std::span<const std::uint8_t> act, const env::Environment& env,
       std::span<const env::MaskedOp> /*op*/,
-      std::span<const env::NestId> targets) override {
+      std::span<const env::NestId> /*targets*/) override {
     const std::span<const std::uint32_t> counts = env.counts();
-    const std::span<const double> qualities = env.qualities();
+    const std::span<const env::NestId> results = env.recruit_results();
     for (std::size_t a = 0; a < act.size(); ++a) {
       if (!act[a]) continue;  // frozen: crashed, sleeping, or Byzantine
-      switch (phase_[a]) {
-        case Phase::kInit: {
-          const env::NestId found = env.location(static_cast<env::AntId>(a));
-          apply_init(a, found, counts[found], qualities[found - 1]);
-          break;
-        }
-        case Phase::kRecruit: {
-          const std::int32_t recruiter =
-              env.recruited_by_ant(static_cast<env::AntId>(a));
-          if (recruiter != env::kNotRecruited) {  // else nest unchanged
-            apply_recruit(a, targets[static_cast<std::size_t>(recruiter)]);
-          }
-          break;
-        }
-        case Phase::kAssess: {
-          const env::NestId nest = nest_[a];
-          apply_assess(a, counts[nest], qualities[nest - 1]);
-          break;
-        }
-      }
-      advance(a);
+      observe_quiet(a, env, counts, results);
     }
   }
 
-  void observe_recruit_pairing(std::span<const env::NestId> targets,
-                               const env::PairingScratch& pairing) override {
-    HH_EXPECTS(all_in(Phase::kRecruit));
-    HH_EXPECTS(targets.size() == rng_.size());
-    // Equivalent to the kRecruit branch of observe_all: a recruited ant's
-    // outcome.nest is its recruiter's advertised nest; everyone else's is
-    // its own target (no change). quality/count are unread in this phase.
-    for (std::size_t a = 0; a < targets.size(); ++a) {
-      const std::int32_t recruiter = pairing.recruited_by[a];
-      if (recruiter == env::kNotRecruited) continue;
-      apply_recruit(a, targets[static_cast<std::size_t>(recruiter)]);
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+  [[nodiscard]] bool fused_observe_decide(
+      const env::Environment& env, std::span<env::MaskedOp> op,
+      std::span<std::uint8_t> active,
+      std::span<env::NestId> targets) override {
+    // Observe ant a, then overwrite its lanes with its next-round call.
+    // observe_quiet reads no op/target row, so the overwrite is safe.
+    const std::uint32_t next_round = masked_round() + 1;
+    const std::span<const std::uint32_t> counts = env.counts();
+    const std::span<const env::NestId> results = env.recruit_results();
+    for (std::size_t a = 0; a < op.size(); ++a) {
+      observe_quiet(a, env, counts, results);
+      decide_one(a, next_round, op, active, targets);
     }
-    advance_all();
-  }
-
-  void observe_go_counts(std::span<const std::uint32_t> counts,
-                         std::span<const double> qualities) override {
-    HH_EXPECTS(all_in(Phase::kAssess));
-    // Equivalent to the kAssess branch of observe_all under exact
-    // observation: outcome.count == counts[nest], outcome.quality ==
-    // qualities[nest - 1] (every committed nest is a candidate, >= 1).
-    for (std::size_t a = 0; a < rng_.size(); ++a) {
-      const env::NestId nest = nest_[a];
-      apply_assess(a, counts[nest], qualities[nest - 1]);
-    }
-    advance_all();
+    return true;
   }
 
   [[nodiscard]] std::string_view name() const override {
@@ -279,23 +189,55 @@ class SimpleFamilyPack final : public AntPack {
     if (quality <= 0.0) active_[a] = 0;
   }
 
-  /// True iff every ant (including frozen faulty ones) is in phase p —
-  /// the gate for the uniform-shape fast paths.
-  [[nodiscard]] bool all_in(Phase p) const {
-    return phase_count_[static_cast<std::size_t>(p)] == size();
-  }
-
   /// kInit -> kRecruit -> kAssess -> kRecruit -> ... (SimpleAnt::observe).
   void advance(std::size_t a) {
-    const Phase next =
+    phase_[a] =
         phase_[a] == Phase::kRecruit ? Phase::kAssess : Phase::kRecruit;
-    --phase_count_[static_cast<std::size_t>(phase_[a])];
-    ++phase_count_[static_cast<std::size_t>(next)];
-    phase_[a] = next;
   }
 
-  void advance_all() {
-    for (std::size_t a = 0; a < phase_.size(); ++a) advance(a);
+  /// One ant's call for `round` (SimpleAnt::decide).
+  void decide_one(std::size_t a, std::uint32_t round,
+                  std::span<env::MaskedOp> op, std::span<std::uint8_t> active,
+                  std::span<env::NestId> targets) {
+    switch (phase_[a]) {
+      case Phase::kInit:
+        op[a] = env::MaskedOp::kSearch;  // line 2
+        break;
+      case Phase::kRecruit:
+        op[a] = env::MaskedOp::kRecruit;
+        active[a] = decide_b(a, round) ? 1 : 0;  // lines 6 / 10
+        targets[a] = nest_[a];                   // line 7
+        break;
+      case Phase::kAssess:
+        op[a] = env::MaskedOp::kGo;  // lines 8 / 14
+        targets[a] = nest_[a];
+        break;
+    }
+  }
+
+  /// One acting ant's quiet observe, exact observation. A recruit ant's
+  /// return is its recruit_results() entry: the recruiter's advertised
+  /// nest, or its own target nest_[a] when nobody recruited it — which
+  /// apply_recruit treats as no change, exactly as the loud kernel does.
+  void observe_quiet(std::size_t a, const env::Environment& env,
+                     std::span<const std::uint32_t> counts,
+                     std::span<const env::NestId> results) {
+    switch (phase_[a]) {
+      case Phase::kInit: {
+        const env::NestId found = env.location(static_cast<env::AntId>(a));
+        apply_init(a, found, counts[found], env.qualities()[found - 1]);
+        break;
+      }
+      case Phase::kRecruit:
+        apply_recruit(a, results[a]);
+        break;
+      case Phase::kAssess: {
+        const env::NestId nest = nest_[a];
+        apply_assess(a, counts[nest], env.qualities()[nest - 1]);
+        break;
+      }
+    }
+    advance(a);
   }
 
   /// The variant's b-probability — the exact floating-point expressions of
@@ -336,9 +278,6 @@ class SimpleFamilyPack final : public AntPack {
   double uniform_prob_;
   double n_estimate_error_;
   std::vector<Phase> phase_;      // per ant: frozen while asleep/crashed
-  std::uint32_t phase_count_[3] = {0, 0, 0};  // census over phase_
-
-  std::vector<env::NestId> round_targets_;  // quiet-round nest snapshot
   std::vector<util::Rng> rng_;              // per-ant private streams
   std::vector<std::uint32_t> believed_n_;   // n~ (== n unless estimate error)
   std::vector<std::uint8_t> active_;
@@ -352,8 +291,7 @@ class SimpleFamilyPack final : public AntPack {
 /// are per-ant lanes, exactly as in the scalar ant: a sleeping or crashed
 /// ant freezes both, and a quorum-met ant's phase parks at kRecruit (the
 /// assess observe that locked it is the last one it ever runs) while its
-/// decide ignores the phase and recruits forever. The phase census keeps
-/// the uniform-shape fast paths alive whenever the colony is in lockstep.
+/// decide ignores the phase and recruits forever.
 class QuorumPack final : public AntPack {
  public:
   QuorumPack(std::uint32_t num_ants, std::uint32_t num_nests,
@@ -370,7 +308,6 @@ class QuorumPack final : public AntPack {
     stage_.resize(num_ants);
     phase_.resize(num_ants);
     count_.resize(num_ants);
-    round_targets_.reserve(num_ants);  // quiet rounds must not allocate
     if (faults != nullptr) install_fault_plan(*faults);
     const bool did_reset = reset(colony_seed);
     HH_ASSERT(did_reset);
@@ -383,52 +320,10 @@ class QuorumPack final : public AntPack {
     std::fill(stage_.begin(), stage_.end(),
               static_cast<std::uint8_t>(Stage::kInit));
     std::fill(phase_.begin(), phase_.end(), Phase::kInit);
-    phase_count_[static_cast<std::size_t>(Phase::kInit)] = size();
-    phase_count_[static_cast<std::size_t>(Phase::kRecruit)] = 0;
-    phase_count_[static_cast<std::size_t>(Phase::kAssess)] = 0;
     std::fill(count_.begin(), count_.end(), 0u);
     reset_commitments();
     finalized_count_ = 0;
     return true;
-  }
-
-  [[nodiscard]] RoundShape correct_shape(std::uint32_t /*round*/) const override {
-    if (all_in(Phase::kInit)) return RoundShape::kAllSearch;
-    // A quorum-met ant parks at kRecruit, so an all-recruit census still
-    // fires the uniform path (transporters recruit like everyone else) and
-    // an all-go census implies nobody has met quorum yet. Assess rounds
-    // after the first quorum — and any sleep/crash phase drift — are mixed,
-    // with the parked transporters forcing the recruit-capable entry point.
-    if (all_in(Phase::kRecruit)) return RoundShape::kAllRecruit;
-    if (all_in(Phase::kAssess)) return RoundShape::kAllGo;
-    return phase_count_[static_cast<std::size_t>(Phase::kRecruit)] > 0
-               ? RoundShape::kMaskedRecruit
-               : RoundShape::kMaskedGo;
-  }
-
-  void fill_recruit_requests(std::uint32_t /*round*/,
-                             std::span<env::RecruitRequest> requests) override {
-    HH_EXPECTS(all_in(Phase::kRecruit));
-    HH_EXPECTS(requests.size() == rng_.size());
-    for (std::size_t a = 0; a < requests.size(); ++a) {
-      requests[a] =
-          env::RecruitRequest{static_cast<env::AntId>(a), decide_b(a), nest_[a]};
-    }
-  }
-
-  [[nodiscard]] std::span<const env::NestId> fill_recruit_soa(
-      std::uint32_t /*round*/, std::span<std::uint8_t> active) override {
-    HH_EXPECTS(all_in(Phase::kRecruit));
-    HH_EXPECTS(active.size() == rng_.size());
-    round_targets_.assign(nest_.begin(), nest_.end());
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      active[a] = decide_b(a) ? 1 : 0;
-    }
-    return round_targets_;
-  }
-
-  [[nodiscard]] std::span<const env::NestId> go_targets() const override {
-    return nest_;
   }
 
   void decide_masked(std::uint32_t /*round*/, std::span<const std::uint8_t> act,
@@ -437,26 +332,10 @@ class QuorumPack final : public AntPack {
                      std::span<env::NestId> targets) override {
     for (std::size_t a = 0; a < act.size(); ++a) {
       if (!act[a]) continue;
-      switch (phase_[a]) {
-        case Phase::kInit:
-          op[a] = env::MaskedOp::kSearch;
-          break;
-        case Phase::kRecruit:
-          // Quorum-met transporters are parked here and decide_b answers
-          // true for them without a draw (recruit every round, locked).
-          op[a] = env::MaskedOp::kRecruit;
-          active[a] = decide_b(a) ? 1 : 0;
-          targets[a] = nest_[a];
-          break;
-        case Phase::kAssess:
-          op[a] = env::MaskedOp::kGo;
-          targets[a] = nest_[a];
-          break;
-      }
+      decide_one(a, op, active, targets);
     }
   }
 
-  // observe_all is the base forward onto this kernel (act all-ones).
   void observe_masked_acting(std::span<const std::uint8_t> act,
                              std::span<const env::Outcome> outcomes) override {
     for (std::size_t a = 0; a < act.size(); ++a) {
@@ -469,10 +348,10 @@ class QuorumPack final : public AntPack {
                    outcomes[a].quality);
       } else if (phase_[a] == Phase::kRecruit) {
         apply_recruit(a, outcomes[a].nest);
-        set_phase(a, Phase::kAssess);
+        phase_[a] = Phase::kAssess;
       } else {
         apply_assess(a, outcomes[a].count);
-        set_phase(a, Phase::kRecruit);
+        phase_[a] = Phase::kRecruit;
       }
     }
   }
@@ -480,52 +359,29 @@ class QuorumPack final : public AntPack {
   void observe_masked_quiet_acting(
       std::span<const std::uint8_t> act, const env::Environment& env,
       std::span<const env::MaskedOp> /*op*/,
-      std::span<const env::NestId> targets) override {
+      std::span<const env::NestId> /*targets*/) override {
     const std::span<const std::uint32_t> counts = env.counts();
+    const std::span<const env::NestId> results = env.recruit_results();
     for (std::size_t a = 0; a < act.size(); ++a) {
       if (!act[a]) continue;  // frozen: crashed, sleeping, or Byzantine
-      if (static_cast<Stage>(stage_[a]) == Stage::kQuorumMet) continue;
-      if (static_cast<Stage>(stage_[a]) == Stage::kInit) {
-        const env::NestId found = env.location(static_cast<env::AntId>(a));
-        apply_init(a, found, counts[found], env.qualities()[found - 1]);
-      } else if (phase_[a] == Phase::kRecruit) {
-        const std::int32_t recruiter =
-            env.recruited_by_ant(static_cast<env::AntId>(a));
-        if (recruiter != env::kNotRecruited) {
-          apply_recruit(a, targets[static_cast<std::size_t>(recruiter)]);
-        }
-        set_phase(a, Phase::kAssess);
-      } else {
-        apply_assess(a, counts[nest_[a]]);
-        set_phase(a, Phase::kRecruit);
-      }
+      observe_quiet(a, env, counts, results);
     }
   }
 
-  void observe_recruit_pairing(std::span<const env::NestId> targets,
-                               const env::PairingScratch& pairing) override {
-    HH_EXPECTS(all_in(Phase::kRecruit));
-    HH_EXPECTS(targets.size() == rng_.size());
-    for (std::size_t a = 0; a < targets.size(); ++a) {
-      if (static_cast<Stage>(stage_[a]) == Stage::kQuorumMet) continue;
-      const std::int32_t recruiter = pairing.recruited_by[a];
-      if (recruiter != env::kNotRecruited) {
-        apply_recruit(a, targets[static_cast<std::size_t>(recruiter)]);
-      }
-      set_phase(a, Phase::kAssess);
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+  [[nodiscard]] bool fused_observe_decide(
+      const env::Environment& env, std::span<env::MaskedOp> op,
+      std::span<std::uint8_t> active,
+      std::span<env::NestId> targets) override {
+    // Observe ant a, then overwrite its lanes with its next-round call.
+    // observe_quiet reads no op/target row, so the overwrite is safe.
+    const std::span<const std::uint32_t> counts = env.counts();
+    const std::span<const env::NestId> results = env.recruit_results();
+    for (std::size_t a = 0; a < op.size(); ++a) {
+      observe_quiet(a, env, counts, results);
+      decide_one(a, op, active, targets);
     }
-  }
-
-  void observe_go_counts(std::span<const std::uint32_t> counts,
-                         std::span<const double> /*qualities*/) override {
-    // Only reachable while no ant has met quorum (a quorum-met ant parks
-    // its phase at kRecruit, blocking the all-assess census), so every
-    // ant is kPassive or kPreQuorum.
-    HH_EXPECTS(all_in(Phase::kAssess));
-    for (std::size_t a = 0; a < rng_.size(); ++a) {
-      apply_assess(a, counts[nest_[a]]);
-      set_phase(a, Phase::kRecruit);
-    }
+    return true;
   }
 
   [[nodiscard]] bool finalized(env::AntId a) const override {
@@ -560,7 +416,7 @@ class QuorumPack final : public AntPack {
       case Stage::kInit:
         break;
     }
-    HH_ASSERT(false);  // correct_shape reports kAllSearch pre-init
+    HH_ASSERT(false);  // a kInit ant searches; it never decides b
     return false;
   }
 
@@ -570,49 +426,81 @@ class QuorumPack final : public AntPack {
     count_[a] = count;
     stage_[a] = static_cast<std::uint8_t>(quality > 0.0 ? Stage::kPreQuorum
                                                         : Stage::kPassive);
-    set_phase(a, Phase::kRecruit);
+    phase_[a] = Phase::kRecruit;
   }
 
-  [[nodiscard]] bool all_in(Phase p) const {
-    return phase_count_[static_cast<std::size_t>(p)] == size();
+  /// One ant's call (QuorumAnt::decide).
+  void decide_one(std::size_t a, std::span<env::MaskedOp> op,
+                  std::span<std::uint8_t> active,
+                  std::span<env::NestId> targets) {
+    switch (phase_[a]) {
+      case Phase::kInit:
+        op[a] = env::MaskedOp::kSearch;
+        break;
+      case Phase::kRecruit:
+        // Quorum-met transporters are parked here and decide_b answers
+        // true for them without a draw (recruit every round, locked).
+        op[a] = env::MaskedOp::kRecruit;
+        active[a] = decide_b(a) ? 1 : 0;
+        targets[a] = nest_[a];
+        break;
+      case Phase::kAssess:
+        op[a] = env::MaskedOp::kGo;
+        targets[a] = nest_[a];
+        break;
+    }
   }
 
-  void set_phase(std::size_t a, Phase next) {
-    --phase_count_[static_cast<std::size_t>(phase_[a])];
-    ++phase_count_[static_cast<std::size_t>(next)];
-    phase_[a] = next;
+  /// One acting ant's quiet observe, exact observation. A recruit ant's
+  /// return is its recruit_results() entry: the recruiter's advertised
+  /// nest, or its own target nest_[a] when nobody recruited it — which
+  /// apply_recruit treats as no change, exactly as the loud kernel does.
+  void observe_quiet(std::size_t a, const env::Environment& env,
+                     std::span<const std::uint32_t> counts,
+                     std::span<const env::NestId> results) {
+    // Quorum-met ants recruit forever but their return value is ignored
+    // (commitment locked) and their phase stays parked at kRecruit.
+    if (static_cast<Stage>(stage_[a]) == Stage::kQuorumMet) return;
+    if (static_cast<Stage>(stage_[a]) == Stage::kInit) {
+      const env::NestId found = env.location(static_cast<env::AntId>(a));
+      apply_init(a, found, counts[found], env.qualities()[found - 1]);
+    } else if (phase_[a] == Phase::kRecruit) {
+      apply_recruit(a, results[a]);
+      phase_[a] = Phase::kAssess;
+    } else {
+      apply_assess(a, counts[nest_[a]]);
+      phase_[a] = Phase::kRecruit;
+    }
   }
 
   void apply_recruit(std::size_t a, env::NestId j) {
+    // j == nest_[a] (not recruited, or recruited to the ant's own nest)
+    // changes nothing in any stage — tested first, because it is the
+    // common, predictable case and the stage mix is not.
+    if (j == nest_[a]) return;
     switch (static_cast<Stage>(stage_[a])) {
       case Stage::kPassive:
-        if (j != nest_[a]) {
-          adopt(a, j);  // recruited: follow the tandem run
-          stage_[a] = static_cast<std::uint8_t>(Stage::kPreQuorum);
-        }
+        adopt(a, j);  // recruited: follow the tandem run
+        stage_[a] = static_cast<std::uint8_t>(Stage::kPreQuorum);
         break;
       case Stage::kPreQuorum:
-        if (j != nest_[a]) adopt(a, j);  // still persuadable
+        adopt(a, j);  // still persuadable
         break;
       default:
         break;  // quorum met: commitment locked
     }
   }
 
+  /// Assess-round observation. Only kPassive and kPreQuorum ants get
+  /// here (quorum-met ants no longer observe; kInit ants run apply_init),
+  /// and both record the count; the rarely true quorum test goes first
+  /// because the passive/pre-quorum mix is irregular.
   void apply_assess(std::size_t a, std::uint32_t count) {
-    switch (static_cast<Stage>(stage_[a])) {
-      case Stage::kPassive:
-        count_[a] = count;
-        break;
-      case Stage::kPreQuorum:
-        count_[a] = count;
-        if (count_[a] >= threshold_) {
-          stage_[a] = static_cast<std::uint8_t>(Stage::kQuorumMet);
-          ++finalized_count_;
-        }
-        break;
-      default:
-        break;
+    count_[a] = count;
+    if (count >= threshold_ &&
+        static_cast<Stage>(stage_[a]) == Stage::kPreQuorum) {
+      stage_[a] = static_cast<std::uint8_t>(Stage::kQuorumMet);
+      ++finalized_count_;
     }
   }
 
@@ -620,11 +508,9 @@ class QuorumPack final : public AntPack {
   double tandem_rate_;
   std::uint32_t finalized_count_ = 0;
 
-  std::vector<env::NestId> round_targets_;  // quiet-round nest snapshot
   std::vector<util::Rng> rng_;
   std::vector<std::uint8_t> stage_;
   std::vector<Phase> phase_;      // per ant: frozen while asleep/crashed
-  std::uint32_t phase_count_[3] = {0, 0, 0};  // census over phase_
   std::vector<std::uint32_t> count_;
 };
 
@@ -633,7 +519,6 @@ class QuorumPack final : public AntPack {
 AntPack::AntPack(std::uint32_t num_ants, std::uint32_t num_nests)
     : num_ants_(num_ants) {
   HH_EXPECTS(num_ants >= 1);
-  act_.assign(num_ants, 1);  // everyone acts until a fault plan says not
   awake_.assign(num_ants, 1);  // all-awake until begin_round says not
   nest_.assign(num_ants, env::kHomeNest);
   census_.assign(num_nests + 1, 0);
@@ -653,16 +538,12 @@ void AntPack::committed_census(std::span<std::uint32_t> census) const {
   std::copy(census_.begin(), census_.end(), census.begin());
 }
 
-void AntPack::observe_all(std::span<const env::Outcome> outcomes) {
-  HH_ASSERT(!has_faults_);  // uniform shapes are never reported faulted
-  observe_masked_acting(act_, outcomes);
-}
-
 void AntPack::install_fault_plan(const env::FaultPlan& plan) {
   HH_EXPECTS(plan.type.size() == num_ants_);
   HH_EXPECTS(plan.crash_round.size() == num_ants_);
   correct_count_ = 0;
   byz_count_ = 0;
+  act_.resize(num_ants_);  // rewritten every round by overlay_faults
   fault_type_.resize(num_ants_);
   crash_round_.resize(num_ants_);
   byz_target_.assign(num_ants_, env::kHomeNest);
@@ -676,7 +557,7 @@ void AntPack::install_fault_plan(const env::FaultPlan& plan) {
   }
   byz_scouting_ = byz_count_;
   // A plan whose victim counts floored to zero is behaviorally fault-free:
-  // keep the uniform fast paths.
+  // keep the fault-free fast paths (the fused observe+decide).
   has_faults_ = correct_count_ != num_ants_;
 }
 
@@ -685,25 +566,11 @@ void AntPack::begin_round(std::span<const std::uint8_t> awake) {
   std::copy(awake.begin(), awake.end(), awake_.begin());
   any_asleep_ =
       std::find(awake.begin(), awake.end(), std::uint8_t{0}) != awake.end();
-  // An all-sleepers round leaves act_ zeroed with no phase advanced, so
-  // the NEXT round can still be colony-uniform — and the uniform path
-  // forwards act_ straight into observe_all without ever calling
-  // fill_masked. Refill here, before round_shape dispatch, or a fully
-  // awake round after a fully asleep one would skip every observe and
-  // freeze the pack (diverging from the scalar engine).
-  if (act_stale_) {
-    std::fill(act_.begin(), act_.end(), std::uint8_t{1});
-    act_stale_ = false;
-  }
 }
 
 bool AntPack::reset(std::uint64_t colony_seed) {
   std::fill(awake_.begin(), awake_.end(), std::uint8_t{1});
   any_asleep_ = false;
-  if (act_stale_) {
-    std::fill(act_.begin(), act_.end(), std::uint8_t{1});
-    act_stale_ = false;
-  }
   if (!do_reset(colony_seed)) return false;
   if (has_faults_) {
     // Re-derive the Byzantine scout state; the installed plan (types,
@@ -716,20 +583,6 @@ bool AntPack::reset(std::uint64_t colony_seed) {
     byz_scouting_ = byz_count_;
   }
   return true;
-}
-
-RoundShape AntPack::round_shape(std::uint32_t round) const {
-  const RoundShape shape = correct_shape(round);
-  // Any faulty OR sleeping ant deviates from a uniform shape: crashed and
-  // sleeping ants idle, Byzantine ants search through their scout rounds
-  // and recruit after. A masked-recruit round whose recruiters all turn
-  // out to be asleep is harmless: the empty request set draws nothing.
-  if (!has_faults_ && !any_asleep_) return shape;
-  const bool byz_recruiting = byz_count_ > byz_scouting_;
-  const bool recruiters = shape == RoundShape::kAllRecruit ||
-                          shape == RoundShape::kMaskedRecruit ||
-                          byz_recruiting;
-  return recruiters ? RoundShape::kMaskedRecruit : RoundShape::kMaskedGo;
 }
 
 void AntPack::overlay_faults(std::uint32_t round, std::span<env::MaskedOp> op,
@@ -773,25 +626,20 @@ void AntPack::fill_masked(std::uint32_t round, std::span<env::MaskedOp> op,
   HH_EXPECTS(active.size() == num_ants_);
   HH_EXPECTS(targets.size() == num_ants_);
   masked_round_ = round;
-  if (has_faults_) {
-    overlay_faults(round, op, active, targets);
-  } else if (act_stale_) {
-    std::fill(act_.begin(), act_.end(), std::uint8_t{1});
-    act_stale_ = false;
-  }
+  if (has_faults_) overlay_faults(round, op, active, targets);
   if (any_asleep_) {
     // Sleep overlays AFTER faults: a sleeping ant idles no matter what its
     // fault lane planned (the scalar loop consults the scheduler before
     // the fault wrapper's decide). Stale active/target rows are unread
-    // under kIdle.
+    // under kIdle. A fault-free pack's acting lane is the awake lane
+    // itself; only a faulted pack's act_ needs its sleepers cleared.
     for (env::AntId a = 0; a < num_ants_; ++a) {
       if (awake_[a]) continue;
-      act_[a] = 0;
       op[a] = env::MaskedOp::kIdle;
+      if (has_faults_) act_[a] = 0;
     }
-    act_stale_ = !has_faults_;
   }
-  decide_masked(round, act_, op, active, targets);
+  decide_masked(round, act(), op, active, targets);
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
@@ -814,7 +662,7 @@ void AntPack::observe_masked(std::span<const env::Outcome> outcomes) {
       }
     }
   }
-  observe_masked_acting(act_, outcomes);
+  observe_masked_acting(act(), outcomes);
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
@@ -837,7 +685,7 @@ void AntPack::observe_masked_quiet(const env::Environment& env,
       }
     }
   }
-  observe_masked_quiet_acting(act_, env, op, targets);
+  observe_masked_quiet_acting(act(), env, op, targets);
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
@@ -846,13 +694,12 @@ bool AntPack::observe_masked_quiet_then_decide(std::uint32_t round,
                                                std::span<env::MaskedOp> op,
                                                std::span<std::uint8_t> active,
                                                std::span<env::NestId> targets) {
-  // The gates mirror fill_masked's special cases: any of them live means
-  // the next round needs the overlay machinery (or a different shape), so
-  // the fused pass is not applicable and the round tail stays split. The
-  // hook contract lets this short-circuit safely: a false return had no
-  // side effects.
-  if (!has_faults_ && !any_asleep_ && !act_stale_ &&
-      correct_shape(round + 1) == RoundShape::kMaskedRecruit &&
+  // The gates mirror fill_masked's special cases: either live means the
+  // next round needs the overlay machinery, so the fused pass is not
+  // applicable and the round tail stays split. The hook contract lets
+  // this short-circuit safely: a false return had no side effects.
+  HH_EXPECTS(round == masked_round_);
+  if (!has_faults_ && !any_asleep_ &&
       fused_observe_decide(env, op, active, targets)) {
     masked_round_ = round + 1;
     return true;
@@ -871,19 +718,23 @@ std::uint32_t AntPack::agreement_census(ConvergenceMode mode,
   return correct_count();
 }
 
+// The base kernels below are never reached by a built-in home-nest pack
+// (each overrides all three); the lattice's WalkerPack shell, whose driver
+// bypasses the kernels, is the one pack that keeps them.
+
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
 void AntPack::decide_masked(std::uint32_t /*round*/,
                             std::span<const std::uint8_t> /*act*/,
                             std::span<env::MaskedOp> /*op*/,
                             std::span<std::uint8_t> /*active*/,
                             std::span<env::NestId> /*targets*/) {
-  HH_ASSERT(false);  // only called when round_shape() says kMasked*
+  HH_ASSERT(false);
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
 void AntPack::observe_masked_acting(std::span<const std::uint8_t> /*act*/,
                                     std::span<const env::Outcome> /*outcomes*/) {
-  HH_ASSERT(false);  // only called when round_shape() says kMasked*
+  HH_ASSERT(false);
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
@@ -891,34 +742,7 @@ void AntPack::observe_masked_quiet_acting(
     std::span<const std::uint8_t> /*act*/, const env::Environment& /*env*/,
     std::span<const env::MaskedOp> /*op*/,
     std::span<const env::NestId> /*targets*/) {
-  HH_ASSERT(false);  // only called when round_shape() says kMasked*
-}
-
-void AntPack::fill_recruit_requests(std::uint32_t /*round*/,
-                                    std::span<env::RecruitRequest> /*requests*/) {
-  HH_ASSERT(false);  // only called when round_shape() says kAllRecruit
-}
-
-std::span<const env::NestId> AntPack::go_targets() const {
-  HH_ASSERT(false);  // only called when round_shape() says kAllGo
-  return {};
-}
-
-std::span<const env::NestId> AntPack::fill_recruit_soa(
-    std::uint32_t /*round*/, std::span<std::uint8_t> /*active*/) {
-  HH_ASSERT(false);  // only called when round_shape() says kAllRecruit
-  return {};
-}
-
-void AntPack::observe_recruit_pairing(
-    std::span<const env::NestId> /*targets*/,
-    const env::PairingScratch& /*pairing*/) {
-  HH_ASSERT(false);  // only called for packs reporting kAllRecruit rounds
-}
-
-void AntPack::observe_go_counts(std::span<const std::uint32_t> /*counts*/,
-                                std::span<const double> /*qualities*/) {
-  HH_ASSERT(false);  // only called for packs reporting kAllGo rounds
+  HH_ASSERT(false);
 }
 
 bool AntPack::finalized(env::AntId /*a*/) const { return false; }

@@ -19,8 +19,7 @@
 //
 // Layering (the phase-aware decision-kernel split):
 //   * DERIVED packs implement the algorithm's correct-ant kernels:
-//     correct_shape() classifies each round, decide_masked()/the uniform
-//     fill_* methods produce the acting ants' calls, and the observe
+//     decide_masked() produces the acting ants' calls and the observe
 //     kernels absorb results — always drawing per-ant RNG in ant order,
 //     exactly as the scalar ants would.
 //   * The BASE class owns the generic fault lanes (crash rounds,
@@ -29,11 +28,14 @@
 //     each round's op/active/target lanes and gates the derived kernels
 //     to the acting correct ants, so every algorithm gains packed fault
 //     support without fault code of its own.
-//   * Colony-uniform rounds (every ant searches/recruits/goes) route
-//     through the environment's all-* fast paths; mixed-phase rounds
-//     (Algorithm 2's interleaved R1-R4 blocks, any faulted round) route
-//     through the masked SoA entry points (Environment::step_masked_*).
-//     Under exact observation both use the Outcome-free quiet forms.
+//   * Every round is a masked round: the driver fills the op/active/
+//     target lanes and runs Environment::step_masked_recruit, or its
+//     Outcome-free quiet form under exact observation. A colony-uniform
+//     round (every ant searches, recruits, or goes) is one whose op lane
+//     happens to be constant. In fault-free, fully awake steady state the
+//     quiet observe also writes the next round's lanes
+//     (observe_masked_quiet_then_decide), so no separate decide sweep
+//     runs.
 //
 // Packs exist for every built-in algorithm: the Algorithm-3 family
 // (simple, rate-boosted, quality-aware, uniform-recruit), the quorum
@@ -65,20 +67,6 @@
 
 namespace hh::core {
 
-/// The composition of a round, letting the driver route to the
-/// environment's SoA fast paths instead of the generic per-action
-/// dispatch. Uniform shapes are reported only when EVERY ant makes that
-/// call (so never under fault lanes); the masked shapes carry mixed
-/// rounds through Environment::step_masked_*.
-enum class RoundShape : std::uint8_t {
-  kAllSearch,      ///< every ant searches (round 1, fault-free)
-  kAllRecruit,     ///< every ant recruits: fill_recruit_* + step_all_recruit
-  kAllGo,          ///< every ant goes: go_targets + step_all_go
-  kMaskedRecruit,  ///< mixed ops, recruiters possible: fill_masked +
-                   ///< step_masked_recruit
-  kMaskedGo,       ///< mixed ops, NO recruiters: fill_masked + step_masked_go
-};
-
 /// A whole colony as parallel state arrays. One virtual call per ROUND
 /// (not per ant); the loops inside are non-virtual and allocation-free.
 class AntPack {
@@ -89,94 +77,47 @@ class AntPack {
 
   // --- driver interface (core::Simulation) --------------------------------
 
-  /// The shape of `round` (1-based), fault lanes included: a colony whose
-  /// correct ants are uniform still reports a masked shape when any
-  /// faulty ant deviates (a crashed ant idles, a Byzantine ant searches
-  /// then recruits).
-  [[nodiscard]] RoundShape round_shape(std::uint32_t round) const;
-
-  /// Partial synchrony: install the round's awake mask BEFORE consulting
-  /// round_shape (a round with any sleeper reports a masked shape).
-  /// awake[a] == 0 freezes ant a for the round: its row becomes
-  /// MaskedOp::kIdle, its decide kernel draws nothing, and its observe
-  /// kernel is skipped — exactly the scalar scheduler-gated loop. The
-  /// driver draws the mask (scheduler stream, ant order) so the pack
+  /// Partial synchrony: install the round's awake mask before the round's
+  /// fill_masked. awake[a] == 0 freezes ant a for the round: its row
+  /// becomes MaskedOp::kIdle, its decide kernel draws nothing, and its
+  /// observe kernel is skipped — exactly the scalar scheduler-gated loop.
+  /// The driver draws the mask (scheduler stream, ant order) so the pack
   /// consumes no scheduler randomness itself. The mask is copied; it does
   /// not need to outlive the call. Omitting the call means all-awake.
   void begin_round(std::span<const std::uint8_t> awake);
 
-  /// kMaskedRecruit/kMaskedGo rounds: fill every ant's op/active/target
-  /// lanes for `round` — fault rows written by the base class, acting
-  /// correct ants by the derived decide kernel (drawing the same RNG
-  /// sequence the scalar colony would).
+  /// Fill every ant's op/active/target lanes for `round` — fault and
+  /// sleep rows written by the base class, acting correct ants by the
+  /// derived decide kernel (drawing the same RNG sequence the scalar
+  /// colony would).
   void fill_masked(std::uint32_t round, std::span<env::MaskedOp> op,
                    std::span<std::uint8_t> active,
                    std::span<env::NestId> targets);
 
-  /// Absorb a masked round's Outcomes (the loud form — required under
-  /// noisy observation).
+  /// Absorb a round's Outcomes (the loud form — required under noisy
+  /// observation).
   void observe_masked(std::span<const env::Outcome> outcomes);
 
-  /// Absorb a masked round quietly (exact observation): results are read
-  /// straight off the environment (counts, locations, the ant-indexed
-  /// matching view). `op` and `targets` must be the lanes fill_masked
-  /// produced for this round — each ant's result kind and the recruit
-  /// returns resolve through them.
+  /// Absorb a round quietly (exact observation): results are read
+  /// straight off the environment (counts, locations, the recruit()
+  /// return lane). `op` and `targets` must be the lanes fill_masked
+  /// produced for this round — each ant's result kind resolves through
+  /// them.
   void observe_masked_quiet(const env::Environment& env,
                             std::span<const env::MaskedOp> op,
                             std::span<const env::NestId> targets);
 
-  /// The fused tail of a fault-free, fully-awake masked-recruit round:
-  /// absorb round `round` quietly AND overwrite the same lanes with every
-  /// ant's round `round + 1` decision, returning true — the driver then
-  /// skips fill_masked for the next round. Falls back to the plain quiet
-  /// observe (returning false) when fault or sleep lanes are live, when
-  /// round `round + 1`'s correct shape is not kMaskedRecruit, or when the
-  /// pack does not implement the fusion hook. Must not be called under
-  /// partial synchrony — the sleep overlay belongs to fill_masked.
+  /// The fused tail of a fault-free, fully-awake round: absorb round
+  /// `round` quietly AND overwrite the same lanes with every ant's round
+  /// `round + 1` decision, returning true — the driver then skips
+  /// fill_masked for the next round. Falls back to the plain quiet
+  /// observe (returning false) when fault or sleep lanes are live, or
+  /// when the pack does not implement the fusion hook. Must not be called
+  /// under partial synchrony — the sleep overlay belongs to fill_masked.
   [[nodiscard]] bool observe_masked_quiet_then_decide(
       std::uint32_t round, const env::Environment& env,
       std::span<env::MaskedOp> op, std::span<std::uint8_t> active,
       std::span<env::NestId> targets);
-
-  /// kAllRecruit rounds only: write every ant's recruit(b, i) call into
-  /// `requests` (requests[a].ant = a), drawing the same RNG sequence the
-  /// scalar colony would draw. The loud (Outcome-producing) form.
-  virtual void fill_recruit_requests(std::uint32_t round,
-                                     std::span<env::RecruitRequest> requests);
-
-  /// kAllRecruit rounds only, SoA form for the quiet path: write every
-  /// ant's b into `active` and return the advertised-nest lane (a
-  /// pack-owned snapshot that stays valid through the following
-  /// observe_recruit_pairing). Same RNG sequence as fill_recruit_requests.
-  [[nodiscard]] virtual std::span<const env::NestId> fill_recruit_soa(
-      std::uint32_t round, std::span<std::uint8_t> active);
-
-  /// kAllGo rounds only: the per-ant go() targets. Packs return a view of
-  /// their committed-nest lane — no copy.
-  [[nodiscard]] virtual std::span<const env::NestId> go_targets() const;
-
-  /// Deliver the end-of-round return values of a uniform round
-  /// (outcomes[a] answers ant a's call). Uniform shapes are only reported
-  /// fault-free, where the act lane is all-ones — so the default forwards
-  /// to the masked observe kernel, which IS the uniform kernel then (one
-  /// copy of every transition, not two).
-  virtual void observe_all(std::span<const env::Outcome> outcomes);
-
-  // Quiet observation (exact model only): consume the round's results
-  // straight from the environment's pairing scratch / count arrays instead
-  // of a per-ant Outcome array. Semantically identical to observe_all over
-  // the Outcomes the loud round would have produced.
-
-  /// Apply a kAllRecruit round: `targets` as returned by
-  /// fill_recruit_soa, `pairing` from Environment::last_pairing().
-  virtual void observe_recruit_pairing(std::span<const env::NestId> targets,
-                                       const env::PairingScratch& pairing);
-
-  /// Apply a kAllGo round from end-of-round counts (size k+1, by nest)
-  /// and true qualities (size k, nest i at [i-1]).
-  virtual void observe_go_counts(std::span<const std::uint32_t> counts,
-                                 std::span<const double> qualities);
 
   /// Overwrite `census` (size k+1, indexed by nest) with the number of
   /// CORRECT ants committed to each nest (faulty ants are exempt from
@@ -244,11 +185,6 @@ class AntPack {
 
   // --- the decision-kernel interface derived packs implement ---------------
 
-  /// The shape `round` would have if every ant were correct. The base
-  /// overlays fault lanes on top (a uniform shape degrades to a masked
-  /// one; byz recruiters can turn kAllGo/kMaskedGo into kMaskedRecruit).
-  [[nodiscard]] virtual RoundShape correct_shape(std::uint32_t round) const = 0;
-
   /// reset() body: re-derive every lane from `colony_seed`. Byzantine
   /// positions must skip the algorithm's per-ant construction draws
   /// (their scalar counterparts never construct the inner ant); use
@@ -272,7 +208,7 @@ class AntPack {
 
   /// Masked observe kernel, quiet form (exact observation): derive each
   /// acting ant's results from the environment (counts(), location(),
-  /// recruited_by_ant()) and the round's op/target lanes — op[a] is the
+  /// recruit_results()) and the round's op/target lanes — op[a] is the
   /// single source of truth for whether ant a's result is a recruit
   /// return or a visit count (no kernel re-derives its decide table).
   virtual void observe_masked_quiet_acting(std::span<const std::uint8_t> act,
@@ -281,13 +217,13 @@ class AntPack {
                                            std::span<const env::NestId> targets);
 
   /// Fusion hook behind observe_masked_quiet_then_decide. The caller's
-  /// gates guarantee every lane acts (no faults, no sleepers, act_ all
-  /// ones) and that the next round's correct shape is kMaskedRecruit.
+  /// gates guarantee every lane acts (no faults, no sleepers).
   /// Implementations observe every ant quietly and immediately rewrite
-  /// its op/active/target lanes with the NEXT round's decision — one pass
-  /// over the state lanes instead of an observe sweep plus a decide
-  /// sweep — then return true. The default opts out: return false with
-  /// NO side effects (the caller then runs the plain quiet observe).
+  /// its op/active/target lanes with the NEXT round's decision — round
+  /// masked_round() + 1 — in one pass over the state lanes instead of an
+  /// observe sweep plus a decide sweep, then return true. The default
+  /// opts out: return false with NO side effects (the caller then runs
+  /// the plain quiet observe).
   [[nodiscard]] virtual bool fused_observe_decide(
       const env::Environment& /*env*/, std::span<env::MaskedOp> /*op*/,
       std::span<std::uint8_t> /*active*/, std::span<env::NestId> /*targets*/) {
@@ -297,8 +233,8 @@ class AntPack {
   // --- fault-lane helpers for derived kernels ------------------------------
 
   [[nodiscard]] bool has_faults() const { return has_faults_; }
-  /// The round fill_masked() last planned — for observe kernels that need
-  /// the round number back (Algorithm 2's block step).
+  /// The round whose lanes were last planned (by fill_masked() or the
+  /// fused observe+decide) — for kernels that need the round number back.
   [[nodiscard]] std::uint32_t masked_round() const { return masked_round_; }
   /// True iff ant a is Byzantine (its lane never runs the derived kernel).
   [[nodiscard]] bool byzantine(env::AntId a) const {
@@ -316,11 +252,6 @@ class AntPack {
   [[nodiscard]] std::uint32_t correct_count() const {
     return has_faults_ ? correct_count_ : num_ants_;
   }
-  /// True iff ant a acts this round (partial synchrony; all-ones unless
-  /// begin_round installed a mask with sleepers).
-  [[nodiscard]] bool awake(env::AntId a) const { return awake_[a] != 0; }
-  /// True iff the current round's mask has at least one sleeper.
-  [[nodiscard]] bool any_asleep() const { return any_asleep_; }
 
   // --- shared commitment lanes ---------------------------------------------
   // Every pack tracks one committed nest per ant plus the incremental
@@ -344,7 +275,14 @@ class AntPack {
   std::vector<std::uint32_t> census_;  ///< committed census, correct ants
 
  private:
-  /// Recompute the acting lane for `round` and write the faulty ants'
+  /// The acting lane: 1 = run the derived kernels this round. A
+  /// fault-free pack's acting lane IS its awake lane; a faulted pack's is
+  /// act_, which fill_masked rewrites every round.
+  [[nodiscard]] std::span<const std::uint8_t> act() const {
+    return has_faults_ ? std::span<const std::uint8_t>(act_) : awake_;
+  }
+
+  /// Recompute act_ for `round` and write the faulty ants'
   /// op/active/target rows.
   void overlay_faults(std::uint32_t round, std::span<env::MaskedOp> op,
                       std::span<std::uint8_t> active,
@@ -361,14 +299,7 @@ class AntPack {
   std::uint32_t byz_count_ = 0;
   std::uint32_t masked_round_ = 0;  ///< round of the last fill_masked
   bool any_asleep_ = false;         ///< current round's mask has a sleeper
-  // After a sleep round without fault lanes, act_ holds stale zeros.
-  // begin_round (called every partial-synchrony round, before round_shape
-  // dispatch) refills and clears the flag so a uniform round's observe_all
-  // never sees them; fill_masked and reset also clear it for drivers that
-  // step the pack directly. overlay_faults rewrites act_ wholesale each
-  // round, so faulted packs never set this.
-  bool act_stale_ = false;
-  std::vector<std::uint8_t> act_;   ///< 1 = run the derived kernel this round
+  std::vector<std::uint8_t> act_;   ///< faulted packs: see act()
   std::vector<std::uint8_t> awake_;  ///< partial synchrony: 1 = acts
   std::vector<std::uint8_t> fault_type_;     ///< env::FaultType per ant
   std::vector<std::uint32_t> crash_round_;   ///< round >= which the ant idles

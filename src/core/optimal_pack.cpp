@@ -57,12 +57,6 @@ class OptimalPack final : public AntPack {
     return true;
   }
 
-  [[nodiscard]] RoundShape correct_shape(std::uint32_t round) const override {
-    // Round 1 is the global search; every later round interleaves the
-    // R1-R4 block machine's recruit and go calls across states.
-    return round <= 1 ? RoundShape::kAllSearch : RoundShape::kMaskedRecruit;
-  }
-
   /// One ant's masked decision — decide_masked's per-ant body, shared
   /// with the fused observe+decide pass.
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
@@ -111,8 +105,6 @@ class OptimalPack final : public AntPack {
     }
   }
 
-  // observe_all (the fault-free round-1 search) is the base forward onto
-  // this kernel: every lane is still kSearch then.
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
   void observe_masked_acting(std::span<const std::uint8_t> act,
                              std::span<const env::Outcome> outcomes) override {

@@ -144,10 +144,9 @@ void AlgorithmRegistry::add(AlgorithmSpec spec) {
   if (spec.name.empty()) {
     throw std::invalid_argument("algorithm spec has an empty name");
   }
-  if (!spec.colony && !spec.simulation) {
+  if (!spec.colony) {
     throw std::invalid_argument("algorithm spec '" + spec.name +
-                                "' carries neither a colony factory nor a "
-                                "simulation factory");
+                                "' carries no colony factory");
   }
   for (const std::string& key : spec.params) {
     if (find_param(key) == nullptr) {
@@ -165,13 +164,6 @@ void AlgorithmRegistry::add(AlgorithmSpec spec) {
     }
   }
   specs_.push_back(std::move(shared));
-}
-
-void AlgorithmRegistry::add(std::string name, SimulationFactory factory) {
-  AlgorithmSpec spec;
-  spec.name = std::move(name);
-  spec.simulation = std::move(factory);
-  add(std::move(spec));
 }
 
 bool AlgorithmRegistry::contains(std::string_view name) const {
@@ -196,7 +188,6 @@ std::unique_ptr<Simulation> AlgorithmRegistry::make(
                             "' (registered: " + known_algorithms() + ")");
   }
   // Build outside the lock: factories run whole colony constructions.
-  if (spec->simulation) return spec->simulation(config, params);
   return std::make_unique<Simulation>(config, *spec, params);
 }
 

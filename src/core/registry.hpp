@@ -54,13 +54,6 @@ struct ParamInfo {
 /// The table row for `key`, or nullptr.
 [[nodiscard]] const ParamInfo* find_param(std::string_view key);
 
-/// Legacy factory shape: builds a whole Simulation. Kept as an escape
-/// hatch (AlgorithmSpec::simulation) for callers that assemble exotic
-/// simulations themselves; such algorithms bypass capability-driven
-/// engine selection entirely.
-using SimulationFactory = std::function<std::unique_ptr<Simulation>(
-    const SimulationConfig&, const AlgorithmParams&)>;
-
 /// Builds the per-object colony for one trial. `colony_seed` is the
 /// derived colony seed (per-ant streams come from it exactly as
 /// make_colony derives them); `plan` is the sampled fault assignment.
@@ -81,7 +74,7 @@ struct AlgorithmSpec {
   std::string name;     ///< stable registry key ("simple", "idle-search")
   std::string summary;  ///< one-liner for listings (--algorithms)
 
-  ColonyFactory colony;           ///< required (unless `simulation` set)
+  ColonyFactory colony;           ///< required
   PackFactory pack;               ///< optional packed fast path
   Capabilities capabilities;      ///< declared coverage of `pack`
   /// The convergence notion the algorithm is verified under.
@@ -93,10 +86,6 @@ struct AlgorithmSpec {
   /// knob only some of its algorithms read (the others ignore it — but
   /// note every table param is part of result-cache identity).
   std::vector<std::string> params;
-
-  /// Legacy escape hatch: when set, make() calls this and ignores the
-  /// factories above (the simulation decides its own engine).
-  SimulationFactory simulation;
 };
 
 /// Process-wide name -> AlgorithmSpec table. The built-in algorithms
@@ -109,16 +98,10 @@ class AlgorithmRegistry {
   /// The process-wide instance.
   [[nodiscard]] static AlgorithmRegistry& instance();
 
-  /// Register (or replace) an algorithm. spec.name must be non-empty and
-  /// spec must carry either a colony factory or a legacy simulation
-  /// factory; spec.params keys must exist in algorithm_param_table()
-  /// (std::invalid_argument otherwise).
+  /// Register (or replace) an algorithm. spec.name must be non-empty,
+  /// spec must carry a colony factory, and spec.params keys must exist in
+  /// algorithm_param_table() (std::invalid_argument otherwise).
   void add(AlgorithmSpec spec);
-
-  /// Legacy registration: wrap a bare SimulationFactory. Equivalent to an
-  /// AlgorithmSpec with only `simulation` set — no capability matrix, no
-  /// param schema. Prefer add(AlgorithmSpec).
-  void add(std::string name, SimulationFactory factory);
 
   /// True iff `name` is registered.
   [[nodiscard]] bool contains(std::string_view name) const;

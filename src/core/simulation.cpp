@@ -153,10 +153,8 @@ Simulation::EngineParts Simulation::build_engine(
     const SimulationConfig& config, const AlgorithmSpec& spec,
     const AlgorithmParams& params) {
   if (!spec.colony) {
-    throw std::invalid_argument(
-        "algorithm spec '" + spec.name +
-        "' has no colony factory (legacy simulation-factory specs build "
-        "through AlgorithmRegistry::make, not this constructor)");
+    throw std::invalid_argument("algorithm spec '" + spec.name +
+                                "' has no colony factory");
   }
   // Backend support gates BOTH engines — decision kernels are written for
   // one world, and routing them into another is a programming error the
@@ -227,7 +225,6 @@ Simulation::Simulation(const SimulationConfig& config, EngineParts engine,
   if (pack_) {
     HH_EXPECTS(pack_->size() == config.num_ants);
     census_.resize(config.qualities.size() + 1);
-    requests_.resize(config.num_ants);
     recruit_active_.resize(config.num_ants);
     masked_op_.resize(config.num_ants);
     masked_targets_.resize(config.num_ants);
@@ -376,44 +373,6 @@ bool Simulation::update_lattice_convergence() {
 
 bool Simulation::step_packed() {
   const std::uint32_t round = home_->round() + 1;  // 1-based, as in the paper
-  // Tandem/transport attribution as in step_scalar; finalized() reflects
-  // pre-observe state there (an ant's own observe cannot change another
-  // ant's attribution), so checking all ants before the batch observe is
-  // equivalent. `succeeded(a)` abstracts over the loud (Outcome) and
-  // quiet (pairing-scratch) result representations.
-  std::uint32_t tandem = 0;
-  std::uint32_t transport = 0;
-  const auto attribute = [&](auto&& succeeded) {
-    if (home_->last_round_stats().successful_recruitments == 0) return;
-    if (!pack_->any_finalized()) {
-      tandem = home_->last_round_stats().successful_recruitments;
-      return;
-    }
-    for (env::AntId a = 0; a < config_.num_ants; ++a) {
-      if (succeeded(a)) {
-        if (pack_->finalized(a)) {
-          ++transport;
-        } else {
-          ++tandem;
-        }
-      }
-    }
-  };
-  // The quiet paths' form: the env hands over this round's successful
-  // recruiters directly, so attribution touches the successes alone (one
-  // batch finalized() count) instead of testing every ant.
-  const auto attribute_quiet = [&] {
-    const std::uint32_t successes =
-        home_->last_round_stats().successful_recruitments;
-    if (successes == 0) return;
-    if (!pack_->any_finalized()) {
-      tandem = successes;
-      return;
-    }
-    transport = pack_->count_finalized(home_->successful_recruiters());
-    tandem = successes - transport;
-  };
-
   // Partial synchrony: pre-draw the round's awake mask exactly as
   // step_scalar does — same scheduler stream, same ant order, consulted
   // before any decide — and hand it to the pack, which idles the sleepers
@@ -428,79 +387,53 @@ bool Simulation::step_packed() {
     pack_->begin_round(awake_u8_);
   }
 
-  // One batch decide over the state arrays — routed through the
-  // environment's round-shape fast path when the round is colony-uniform,
-  // through the masked SoA entry points when phases (or fault/sleep
-  // lanes) mix the round, and through the Outcome-free quiet forms when
-  // observation is exact.
-  switch (pack_->round_shape(round)) {
-    case RoundShape::kAllSearch:
-      pack_->observe_all(home_->step_all_search());
-      break;
-    case RoundShape::kAllRecruit: {
-      if (exact_observation_) {
-        const std::span<const env::NestId> targets =
-            pack_->fill_recruit_soa(round, recruit_active_);
-        home_->step_all_recruit_quiet(recruit_active_, targets);
-        attribute_quiet();
-        pack_->observe_recruit_pairing(targets, home_->last_pairing());
-      } else {
-        pack_->fill_recruit_requests(round, requests_);
-        const std::vector<env::Outcome>& outcomes =
-            home_->step_all_recruit(requests_);
-        attribute([&](env::AntId a) { return outcomes[a].recruit_succeeded; });
-        pack_->observe_all(outcomes);
-      }
-      break;
-    }
-    case RoundShape::kAllGo:
-      if (exact_observation_) {
-        home_->step_all_go_quiet(pack_->go_targets());
-        pack_->observe_go_counts(home_->counts(), home_->qualities());
-      } else {
-        pack_->observe_all(home_->step_all_go(pack_->go_targets()));
-      }
-      break;
-    case RoundShape::kMaskedRecruit: {
-      // The previous round's fused observe may have planned this round's
-      // lanes already (fault-free steady state); the flag is one-shot.
-      if (!masked_lanes_prefilled_) {
-        pack_->fill_masked(round, masked_op_, recruit_active_, masked_targets_);
-      }
-      masked_lanes_prefilled_ = false;
-      if (exact_observation_) {
-        home_->step_masked_recruit_quiet(masked_op_, recruit_active_,
-                                       masked_targets_);
-        attribute_quiet();
-        // Fuse next round's decide into this observe when eligible —
-        // never under partial synchrony, whose sleep overlay must run
-        // through fill_masked after the round's wake draws.
-        if (config_.skip_probability == 0.0) {
-          masked_lanes_prefilled_ = pack_->observe_masked_quiet_then_decide(
-              round, *home_, masked_op_, recruit_active_, masked_targets_);
-        } else {
-          pack_->observe_masked_quiet(*home_, masked_op_, masked_targets_);
-        }
-      } else {
-        const std::vector<env::Outcome>& outcomes =
-            home_->step_masked_recruit(masked_op_, recruit_active_,
-                                     masked_targets_);
-        attribute([&](env::AntId a) { return outcomes[a].recruit_succeeded; });
-        pack_->observe_masked(outcomes);
-      }
-      break;
-    }
-    case RoundShape::kMaskedGo:
-      // No recruiters: nothing to pair, nothing to attribute.
-      pack_->fill_masked(round, masked_op_, recruit_active_, masked_targets_);
-      if (exact_observation_) {
-        home_->step_masked_go_quiet(masked_op_, masked_targets_);
-        pack_->observe_masked_quiet(*home_, masked_op_, masked_targets_);
-      } else {
-        pack_->observe_masked(home_->step_masked_go(masked_op_, masked_targets_));
-      }
-      break;
+  // One batch decide over the state arrays into the op/active/target
+  // lanes — unless the previous round's fused observe already planned
+  // them (fault-free steady state; the flag is one-shot) — then one
+  // masked round, in its Outcome-free quiet form when observation is
+  // exact. A colony-uniform round is a masked round with a constant op
+  // lane.
+  if (!masked_lanes_prefilled_) {
+    pack_->fill_masked(round, masked_op_, recruit_active_, masked_targets_);
   }
+  masked_lanes_prefilled_ = false;
+
+  // Tandem/transport attribution as in step_scalar; finalized() reflects
+  // pre-observe state there (an ant's own observe cannot change another
+  // ant's attribution), so attributing before the batch observe is
+  // equivalent. Every success that is not a transport is a tandem run.
+  std::uint32_t transport = 0;
+  if (exact_observation_) {
+    home_->step_masked_recruit_quiet(masked_op_, recruit_active_,
+                                     masked_targets_);
+    // The env hands over this round's successful recruiters directly, so
+    // attribution touches the successes alone (one batch finalized()
+    // count) instead of testing every ant.
+    if (pack_->any_finalized()) {
+      transport = pack_->count_finalized(home_->successful_recruiters());
+    }
+    // Fuse next round's decide into this observe when eligible — never
+    // under partial synchrony, whose sleep overlay must run through
+    // fill_masked after the round's wake draws.
+    if (config_.skip_probability == 0.0) {
+      masked_lanes_prefilled_ = pack_->observe_masked_quiet_then_decide(
+          round, *home_, masked_op_, recruit_active_, masked_targets_);
+    } else {
+      pack_->observe_masked_quiet(*home_, masked_op_, masked_targets_);
+    }
+  } else {
+    const std::vector<env::Outcome>& outcomes = home_->step_masked_recruit(
+        masked_op_, recruit_active_, masked_targets_);
+    if (home_->last_round_stats().successful_recruitments > 0 &&
+        pack_->any_finalized()) {
+      for (env::AntId a = 0; a < config_.num_ants; ++a) {
+        if (outcomes[a].recruit_succeeded && pack_->finalized(a)) ++transport;
+      }
+    }
+    pack_->observe_masked(outcomes);
+  }
+  const std::uint32_t tandem =
+      home_->last_round_stats().successful_recruitments - transport;
   record_round(tandem, transport);
   const std::uint32_t correct_total =
       pack_->agreement_census(detector_.mode(), *home_, census_);

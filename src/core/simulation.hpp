@@ -185,8 +185,7 @@ class Simulation {
   /// kAuto, any gap lands the run on the spec's colony factory and the
   /// joined gap list on engine_fallback(); with kPacked, a gap throws
   /// std::invalid_argument naming the exact capabilities missing. The
-  /// spec must carry a colony factory (legacy simulation-factory-only
-  /// specs are the registry's business, not this constructor's).
+  /// spec must carry a colony factory (std::invalid_argument otherwise).
   Simulation(const SimulationConfig& config, const AlgorithmSpec& spec,
              const AlgorithmParams& params = {});
 
@@ -299,7 +298,6 @@ class Simulation {
   std::vector<bool> awake_;            // reused per round (scalar engine)
   std::vector<std::uint8_t> awake_u8_;  // reused per round (packed psync)
   std::vector<std::uint32_t> census_;  // reused per round (packed engine)
-  std::vector<env::RecruitRequest> requests_;  // reused per round (packed)
   std::vector<std::uint8_t> recruit_active_;   // reused per round (packed)
   std::vector<env::MaskedOp> masked_op_;       // reused per round (packed)
   std::vector<env::NestId> masked_targets_;    // reused per round (packed)

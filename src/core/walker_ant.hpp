@@ -70,10 +70,6 @@ class WalkerPack final : public AntPack {
     HH_ASSERT(did_reset);
   }
 
-  [[nodiscard]] RoundShape correct_shape(
-      std::uint32_t /*round*/) const override {
-    return RoundShape::kMaskedGo;  // never consulted by the lattice driver
-  }
   [[nodiscard]] bool do_reset(std::uint64_t /*colony_seed*/) override {
     reset_commitments();
     return true;

@@ -23,7 +23,6 @@ HomeNestBackend::HomeNestBackend(EnvironmentConfig cfg,
       observation_(observation ? std::move(observation)
                                : std::make_unique<ExactObservation>()),
       observe_exact_(observation_->exact()),
-      counter_pairing_(pairing_->counter_keyed()),
       rng_(cfg_.seed),
       pairing_seed_(util::mix_seed(cfg_.seed, kPairingSeedTag)) {
   HH_EXPECTS(cfg_.num_ants >= 1);
@@ -53,15 +52,12 @@ void HomeNestBackend::reset(std::uint64_t seed) {
   rng_.reseed(seed);
   pairing_seed_ = util::mix_seed(seed, kPairingSeedTag);
   round_ = 0;
-  all_at_home_ = false;
   std::fill(location_.begin(), location_.end(), kHomeNest);
   std::fill(count_.begin(), count_.end(), 0u);
   count_[kHomeNest] = cfg_.num_ants;
   std::fill(knowledge_.begin(), knowledge_.end(), std::uint8_t{0});
   requests_.clear();
   std::fill(request_index_.begin(), request_index_.end(), kNoRequest);
-  requests_ant_indexed_ = false;
-  pairing_current_ = false;
   success_ants_.clear();
   std::fill(recruit_result_.begin(), recruit_result_.end(), kHomeNest);
   stats_ = RoundStats{};
@@ -69,7 +65,7 @@ void HomeNestBackend::reset(std::uint64_t seed) {
 
 NestId HomeNestBackend::location(AntId a) const {
   HH_EXPECTS(a < cfg_.num_ants);
-  return all_at_home_ ? kHomeNest : location_[a];
+  return location_[a];
 }
 
 std::uint32_t HomeNestBackend::count(NestId i) const {
@@ -145,21 +141,14 @@ void HomeNestBackend::validate(AntId a, const Action& action) const {
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-template <bool kLoud, typename ActionAt>
-void HomeNestBackend::round_phase1(const ActionAt& action_at) {
+template <typename ActionAt>
+const std::vector<Outcome>& HomeNestBackend::step_rows(const ActionAt& action_at) {
   const std::uint32_t k = num_nests();
   stats_ = RoundStats{};
   requests_.clear();
-  requests_ant_indexed_ = false;
-  pairing_current_ = true;  // every step_rows round runs the pairing
-  if (all_at_home_) {
-    // Materialize the lazy locations of a preceding step_all_recruit()
-    // round: the kIdle branch below reads location_ in place.
-    std::fill(location_.begin(), location_.end(), kHomeNest);
-    all_at_home_ = false;
-  }
 
-  // Validate and apply all location updates simultaneously.
+  // Phase 1: validate and apply all location updates simultaneously; the
+  // search landing draws are made here, in ant order.
   for (AntId a = 0; a < cfg_.num_ants; ++a) {
     const Action action = action_at(a);
     if (cfg_.enforce_model) validate(a, action);
@@ -170,33 +159,23 @@ void HomeNestBackend::round_phase1(const ActionAt& action_at) {
         const auto found = static_cast<NestId>(1 + rng_.uniform_u64(k));
         location_[a] = found;
         grant_knowledge(a, found);
-        if constexpr (kLoud) {
-          outcomes_[a] =
-              Outcome{ActionKind::kSearch, found, 0.0, 0, false, false};
-        }
+        outcomes_[a] =
+            Outcome{ActionKind::kSearch, found, 0.0, 0, false, false};
         ++stats_.searches;
         break;
       }
       case ActionKind::kGo:
         location_[a] = action.target;
-        if constexpr (kLoud) {
-          outcomes_[a] =
-              Outcome{ActionKind::kGo, action.target, 0.0, 0, false, false};
-        }
+        outcomes_[a] =
+            Outcome{ActionKind::kGo, action.target, 0.0, 0, false, false};
         ++stats_.gos;
         break;
       case ActionKind::kRecruit:
         location_[a] = kHomeNest;  // recruitment happens at the home nest
         request_index_[a] = static_cast<std::uint32_t>(requests_.size());
         requests_.push_back(RecruitRequest{a, action.active, action.target});  // lint: capacity-reserved
-        if constexpr (kLoud) {
-          outcomes_[a] = Outcome{ActionKind::kRecruit, action.target, 0.0, 0,
-                                 false, false};
-        } else {
-          // The unrecruited return value; record_matching() overwrites it
-          // for the ants that get recruited.
-          recruit_result_[a] = action.target;
-        }
+        outcomes_[a] = Outcome{ActionKind::kRecruit, action.target, 0.0, 0,
+                               false, false};
         if (action.active) {
           ++stats_.active_recruits;
         } else {
@@ -204,22 +183,12 @@ void HomeNestBackend::round_phase1(const ActionAt& action_at) {
         }
         break;
       case ActionKind::kIdle:
-        if constexpr (kLoud) {
-          outcomes_[a] =
-              Outcome{ActionKind::kIdle, location_[a], 0.0, 0, false, false};
-        }
+        outcomes_[a] =
+            Outcome{ActionKind::kIdle, location_[a], 0.0, 0, false, false};
         ++stats_.idles;
         break;
     }
   }
-}
-
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-template <typename ActionAt>
-const std::vector<Outcome>& HomeNestBackend::step_rows(const ActionAt& action_at) {
-  const std::uint32_t k = num_nests();
-  // Phase 1 (shared with the quiet form).
-  round_phase1<true>(action_at);
 
   // Phase 2: the centralized pairing process (Algorithm 1 by default),
   // writing into the environment-owned scratch buffers. The ctx keys
@@ -296,30 +265,8 @@ const std::vector<Outcome>& HomeNestBackend::step_rows(const ActionAt& action_at
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-template <typename ActionAt>
-void HomeNestBackend::step_rows_quiet(const ActionAt& action_at) {
-  // The Outcome-free core: the SAME phase-1/pairing/count bookkeeping and
-  // RNG draws as step_rows (exact observation draws nothing in phase 4),
-  // but the per-ant return values are never materialized — callers read
-  // last_pairing()/recruited_by_ant()/counts()/location() directly.
-  HH_EXPECTS(observe_exact_);
-  const std::uint32_t k = num_nests();
-  round_phase1<false>(action_at);
-
-  pairing_->pair_into(requests_, PairingCtx{rng_, pairing_seed_, round_ + 1},
-                      pairing_scratch_);
-  HH_ENSURES(pairing_scratch_.recruited_by.size() == requests_.size());
-
-  count_.assign(k + 1, 0);
-  for (AntId a = 0; a < cfg_.num_ants; ++a) ++count_[location_[a]];
-
-  record_matching();
-  ++round_;
-}
-
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
 void HomeNestBackend::record_matching() {
-  // Phase 1 already stored every recruit ant's own target in
+  // The first pass already stored every recruit ant's own target in
   // recruit_result_ (the return value when nobody recruits it), so only
   // the matched pairs are left to visit. First a branch-free compaction
   // gathers the recruited request positions x in ascending order — the
@@ -397,128 +344,6 @@ const std::vector<Outcome>& HomeNestBackend::step_masked_recruit(
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-void HomeNestBackend::step_masked_recruit_quiet(
-    std::span<const MaskedOp> op, std::span<const std::uint8_t> active,
-    std::span<const NestId> targets) {
-  HH_EXPECTS(op.size() == cfg_.num_ants);
-  HH_EXPECTS(active.size() == cfg_.num_ants);
-  HH_EXPECTS(targets.size() == cfg_.num_ants);
-  if (counter_pairing_) {
-    step_masked_recruit_fused(op, active, targets);
-    return;
-  }
-  step_rows_quiet(MaskedRows{op, active, targets});
-}
-
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-void HomeNestBackend::step_masked_recruit_fused(
-    std::span<const MaskedOp> op, std::span<const std::uint8_t> active,
-    std::span<const NestId> targets) {
-  // The counter-keyed fast round, observably identical to
-  // step_rows_quiet(MaskedRows{...}) — same RNG consumption, locations,
-  // counts, knowledge, stats, matching, and ant-indexed views — but in
-  // two passes instead of four. Legality of the reordering:
-  //   * the only shared-stream draws in a masked-recruit round are the
-  //     search landings, made below in ant order exactly as
-  //     round_phase1 makes them;
-  //   * a counter_keyed() model's KEYED pair_active (round != 0, always
-  //     the case here) draws nothing from the shared stream, so running
-  //     the census before the pairing instead of after it is invisible;
-  //   * the lottery is keyed on dense request ranks, and the
-  //     classification pass below assigns ranks in ant order — the same
-  //     ranks requests_.push_back() assigns on the generic path.
-  HH_EXPECTS(observe_exact_);
-  const std::uint32_t k = num_nests();
-  stats_ = RoundStats{};
-  requests_ant_indexed_ = false;
-  pairing_current_ = true;
-  if (all_at_home_) {
-    // Materialize the lazy locations of a preceding step_all_recruit()
-    // round: the kIdle branch below reads location_ in place.
-    std::fill(location_.begin(), location_.end(), kHomeNest);
-    all_at_home_ = false;
-  }
-
-  // Pass 1 — phase 1 + census fused: classification, location updates,
-  // search draws, request packing (AoS row + the dense active-flag lane
-  // the lottery reads), stats, AND the count scatter, one ant-order
-  // sweep. The generic path's separate census reads location_ back after
-  // phase 1; here each ant's end-of-round location is still in register.
-  //
-  // The go/recruit pair — the whole colony from round 2 on — is handled
-  // branch-free: the op mix is irregular at steady state (each ant's
-  // R1-R4 block position differs), so a per-ant switch mispredicts
-  // roughly every other ant. Instead every go/recruit ant does the same
-  // unconditional work with conditional-move selects, including a
-  // request-row store whose cursor only advances for recruiters (a go
-  // ant's row is overwritten by the next recruiter; the tail is cut off
-  // by the resize below). Searches and idles — round-1 colonies, fault
-  // lanes — take the cold branch, perfectly predicted when absent.
-  count_.assign(k + 1, 0);
-  const AntId n = cfg_.num_ants;
-  auto& flags = pairing_scratch_.active;
-  requests_.resize(n);  // lint: capacity-reserved
-  flags.resize(n);  // lint: capacity-reserved
-  RecruitRequest* const req_rows = requests_.data();
-  std::uint8_t* const flag_rows = flags.data();
-  std::uint32_t mreq = 0;
-  std::uint32_t n_go = 0;
-  std::uint32_t n_rec_active = 0;
-  for (AntId a = 0; a < n; ++a) {
-    const MaskedOp o = op[a];
-    if (o == MaskedOp::kGo || o == MaskedOp::kRecruit) [[likely]] {
-      const bool r = o == MaskedOp::kRecruit;
-      if (cfg_.enforce_model) {
-        validate(a, r ? Action::recruit(active[a] != 0, targets[a])
-                      : Action::go(targets[a]));
-      }
-      const NestId tgt = targets[a];
-      const std::uint8_t b = active[a] != 0 ? 1 : 0;
-      const NestId loc = r ? kHomeNest : tgt;
-      location_[a] = loc;
-      ++count_[loc];
-      // A recruit ant's return value unless it gets recruited (a go ant's
-      // entry is never read; storing it too keeps the pass branch-free).
-      recruit_result_[a] = tgt;
-      request_index_[a] = r ? mreq : kNoRequest;
-      req_rows[mreq] = RecruitRequest{a, b != 0, tgt};
-      flag_rows[mreq] = b;
-      mreq += r ? 1u : 0u;
-      n_go += r ? 0u : 1u;
-      n_rec_active += (r && b != 0) ? 1u : 0u;
-    } else if (o == MaskedOp::kSearch) {
-      // search(): i chosen uniformly at random from {1..k} — the same
-      // draw, in the same ant order, as round_phase1.
-      const auto found = static_cast<NestId>(1 + rng_.uniform_u64(k));
-      request_index_[a] = kNoRequest;
-      location_[a] = found;
-      grant_knowledge(a, found);
-      ++count_[found];
-      ++stats_.searches;
-    } else {  // MaskedOp::kIdle
-      if (cfg_.enforce_model) validate(a, Action::idle());
-      request_index_[a] = kNoRequest;
-      ++count_[location_[a]];
-      ++stats_.idles;
-    }
-  }
-  requests_.resize(mreq);  // lint: capacity-reserved
-  flags.resize(mreq);  // lint: capacity-reserved
-  stats_.gos = n_go;
-  stats_.active_recruits = n_rec_active;
-  stats_.passive_recruits = mreq - n_rec_active;
-
-  // Pass 2 — the keyed lottery over the dense ranks (flags aliases
-  // scratch.active, the same buffer pair_into packs), then the matching
-  // bookkeeping step_rows_quiet shares.
-  pairing_->pair_active(flags, PairingCtx{rng_, pairing_seed_, round_ + 1},
-                        pairing_scratch_);
-  HH_ENSURES(pairing_scratch_.recruited_by.size() == requests_.size());
-  record_matching();
-  ++round_;
-}
-
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
 const std::vector<Outcome>& HomeNestBackend::step_masked_go(
     std::span<const MaskedOp> op, std::span<const NestId> targets) {
   HH_EXPECTS(op.size() == cfg_.num_ants);
@@ -533,201 +358,135 @@ const std::vector<Outcome>& HomeNestBackend::step_masked_go(
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-void HomeNestBackend::step_masked_go_quiet(std::span<const MaskedOp> op,
-                                       std::span<const NestId> targets) {
-  HH_EXPECTS(op.size() == cfg_.num_ants);
-  HH_EXPECTS(targets.size() == cfg_.num_ants);
-  step_rows_quiet([&](AntId a) {
-    HH_ASSERT(op[a] != MaskedOp::kRecruit);
-    return MaskedRows{op, {}, targets}(a);
-  });
-}
-
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-const std::vector<Outcome>& HomeNestBackend::step_all_search() {
-  const std::uint32_t k = num_nests();
-  stats_ = RoundStats{};
-  pairing_current_ = false;  // no pairing: this round's matching is empty
-  stats_.searches = cfg_.num_ants;
-  all_at_home_ = false;  // every location is written below
-  // search() is always legal — nothing to validate.
-  count_.assign(k + 1, 0);
-  for (AntId a = 0; a < cfg_.num_ants; ++a) {
-    // Identical draw to step()'s phase 1: i uniform from {1..k}, ant order.
-    const auto found = static_cast<NestId>(1 + rng_.uniform_u64(k));
-    location_[a] = found;
-    ++count_[found];
-    outcomes_[a] = Outcome{ActionKind::kSearch, found, 0.0, 0, false, false};
-  }
-  for (AntId a = 0; a < cfg_.num_ants; ++a) {
-    Outcome& out = outcomes_[a];
-    const double q = quality(out.nest);
-    out.quality = observe_exact_ ? q : observation_->perceive_quality(q, rng_);
-    out.count = observe_exact_
-                    ? count_[out.nest]
-                    : observation_->perceive_count(count_[out.nest], rng_);
-    grant_knowledge(a, out.nest);
-  }
-  ++round_;
-  return outcomes_;
-}
-
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-const std::vector<Outcome>& HomeNestBackend::step_all_recruit(
-    std::span<const RecruitRequest> requests) {
-  HH_EXPECTS(requests.size() == cfg_.num_ants);
-  const std::uint32_t k = num_nests();
-  stats_ = RoundStats{};
-  if (cfg_.enforce_model) {
-    for (AntId a = 0; a < cfg_.num_ants; ++a) {
-      HH_EXPECTS(requests[a].ant == a);
-      validate(a, Action::recruit(requests[a].active, requests[a].target));
-    }
-  }
-  // Phase 1 collapses: recruitment happens at the home nest, so every
-  // location — and with it every count — is known without writing a thing
-  // (locations materialize lazily through the all_at_home_ flag).
-  all_at_home_ = true;
-  requests_ant_indexed_ = true;
-  pairing_current_ = true;
-  pairing_->pair_into(requests, PairingCtx{rng_, pairing_seed_, round_ + 1},
-                      pairing_scratch_);
-  HH_ENSURES(pairing_scratch_.recruited_by.size() == requests.size());
-  count_.assign(k + 1, 0);
-  count_[kHomeNest] = cfg_.num_ants;
-  // Phase 4, recruit-only: requests are indexed by ant (requests[a].ant ==
-  // a), so the request_index_ indirection disappears too.
-  const std::uint32_t home_count =
-      observe_exact_ ? cfg_.num_ants : 0;  // noisy path perceives per ant
-  for (AntId a = 0; a < cfg_.num_ants; ++a) {
-    const RecruitRequest& req = requests[a];
-    stats_.active_recruits += req.active ? 1u : 0u;
-    Outcome& out = outcomes_[a];
-    out = Outcome{ActionKind::kRecruit, req.target, 0.0, 0, false, false};
-    const std::int32_t recruiter = pairing_scratch_.recruited_by[a];
-    if (recruiter != kNotRecruited) {
-      out.nest = requests[static_cast<std::size_t>(recruiter)].target;
-      out.recruited = true;
-      ++stats_.successful_recruitments;
-      if (requests[static_cast<std::size_t>(recruiter)].ant == a) {
-        ++stats_.self_recruitments;
-      }
-      if (out.nest != req.target) ++stats_.cross_nest_recruitments;
-      if (out.nest != kHomeNest) grant_knowledge(a, out.nest);
-    }
-    out.recruit_succeeded = pairing_scratch_.recruit_succeeded[a] != 0;
-    out.count = observe_exact_
-                    ? home_count
-                    : observation_->perceive_count(count_[kHomeNest], rng_);
-  }
-  stats_.passive_recruits = cfg_.num_ants - stats_.active_recruits;
-  ++round_;
-  return outcomes_;
-}
-
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-void HomeNestBackend::step_all_recruit_quiet(std::span<const std::uint8_t> active,
-                                         std::span<const NestId> targets) {
+void HomeNestBackend::quiet_round(std::span<const MaskedOp> op,
+                                  std::span<const std::uint8_t> active,
+                                  std::span<const NestId> targets) {
+  // Observably identical to step_rows() over the same rows, minus the
+  // Outcome array — same RNG consumption, locations, counts, knowledge,
+  // stats, matching, and ant-indexed views — but in two passes instead
+  // of four. The reordering is legal under EVERY pairing model:
+  //   * the search landings are the only shared-stream draws made before
+  //     the pairing, and the pass below makes them in ant order, exactly
+  //     as step_rows' phase 1 does;
+  //   * pair_into() is exactly "pack the active flags, then
+  //     pair_active()", and the pass packs the flags in ant order — the
+  //     request ranks requests_.push_back() assigns on the loud path — so
+  //     a sequential model draws the same values from the same stream
+  //     position, and a keyed model sees the same ranks;
+  //   * the census draws nothing, so taking it before the pairing instead
+  //     of after is invisible even to the sequential models.
   HH_EXPECTS(observe_exact_);
+  const std::uint32_t k = num_nests();
+  const AntId n = cfg_.num_ants;
+  const bool validating = cfg_.enforce_model;
+  // A recruit-free round passes no active lane and packs no requests.
+  const bool recruits = !active.empty();
+  stats_ = RoundStats{};
+
+  // Pass 1 — phase 1 + census fused: classification, location updates,
+  // search draws, request packing (AoS row + the dense active-flag lane
+  // the pairing reads), AND the count scatter, one ant-order sweep. A
+  // separate census would read location_ back; here each ant's
+  // end-of-round location is still in register. Go and recruit ants —
+  // the whole colony after round 1 — take the two hot arms. (A select
+  // form that gives go ants the recruit arm's stores too, so the arm
+  // choice needs no branch, compiles to the same branch with GCC 12 and
+  // only adds stores.) Searches and idles — round 1, fault and sleep
+  // lanes — take the cold arms.
+  count_.assign(k + 1, 0);
+  auto& flags = pairing_scratch_.active;
+  if (recruits) {
+    requests_.resize(n);  // lint: capacity-reserved
+    flags.resize(n);  // lint: capacity-reserved
+  }
+  // Raw lane pointers: the byte stores below (flags, knowledge) may alias
+  // anything, the vectors' own data pointers included, so indexing the
+  // member vectors would reload every pointer for every ant.
+  const MaskedOp* const ops = op.data();
+  const std::uint8_t* const b_lane = active.data();
+  const NestId* const tgts = targets.data();
+  NestId* const loc = location_.data();
+  std::uint32_t* const cnt = count_.data();
+  NestId* const results = recruit_result_.data();
+  std::uint32_t* const req_index = request_index_.data();
+  RecruitRequest* const req_rows = requests_.data();
+  std::uint8_t* const flag_rows = flags.data();
+  std::uint32_t mreq = 0;
+  for (AntId a = 0; a < n; ++a) {
+    const MaskedOp o = ops[a];
+    if (o == MaskedOp::kGo) {
+      const NestId tgt = tgts[a];
+      if (validating) validate(a, Action::go(tgt));
+      loc[a] = tgt;
+      ++cnt[tgt];
+      req_index[a] = kNoRequest;
+    } else if (o == MaskedOp::kRecruit) {
+      HH_ASSERT(recruits);
+      const NestId tgt = tgts[a];
+      const bool b = b_lane[a] != 0;
+      if (validating) validate(a, Action::recruit(b, tgt));
+      loc[a] = kHomeNest;  // recruitment happens at the home nest
+      ++cnt[kHomeNest];
+      // The return value unless the ant gets recruited; record_matching()
+      // overwrites it for the ants that do.
+      results[a] = tgt;
+      req_index[a] = mreq;
+      req_rows[mreq] = RecruitRequest{a, b, tgt};
+      flag_rows[mreq] = b ? 1 : 0;
+      ++mreq;
+    } else if (o == MaskedOp::kSearch) {
+      // search(): i chosen uniformly at random from {1..k} — the same
+      // draw, in the same ant order, as step_rows' phase 1.
+      const auto found = static_cast<NestId>(1 + rng_.uniform_u64(k));
+      loc[a] = found;
+      grant_knowledge(a, found);
+      ++cnt[found];
+      req_index[a] = kNoRequest;
+      ++stats_.searches;
+    } else {
+      if (validating) validate(a, Action::idle());
+      ++cnt[loc[a]];
+      req_index[a] = kNoRequest;
+      ++stats_.idles;
+    }
+  }
+  requests_.resize(mreq);  // lint: capacity-reserved
+  flags.resize(mreq);  // lint: capacity-reserved
+  // The per-kind tallies the loop above did not keep (fewer live values
+  // there, so its lane pointers stay in registers).
+  std::uint32_t n_rec_active = 0;
+  for (const std::uint8_t b : flags) n_rec_active += b;
+  stats_.gos = n - mreq - stats_.searches - stats_.idles;
+  stats_.active_recruits = n_rec_active;
+  stats_.passive_recruits = mreq - n_rec_active;
+
+  // Pass 2 — the pairing over the packed flags (flags aliases
+  // scratch.active, the buffer pair_into() packs), then the matched-pairs
+  // bookkeeping. A recruit-free round pairs the empty set: no draws, an
+  // empty matching.
+  pairing_->pair_active(flags, PairingCtx{rng_, pairing_seed_, round_ + 1},
+                        pairing_scratch_);
+  HH_ENSURES(pairing_scratch_.recruited_by.size() == requests_.size());
+  record_matching();
+  ++round_;
+}
+
+// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+void HomeNestBackend::step_masked_recruit_quiet(
+    std::span<const MaskedOp> op, std::span<const std::uint8_t> active,
+    std::span<const NestId> targets) {
+  HH_EXPECTS(op.size() == cfg_.num_ants);
   HH_EXPECTS(active.size() == cfg_.num_ants);
   HH_EXPECTS(targets.size() == cfg_.num_ants);
-  const std::uint32_t k = num_nests();
-  stats_ = RoundStats{};
-  if (cfg_.enforce_model) {
-    for (AntId a = 0; a < cfg_.num_ants; ++a) {
-      validate(a, Action::recruit(active[a] != 0, targets[a]));
-    }
-  }
-  all_at_home_ = true;
-  requests_ant_indexed_ = true;
-  pairing_current_ = true;
-  for (const std::uint8_t b : active) stats_.active_recruits += b ? 1u : 0u;
-  stats_.passive_recruits = cfg_.num_ants - stats_.active_recruits;
-  pairing_->pair_active(active, PairingCtx{rng_, pairing_seed_, round_ + 1},
-                        pairing_scratch_);
-  HH_ENSURES(pairing_scratch_.recruited_by.size() == active.size());
-  count_.assign(k + 1, 0);
-  count_[kHomeNest] = cfg_.num_ants;
-  // The phase-4 bookkeeping (stats, knowledge) without Outcome writes:
-  // the exact model returns values the caller can read off last_pairing()
-  // and counts() directly. Request x's caller is ant x, so the
-  // self-recruitment test collapses to recruiter == a.
-  success_ants_.clear();
-  for (AntId a = 0; a < cfg_.num_ants; ++a) {
-    const std::int32_t recruiter = pairing_scratch_.recruited_by[a];
-    if (recruiter == kNotRecruited) {
-      recruit_result_[a] = targets[a];
-      continue;
-    }
-    const NestId j = targets[static_cast<std::size_t>(recruiter)];
-    recruit_result_[a] = j;
-    success_ants_.push_back(static_cast<AntId>(recruiter));  // lint: capacity-reserved
-    ++stats_.successful_recruitments;
-    if (static_cast<AntId>(recruiter) == a) ++stats_.self_recruitments;
-    if (j != targets[a]) ++stats_.cross_nest_recruitments;
-    if (j != kHomeNest) grant_knowledge(a, j);
-  }
-  ++round_;
+  quiet_round(op, active, targets);
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-void HomeNestBackend::step_all_go_quiet(std::span<const NestId> targets) {
-  HH_EXPECTS(observe_exact_);
+void HomeNestBackend::step_masked_go_quiet(std::span<const MaskedOp> op,
+                                           std::span<const NestId> targets) {
+  HH_EXPECTS(op.size() == cfg_.num_ants);
   HH_EXPECTS(targets.size() == cfg_.num_ants);
-  const std::uint32_t k = num_nests();
-  stats_ = RoundStats{};
-  pairing_current_ = false;  // no pairing: this round's matching is empty
-  stats_.gos = cfg_.num_ants;
-  all_at_home_ = false;  // every location is written below
-  if (cfg_.enforce_model) {
-    for (AntId a = 0; a < cfg_.num_ants; ++a) {
-      validate(a, Action::go(targets[a]));
-    }
-  }
-  count_.assign(k + 1, 0);
-  for (AntId a = 0; a < cfg_.num_ants; ++a) {
-    location_[a] = targets[a];
-    ++count_[targets[a]];
-  }
-  // go() grants no knowledge and, exactly observed, returns only
-  // counts()/qualities() — no per-ant work remains.
-  ++round_;
-}
-
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-const std::vector<Outcome>& HomeNestBackend::step_all_go(
-    std::span<const NestId> targets) {
-  HH_EXPECTS(targets.size() == cfg_.num_ants);
-  const std::uint32_t k = num_nests();
-  stats_ = RoundStats{};
-  pairing_current_ = false;  // no pairing: this round's matching is empty
-  stats_.gos = cfg_.num_ants;
-  all_at_home_ = false;  // every location is written below
-  if (cfg_.enforce_model) {
-    for (AntId a = 0; a < cfg_.num_ants; ++a) {
-      validate(a, Action::go(targets[a]));
-    }
-  }
-  count_.assign(k + 1, 0);
-  for (AntId a = 0; a < cfg_.num_ants; ++a) {
-    location_[a] = targets[a];
-    ++count_[targets[a]];
-  }
-  for (AntId a = 0; a < cfg_.num_ants; ++a) {
-    const NestId nest = targets[a];
-    // Same per-ant perception order as step()'s kGo branch: count first,
-    // then the re-assessed quality (matters under noisy observation).
-    const std::uint32_t count =
-        observe_exact_ ? count_[nest]
-                       : observation_->perceive_count(count_[nest], rng_);
-    const double q = quality(nest);
-    const double perceived_q =
-        observe_exact_ ? q : observation_->perceive_quality(q, rng_);
-    outcomes_[a] =
-        Outcome{ActionKind::kGo, nest, perceived_q, count, false, false};
-  }
-  ++round_;
-  return outcomes_;
+  quiet_round(op, {}, targets);
 }
 
 }  // namespace hh::env

@@ -78,28 +78,6 @@ class HomeNestBackend final : public Backend {
   /// counting operator new.
   const std::vector<Outcome>& step(std::span<const Action> actions) override;
 
-  // --- SoA round-shape fast paths -----------------------------------------
-  // The synchronous algorithms produce colony-uniform rounds (every ant
-  // searches, every ant recruits, every ant goes), and the generic step()
-  // pays a per-ant dispatch switch plus Action marshalling it doesn't
-  // need. These entry points execute one round of a known shape over
-  // contiguous inputs instead. Each is RNG-equivalent to step() with the
-  // corresponding action vector: identical draws in identical order,
-  // identical outcomes, counts, knowledge, and stats — the packed engine
-  // (core::AntPack) relies on this, and tests/test_environment.cpp checks
-  // it directly. Same zero-allocation guarantee as step().
-
-  /// One round in which every ant calls search().
-  const std::vector<Outcome>& step_all_search();
-
-  /// One round in which every ant calls recruit(b, i): requests[a] must be
-  /// ant a's call (requests[a].ant == a, requests.size() == num_ants()).
-  const std::vector<Outcome>& step_all_recruit(
-      std::span<const RecruitRequest> requests);
-
-  /// One round in which every ant calls go(targets[a]).
-  const std::vector<Outcome>& step_all_go(std::span<const NestId> targets);
-
   /// Rewind to the pre-round-1 state under a new seed, reusing every
   /// buffer: all ants home, counts/knowledge/stats cleared, round() == 0,
   /// RNG reseeded. A reset environment is indistinguishable from a freshly
@@ -108,34 +86,25 @@ class HomeNestBackend final : public Backend {
   /// construction. Allocation-free.
   void reset(std::uint64_t seed) override;
 
-  // Quiet forms: under the EXACT observation model (no perception draws),
-  // a round's return values are fully determined by the pairing and the
-  // end-of-round counts — so these skip materializing the per-ant Outcome
-  // array altogether and the caller reads last_pairing()/counts()
-  // directly. Model bookkeeping (locations, counts, knowledge, stats,
-  // round number) is identical to the loud forms; requires exact
-  // observation (throws ContractViolation otherwise).
-
-  /// step_all_recruit without Outcomes, in SoA form: active[a] is ant a's
-  /// b and targets[a] its advertised nest (both size n). The matching is
-  /// in last_pairing().
-  void step_all_recruit_quiet(std::span<const std::uint8_t> active,
-                              std::span<const NestId> targets);
-
-  /// step_all_go without Outcomes; per-nest results are in counts().
-  void step_all_go_quiet(std::span<const NestId> targets);
-
   // --- masked SoA entry points --------------------------------------------
-  // Mixed-phase rounds in SoA form: op[a] selects ant a's call (see
-  // MaskedOp), targets[a] its go destination or advertised nest, active[a]
-  // its b for recruits. RNG-equivalent to step() with the corresponding
-  // action vector — both run the same row-level core — so packs whose
-  // rounds are NOT colony-uniform (per-ant phase lanes, fault lanes) keep
-  // the zero-allocation contract instead of falling back to per-object
-  // dispatch. tests/test_environment.cpp pins the equivalence.
+  // Any round in SoA form: op[a] selects ant a's call (see MaskedOp),
+  // targets[a] its go destination or advertised nest, active[a] its b for
+  // recruits. A colony-uniform round is just a masked round whose op lane
+  // is constant. RNG-equivalent to step() with the corresponding action
+  // vector, so the packed engine keeps the zero-allocation contract for
+  // every round composition (per-ant phase lanes, fault and sleep lanes).
+  // tests/test_environment.cpp pins the equivalence under every pairing.
+  //
+  // The loud forms share step()'s row-level core. The quiet forms (exact
+  // observation only; ContractViolation otherwise) skip the per-ant
+  // Outcome array — callers read counts(), location(), recruit_results()
+  // and the matching views directly — and run the fused round: one
+  // ant-order pass for classification, search draws, request packing and
+  // the count census, then the pairing, then the matched-pairs
+  // bookkeeping (see quiet_round()).
 
-  /// One mixed round that may contain recruiters. After it,
-  /// last_pairing() holds the matching (indexed by request position) and
+  /// One round that may contain recruiters. After it, last_pairing()
+  /// holds the matching (indexed by request position) and
   /// recruited_by_ant()/recruit_succeeded_ant() give the ant-indexed view.
   const std::vector<Outcome>& step_masked_recruit(
       std::span<const MaskedOp> op, std::span<const std::uint8_t> active,
@@ -146,15 +115,16 @@ class HomeNestBackend final : public Backend {
                                  std::span<const std::uint8_t> active,
                                  std::span<const NestId> targets) override;
 
-  /// One mixed round with NO recruiters (op values kGo/kSearch/kIdle
-  /// only): skips the pairing process, which draws nothing on an empty
-  /// request set, so it stays RNG-equivalent to step(). `active` is not
-  /// needed; `targets` is read only at kGo positions.
+  /// One round with NO recruiters (op values kGo/kSearch/kIdle only): the
+  /// request set is empty, and pairing an empty set draws nothing, so it
+  /// stays RNG-equivalent to step(). `active` is not needed; `targets` is
+  /// read only at kGo positions.
   const std::vector<Outcome>& step_masked_go(
       std::span<const MaskedOp> op,
       std::span<const NestId> targets) override;
 
-  /// step_masked_go without Outcomes (exact observation only).
+  /// step_masked_go without Outcomes (exact observation only): the quiet
+  /// round with an empty `active` lane.
   void step_masked_go_quiet(std::span<const MaskedOp> op,
                             std::span<const NestId> targets) override;
 
@@ -198,34 +168,34 @@ class HomeNestBackend final : public Backend {
   }
   /// Ant-indexed view of the LAST ROUND's matching: the AntId that
   /// recruited `a`, or kNotRecruited — including when `a` made no
-  /// recruit() call, and for every ant after a round with no recruit
-  /// calls at all (step_all_search/go), whose matching is empty by
-  /// definition. Translates the pairing scratch's request-position
-  /// indices, which packs must not do themselves. Defined inline below:
-  /// the packed engines call these once per recruiting ant per round
-  /// (tens of millions of calls per sweep), so the loads must not hide
-  /// behind a call boundary.
+  /// recruit() call, for every ant after a round with no recruit calls
+  /// at all (its matching is empty by definition), and before the first
+  /// round. Translates the pairing scratch's request-position indices,
+  /// which packs must not do themselves. Defined inline below: the
+  /// packed engines call these once per recruiting ant per round (tens
+  /// of millions of calls per sweep), so the loads must not hide behind
+  /// a call boundary.
   [[nodiscard]] std::int32_t recruited_by_ant(AntId a) const;
   /// Ant-indexed view: whether `a` successfully recruited someone in the
   /// last round.
   [[nodiscard]] bool recruit_succeeded_ant(AntId a) const;
   /// The ants that appear as the RECRUITER in a pair of the last quiet
-  /// recruit round's matching, in request order (each at most once —
-  /// matching validity). Valid after step_masked_recruit_quiet /
-  /// step_all_recruit_quiet; lets the driver attribute tandem runs vs
-  /// transports over the successes alone instead of scanning every ant.
+  /// round's matching, in request order (each at most once — matching
+  /// validity); empty after a quiet round without pairs and after
+  /// reset(). Valid after every quiet round; lets the driver attribute
+  /// tandem runs vs transports over the successes alone instead of
+  /// scanning every ant.
   [[nodiscard]] std::span<const AntId> successful_recruiters() const {
     return success_ants_;
   }
   /// recruit_results()[a] = the recruit(b, i) return value j for every
-  /// ant whose op was kRecruit in the last quiet recruit round: the
-  /// recruiter's advertised nest when `a` was recruited, a's own target
-  /// otherwise. Entries of ants that made no recruit() call hold no
-  /// return value — a go ant's entry is its go target after the fused
-  /// counter round, other entries are stale — so callers must consult it
-  /// only for their recruit lanes. One sequential lane load where
-  /// recruited_by_ant() chases the request-index indirection plus two
-  /// dependent random loads.
+  /// ant whose op was kRecruit in the last quiet round: the recruiter's
+  /// advertised nest when `a` was recruited, a's own target otherwise.
+  /// Valid after every quiet round. Entries of ants that made no
+  /// recruit() call hold no return value (they are stale), so callers
+  /// must consult it only for their recruit lanes. One sequential lane
+  /// load where recruited_by_ant() chases the request-index indirection
+  /// plus two dependent random loads.
   [[nodiscard]] std::span<const NestId> recruit_results() const {
     return recruit_result_;
   }
@@ -245,45 +215,33 @@ class HomeNestBackend final : public Backend {
   void validate(AntId a, const Action& action) const;
   void grant_knowledge(AntId a, NestId i);
 
-  /// The row-level core every generic/masked round goes through:
-  /// `action_at(a)` yields ant a's Action. step() and the masked entry
-  /// points are thin adapters over these two, which is what makes them
-  /// RNG-equivalent by construction.
+  /// The row-level core of the loud rounds: `action_at(a)` yields ant
+  /// a's Action. step() and the loud masked entry points are thin
+  /// adapters over it, which is what makes them RNG-equivalent by
+  /// construction.
   template <typename ActionAt>
   const std::vector<Outcome>& step_rows(const ActionAt& action_at);
-  /// The Outcome-free form (exact observation only): same bookkeeping,
-  /// no per-ant return values materialized.
-  template <typename ActionAt>
-  void step_rows_quiet(const ActionAt& action_at);
-  /// step_masked_recruit_quiet for counter-keyed pairing models: one
-  /// fused pass does classification, the search draws, request packing,
-  /// AND the count census, then runs the keyed lottery and the matching
-  /// bookkeeping. Observably identical to the generic path — see the
-  /// legality argument at the definition. Exact observation only.
-  void step_masked_recruit_fused(std::span<const MaskedOp> op,
-                                 std::span<const std::uint8_t> active,
-                                 std::span<const NestId> targets);
-  /// Phase 1 shared by both forms — validation, location updates, the
-  /// search landing draws, request building, stats — ONE copy so the
-  /// loud and quiet paths cannot drift apart. kLoud additionally seeds
-  /// the per-ant Outcome rows phase 4 completes.
-  template <bool kLoud, typename ActionAt>
-  void round_phase1(const ActionAt& action_at);
-  /// The matching bookkeeping after a quiet round's pairing, shared by
-  /// step_rows_quiet and the fused round: walks the matched pairs only —
-  /// successful_recruiters(), recruit_results() for the recruited ants,
-  /// tandem-run knowledge, and stats_'s pair/self/cross-nest counts.
-  /// Expects phase 1 to have stored each recruit ant's own target in
-  /// recruit_result_.
+  /// The core of both quiet entry points (exact observation only): one
+  /// fused ant-order pass does classification, the search draws,
+  /// request packing AND the count census, then the pairing runs over
+  /// the packed active flags and record_matching() does the bookkeeping.
+  /// Observably identical to step_rows() — see the legality argument at
+  /// the definition. An empty `active` lane marks a recruit-free round
+  /// (no kRecruit in op; ContractViolation otherwise).
+  void quiet_round(std::span<const MaskedOp> op,
+                   std::span<const std::uint8_t> active,
+                   std::span<const NestId> targets);
+  /// The matching bookkeeping after a quiet round's pairing: walks the
+  /// matched pairs only — successful_recruiters(), recruit_results() for
+  /// the recruited ants, tandem-run knowledge, and stats_'s
+  /// pair/self/cross-nest counts. Expects the round's first pass to have
+  /// stored each recruit ant's own target in recruit_result_.
   void record_matching();
 
   EnvironmentConfig cfg_;
   std::unique_ptr<PairingModel> pairing_;
   std::unique_ptr<ObservationModel> observation_;
   bool observe_exact_;  // cached observation_->exact(): branch, not virtual call
-  // Cached pairing_->counter_keyed(): selects the fused masked-recruit
-  // round (a branch per round, not a virtual call).
-  bool counter_pairing_ = false;
   util::Rng rng_;
   // Stable key for counter-based pairing streams, derived from cfg_.seed
   // at construction AND reset (identically — the arena-reuse invariant).
@@ -293,32 +251,23 @@ class HomeNestBackend final : public Backend {
 
   std::uint32_t round_ = 0;
   std::vector<NestId> location_;        // l(a, r), indexed by ant
-  // step_all_recruit() leaves location_ untouched: every ant is at the
-  // home nest, represented by this flag instead of n writes. Cleared by
-  // every round path that materializes real locations.
-  bool all_at_home_ = false;
   std::vector<std::uint32_t> count_;    // c(i, r), indexed by nest (0..k)
   // (k+1) slots per ant, flattened. uint8_t rather than vector<bool>:
   // branch-free byte loads/stores on the validation and knowledge paths.
   std::vector<std::uint8_t> knowledge_;
   std::vector<Outcome> outcomes_;       // reused each round
   std::vector<RecruitRequest> requests_;  // reused each round
-  std::vector<std::uint32_t> request_index_;  // ant -> index into requests_
-  // True when the last recruit-bearing round used the all-recruit entry
-  // points, whose pairing scratch is indexed directly by ant (the
-  // request_index_ indirection is skipped there).
-  bool requests_ant_indexed_ = false;
-  // False after rounds that perform no pairing (all-search/all-go): the
-  // scratch and request_index_ then describe an OLDER round, and the
-  // ant-indexed views must report an empty matching, not stale pairs.
-  bool pairing_current_ = false;
+  // ant -> index into requests_, or kNoRequest. Every round rewrites it
+  // for every ant (reset() fills it with kNoRequest), so the ant-indexed
+  // matching views never see a stale request.
+  std::vector<std::uint32_t> request_index_;
   PairingScratch pairing_scratch_;      // reused each round
-  // Per-round results of the quiet recruit paths (see the accessors):
+  // Per-round results of the quiet rounds (see the accessors):
   // success_ants_ holds this round's successful recruiters;
-  // recruit_result_[a] holds ant a's recruit() return value j. Phase 1
-  // stores each recruit ant's own target, and the matching-bookkeeping
-  // walk over the pairs fills the rest — capacity reserved at
-  // construction, zero allocations per round.
+  // recruit_result_[a] holds ant a's recruit() return value j. The first
+  // pass stores each recruit ant's own target, and the matching-
+  // bookkeeping walk over the pairs fills the rest — capacity reserved
+  // at construction, zero allocations per round.
   std::vector<AntId> success_ants_;
   std::vector<NestId> recruit_result_;
   RoundStats stats_;
@@ -326,11 +275,6 @@ class HomeNestBackend final : public Backend {
 
 inline std::int32_t HomeNestBackend::recruited_by_ant(AntId a) const {
   HH_EXPECTS(a < cfg_.num_ants);
-  if (!pairing_current_) return kNotRecruited;
-  if (requests_ant_indexed_) {
-    // All-recruit rounds: request position x IS ant x.
-    return pairing_scratch_.recruited_by[a];
-  }
   const std::uint32_t idx = request_index_[a];
   if (idx == kNoRequest) return kNotRecruited;
   const std::int32_t recruiter = pairing_scratch_.recruited_by[idx];
@@ -341,10 +285,6 @@ inline std::int32_t HomeNestBackend::recruited_by_ant(AntId a) const {
 
 inline bool HomeNestBackend::recruit_succeeded_ant(AntId a) const {
   HH_EXPECTS(a < cfg_.num_ants);
-  if (!pairing_current_) return false;
-  if (requests_ant_indexed_) {
-    return pairing_scratch_.recruit_succeeded[a] != 0;
-  }
   const std::uint32_t idx = request_index_[a];
   if (idx == kNoRequest) return false;
   return pairing_scratch_.recruit_succeeded[idx] != 0;

@@ -127,7 +127,9 @@ class PairingModel {
   }
 
   /// AoS wrapper: packs the requests' active flags into scratch.active and
-  /// delegates to pair_active().
+  /// delegates to pair_active() — nothing more, which is what lets the
+  /// environment's quiet round pack the flags in its own first pass and
+  /// call pair_active() directly under every model.
   void pair_into(std::span<const RecruitRequest> requests,
                  const PairingCtx& ctx, PairingScratch& scratch) const;
 
@@ -143,14 +145,6 @@ class PairingModel {
 
   /// Short stable identifier for reports.
   [[nodiscard]] virtual std::string_view name() const = 0;
-
-  /// True when KEYED calls (PairingCtx::round != 0) draw nothing from the
-  /// shared ctx.rng — every draw comes from per-slot counter streams. The
-  /// environment's fused round path relies on this: it reorders the
-  /// pairing relative to the census and the classification pass, which is
-  /// RNG-invisible exactly when the pairing cannot consume shared-stream
-  /// randomness. Sequential models must leave this false.
-  [[nodiscard]] virtual bool counter_keyed() const { return false; }
 };
 
 /// The paper's Algorithm 1, implemented literally:
@@ -198,7 +192,6 @@ class CounterLotteryPairing final : public PairingModel {
   void pair_active(std::span<const std::uint8_t> active, const PairingCtx& ctx,
                    PairingScratch& scratch) const override;
   [[nodiscard]] std::string_view name() const override { return "counter-lottery"; }
-  [[nodiscard]] bool counter_keyed() const override { return true; }
 };
 
 /// Selector for configs that must stay copyable (strategy objects are not).

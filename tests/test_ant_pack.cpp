@@ -62,14 +62,21 @@ TEST(AntPack, AvailableForEveryBuiltInAlgorithm) {
 }
 
 TEST(AntPack, BitIdenticalToScalarForEveryPackedKindAndSeed) {
+  // k = 32 as well as the base k = 4: only with more than 8 candidate
+  // nests does rate-boosted's decaying boost, a function of the round
+  // number, exceed the base probability — so the wide colony pins that
+  // every packed decide sees the round the scalar ant sees.
   for (AlgorithmKind kind : kPackedKinds) {
     for (std::uint64_t seed : {1ull, 7ull, 42ull, 9001ull}) {
-      const auto cfg = base_config(seed);
-      const auto scalar = run_with_engine(cfg, kind, EngineKind::kScalar);
-      const auto packed = run_with_engine(cfg, kind, EngineKind::kPacked);
-      expect_identical(scalar, packed,
-                       std::string(algorithm_name(kind)) + "/seed=" +
-                           std::to_string(seed));
+      for (const std::uint32_t k : {4u, 32u}) {
+        auto cfg = base_config(seed);
+        cfg.qualities = SimulationConfig::binary_qualities(k, k / 2);
+        const auto scalar = run_with_engine(cfg, kind, EngineKind::kScalar);
+        const auto packed = run_with_engine(cfg, kind, EngineKind::kPacked);
+        expect_identical(scalar, packed,
+                         std::string(algorithm_name(kind)) + "/seed=" +
+                             std::to_string(seed) + "/k=" + std::to_string(k));
+      }
     }
   }
 }
@@ -93,15 +100,28 @@ TEST(AntPack, BitIdenticalUnderNEstimateError) {
 TEST(AntPack, BitIdenticalUnderNoiseAndAlternatePairing) {
   // Noise and the pairing model live in the environment, which both
   // engines share — but the packed path must still consume the
-  // environment RNG in the same order.
-  auto cfg = base_config(5);
-  cfg.noise.count_sigma = 0.3;
-  cfg.noise.quality_flip_prob = 0.05;
-  cfg.pairing = env::PairingKind::kUniformProposal;
-  for (AlgorithmKind kind : kPackedKinds) {
-    const auto scalar = run_with_engine(cfg, kind, EngineKind::kScalar);
-    const auto packed = run_with_engine(cfg, kind, EngineKind::kPacked);
-    expect_identical(scalar, packed, std::string(algorithm_name(kind)));
+  // environment RNG in the same order. Noisy configs run the loud round;
+  // exact ones the quiet fused round, whose reordered census and pairing
+  // must be invisible under every pairing model.
+  for (const env::PairingKind pairing :
+       {env::PairingKind::kPermutation, env::PairingKind::kUniformProposal,
+        env::PairingKind::kCounter}) {
+    for (const bool noisy : {false, true}) {
+      auto cfg = base_config(5);
+      cfg.pairing = pairing;
+      if (noisy) {
+        cfg.noise.count_sigma = 0.3;
+        cfg.noise.quality_flip_prob = 0.05;
+      }
+      for (AlgorithmKind kind : kPackedKinds) {
+        const auto scalar = run_with_engine(cfg, kind, EngineKind::kScalar);
+        const auto packed = run_with_engine(cfg, kind, EngineKind::kPacked);
+        expect_identical(scalar, packed,
+                         std::string(algorithm_name(kind)) + "/" +
+                             std::string(env::pairing_name(pairing)) +
+                             (noisy ? "/noisy" : "/exact"));
+      }
+    }
   }
 }
 
@@ -420,16 +440,15 @@ TEST(AntPack, PartialSynchronySweepsAreIdenticalAcrossEnginesAndThreadCounts) {
 }
 
 TEST(AntPack, AllSleepersRoundDoesNotStallTheNextUniformRound) {
-  // Regression: a round in which EVERY ant sleeps zeroes the pack's act
-  // lanes; the next all-awake round takes the colony-uniform path, whose
-  // observe_all forwards act_ directly. A stale all-zero mask there
-  // skipped every observe and silently froze the packed engine while the
-  // scalar engine kept running. Tiny colonies at moderate skip make the
-  // asleep-then-awake round pair frequent; count noise keeps observation
-  // loud, so uniform recruit/go rounds flow through observe_all instead of
-  // the act_-free quiet forms. Trajectories (not just the aggregate
-  // RunResult) pin the per-round census, which a frozen pack cannot
-  // reproduce even in runs where neither engine converges.
+  // Regression: a round in which EVERY ant sleeps leaves every acting
+  // lane zero, and the next all-awake round is colony-uniform again. That
+  // round must take its acting lane from its own awake mask: an observe
+  // that reads the stale all-zero lane skips every ant and silently
+  // freezes the packed engine while the scalar engine keeps running.
+  // Tiny colonies at moderate skip make the asleep-then-awake round pair
+  // frequent; count noise keeps observation loud. Trajectories (not just
+  // the aggregate RunResult) pin the per-round census, which a frozen
+  // pack cannot reproduce even in runs where neither engine converges.
   for (std::uint32_t n : {1u, 2u, 4u}) {
     auto cfg = base_config(0);
     cfg.num_ants = n;

@@ -294,112 +294,13 @@ TEST(Environment, DeterministicGivenSeed) {
   EXPECT_NE(run(42), run(43));
 }
 
-// The SoA round-shape entry points (step_all_search/recruit/go and the
-// quiet forms) must be RNG- and state-equivalent to step() with the
-// corresponding uniform action vector — the packed engine's correctness
-// rests on this.
-TEST(Environment, RoundShapeFastPathsMatchGenericStep) {
-  constexpr std::uint32_t n = 64;
-  const std::vector<double> qualities = {1.0, 1.0, 0.0, 0.0};
-  Environment generic(config(n, qualities, 77));
-  Environment fast(config(n, qualities, 77));
-  Environment quiet(config(n, qualities, 77));
-
-  const auto expect_same_state = [&](const Environment& other,
-                                     const char* label) {
-    for (NestId i = 0; i <= generic.num_nests(); ++i) {
-      EXPECT_EQ(generic.count(i), other.count(i)) << label << " nest " << i;
-    }
-    for (AntId a = 0; a < n; ++a) {
-      EXPECT_EQ(generic.location(a), other.location(a)) << label << " ant " << a;
-      for (NestId i = 0; i <= generic.num_nests(); ++i) {
-        EXPECT_EQ(generic.knows(a, i), other.knows(a, i)) << label;
-      }
-    }
-    EXPECT_EQ(generic.last_round_stats().successful_recruitments,
-              other.last_round_stats().successful_recruitments)
-        << label;
-    EXPECT_EQ(generic.last_round_stats().self_recruitments,
-              other.last_round_stats().self_recruitments)
-        << label;
-    EXPECT_EQ(generic.last_round_stats().cross_nest_recruitments,
-              other.last_round_stats().cross_nest_recruitments)
-        << label;
-    EXPECT_EQ(generic.last_round_stats().active_recruits,
-              other.last_round_stats().active_recruits)
-        << label;
-  };
-
-  // Round 1: all search.
-  std::vector<Action> search(n, Action::search());
-  const std::vector<Outcome> generic_search = generic.step(search);
-  const std::vector<Outcome>& fast_search = fast.step_all_search();
-  for (AntId a = 0; a < n; ++a) {
-    EXPECT_EQ(generic_search[a].nest, fast_search[a].nest);
-    EXPECT_EQ(generic_search[a].count, fast_search[a].count);
-    EXPECT_EQ(generic_search[a].quality, fast_search[a].quality);
-  }
-  quiet.step_all_search();
-  expect_same_state(fast, "after search");
-
-  // Round 2: all recruit (advertising the nest each ant found).
-  std::vector<Action> recruit(n);
-  std::vector<RecruitRequest> requests(n);
-  std::vector<std::uint8_t> active(n);
-  std::vector<NestId> targets(n);
-  for (AntId a = 0; a < n; ++a) {
-    const bool b = a % 2 == 0;
-    recruit[a] = Action::recruit(b, generic.location(a));
-    requests[a] = RecruitRequest{a, b, generic.location(a)};
-    active[a] = b ? 1 : 0;
-    targets[a] = generic.location(a);
-  }
-  const std::vector<Outcome> generic_recruit = generic.step(recruit);
-  const std::vector<Outcome>& fast_recruit = fast.step_all_recruit(requests);
-  quiet.step_all_recruit_quiet(active, targets);
-  for (AntId a = 0; a < n; ++a) {
-    EXPECT_EQ(generic_recruit[a].nest, fast_recruit[a].nest);
-    EXPECT_EQ(generic_recruit[a].recruited, fast_recruit[a].recruited);
-    EXPECT_EQ(generic_recruit[a].recruit_succeeded,
-              fast_recruit[a].recruit_succeeded);
-    EXPECT_EQ(generic_recruit[a].count, fast_recruit[a].count);
-    // Quiet form: same matching, read off the scratch.
-    EXPECT_EQ(generic_recruit[a].recruited,
-              quiet.last_pairing().recruited_by[a] != kNotRecruited);
-    EXPECT_EQ(generic_recruit[a].recruit_succeeded,
-              quiet.last_pairing().recruit_succeeded[a] != 0);
-  }
-  expect_same_state(fast, "after recruit");
-  expect_same_state(quiet, "after quiet recruit");
-
-  // Round 3: all go (to the nest learned in the recruit round).
-  std::vector<Action> go(n);
-  std::vector<NestId> go_targets(n);
-  for (AntId a = 0; a < n; ++a) {
-    go_targets[a] = generic_recruit[a].nest;
-    go[a] = Action::go(go_targets[a]);
-  }
-  const std::vector<Outcome> generic_go = generic.step(go);
-  const std::vector<Outcome>& fast_go = fast.step_all_go(go_targets);
-  quiet.step_all_go_quiet(go_targets);
-  for (AntId a = 0; a < n; ++a) {
-    EXPECT_EQ(generic_go[a].count, fast_go[a].count);
-    EXPECT_EQ(generic_go[a].quality, fast_go[a].quality);
-    EXPECT_EQ(generic_go[a].count, quiet.count(go_targets[a]));
-  }
-  expect_same_state(fast, "after go");
-  expect_same_state(quiet, "after quiet go");
-  EXPECT_EQ(generic.round(), 3u);
-  EXPECT_EQ(fast.round(), 3u);
-  EXPECT_EQ(quiet.round(), 3u);
-}
-
 // The masked SoA entry points (step_masked_recruit/go and the quiet
 // forms) must be RNG- and state-equivalent to step() with the
-// corresponding MIXED action vector — the per-ant-phase packs (optimal)
-// and the pack-level fault lanes rest on this. Run under every pairing
-// model: under counter-lottery the quiet recruit form is the fused
-// counter round, a separate implementation of the same round.
+// corresponding action vector — every packed round rests on this, from
+// colony-uniform rounds (a constant op lane) to Algorithm 2's mixed block
+// rounds with fault lanes. Run under every pairing model: the quiet forms
+// are the fused single-pass round, a separate implementation of the same
+// round, for all three.
 class EnvironmentPairing : public ::testing::TestWithParam<PairingKind> {};
 
 TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
@@ -435,33 +336,46 @@ TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
     EXPECT_EQ(want.self_recruitments, got.self_recruitments) << label;
     EXPECT_EQ(want.cross_nest_recruitments, got.cross_nest_recruitments)
         << label;
+    EXPECT_EQ(generic.round(), other.round()) << label;
   };
 
-  // Round 1: a go-free mix — searchers and idlers (a crashed-at-round-1
-  // colony slice). No recruiters => the masked_go form.
+  // What the ant-indexed matching views promise after a round without
+  // recruit calls, and after reset(): an empty matching — never the pairs
+  // of an older round.
+  const auto expect_empty_matching = [&](const std::string& label) {
+    for (const Environment* e : {&generic, &masked, &quiet}) {
+      for (AntId a = 0; a < n; ++a) {
+        EXPECT_EQ(e->recruited_by_ant(a), kNotRecruited)
+            << label << " ant " << a;
+        EXPECT_FALSE(e->recruit_succeeded_ant(a)) << label << " ant " << a;
+      }
+    }
+    EXPECT_TRUE(quiet.successful_recruiters().empty()) << label;
+  };
+
   std::vector<Action> actions(n);
   std::vector<MaskedOp> op(n);
   std::vector<std::uint8_t> active(n, 0);
   std::vector<NestId> targets(n, kHomeNest);
-  for (AntId a = 0; a < n; ++a) {
-    const bool idle = a % 7 == 0;
-    actions[a] = idle ? Action::idle() : Action::search();
-    op[a] = idle ? MaskedOp::kIdle : MaskedOp::kSearch;
-  }
-  const std::vector<Outcome> generic_r1 = generic.step(actions);
-  const std::vector<Outcome>& masked_r1 = masked.step_masked_go(op, targets);
-  quiet.step_masked_go_quiet(op, targets);
-  for (AntId a = 0; a < n; ++a) {
-    EXPECT_EQ(generic_r1[a].nest, masked_r1[a].nest);
-    EXPECT_EQ(generic_r1[a].count, masked_r1[a].count);
-    EXPECT_EQ(generic_r1[a].quality, masked_r1[a].quality);
-  }
-  expect_same_state(masked, "after masked search/idle");
-  expect_same_state(quiet, "after quiet masked search/idle");
 
-  // A recruit-bearing round through all three environments, checked
-  // against the generic Outcomes, the ant-indexed matching views, the
-  // quiet recruit() return lane, and the successful-recruiter list.
+  // A recruit-free round through all three environments: the loud and
+  // quiet step_masked_go forms against the generic Outcomes.
+  const auto go_round = [&](const std::string& label) {
+    const std::vector<Outcome> generic_out = generic.step(actions);
+    const std::vector<Outcome>& masked_out = masked.step_masked_go(op, targets);
+    quiet.step_masked_go_quiet(op, targets);
+    for (AntId a = 0; a < n; ++a) {
+      EXPECT_EQ(generic_out[a].nest, masked_out[a].nest) << label;
+      EXPECT_EQ(generic_out[a].count, masked_out[a].count) << label;
+      EXPECT_EQ(generic_out[a].quality, masked_out[a].quality) << label;
+    }
+    expect_same_state(masked, label + " (masked)");
+    expect_same_state(quiet, label + " (quiet)");
+  };
+
+  // A round that may carry recruit calls through all three environments,
+  // checked against the generic Outcomes, the ant-indexed matching views,
+  // the quiet recruit() return lane, and the successful-recruiter list.
   const auto recruit_round = [&](const std::string& label) {
     const std::vector<Outcome> generic_out = generic.step(actions);
     const std::vector<Outcome>& masked_out =
@@ -471,6 +385,8 @@ TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
     for (AntId a = 0; a < n; ++a) {
       EXPECT_EQ(generic_out[a].nest, masked_out[a].nest) << label << " ant " << a;
       EXPECT_EQ(generic_out[a].count, masked_out[a].count)
+          << label << " ant " << a;
+      EXPECT_EQ(generic_out[a].quality, masked_out[a].quality)
           << label << " ant " << a;
       EXPECT_EQ(generic_out[a].recruited, masked_out[a].recruited)
           << label << " ant " << a;
@@ -508,33 +424,59 @@ TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
     expect_same_state(quiet, label + " (quiet)");
   };
 
-  // Round 2: the full mix — recruiters (active and passive), goers,
+  // Rounds 1-3: the colony-uniform rounds of the Algorithm-3 family as
+  // constant op lanes. Round 1: every ant searches (the recruit-free
+  // entry points).
+  for (AntId a = 0; a < n; ++a) {
+    actions[a] = Action::search();
+    op[a] = MaskedOp::kSearch;
+  }
+  go_round("all-search round 1");
+  expect_empty_matching("after all-search round 1");
+
+  // Round 2: every ant recruits, advertising the nest it found; every
+  // other ant actively.
+  for (AntId a = 0; a < n; ++a) {
+    const bool b = a % 2 == 0;
+    actions[a] = Action::recruit(b, generic.location(a));
+    op[a] = MaskedOp::kRecruit;
+    active[a] = b ? 1 : 0;
+    targets[a] = generic.location(a);
+  }
+  recruit_round("all-recruit round 2");
+
+  // Round 3: every ant goes to the nest it holds after the recruit round
+  // (its own, or its recruiter's), through the recruit-capable entry
+  // points the packed engine uses for every round. A recruit-free round
+  // right after a recruit round must leave an empty matching behind.
+  for (AntId a = 0; a < n; ++a) {
+    targets[a] = quiet.recruit_results()[a];
+    actions[a] = Action::go(targets[a]);
+    op[a] = MaskedOp::kGo;
+  }
+  recruit_round("all-go round 3");
+  expect_empty_matching("after all-go round 3");
+
+  // Round 4: the full mix — recruiters (active and passive), goers,
   // searchers, and idlers in one round, as an Algorithm-2 block round
   // with fault lanes would produce.
   for (AntId a = 0; a < n; ++a) {
-    const NestId known = generic.location(a) == kHomeNest
-                             ? kHomeNest
-                             : generic.location(a);
+    const NestId known = generic.location(a);
     switch (a % 4) {
       case 0:
         actions[a] = Action::idle();
         op[a] = MaskedOp::kIdle;
         break;
       case 1:
-        actions[a] = Action::recruit(known != kHomeNest, known);
+        actions[a] = Action::recruit(a % 8 == 1, known);
         op[a] = MaskedOp::kRecruit;
-        active[a] = known != kHomeNest ? 1 : 0;
+        active[a] = a % 8 == 1 ? 1 : 0;
         targets[a] = known;
         break;
       case 2:
-        if (known == kHomeNest) {
-          actions[a] = Action::search();
-          op[a] = MaskedOp::kSearch;
-        } else {
-          actions[a] = Action::go(known);
-          op[a] = MaskedOp::kGo;
-          targets[a] = known;
-        }
+        actions[a] = Action::go(known);
+        op[a] = MaskedOp::kGo;
+        targets[a] = known;
         break;
       default:
         actions[a] = Action::search();
@@ -542,14 +484,35 @@ TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
         break;
     }
   }
-  recruit_round("mixed round 2");
+  recruit_round("mixed round 4");
 
-  // Rounds 3-10: a steady-state-like mix, mostly recruits (nine in ten
+  // Round 5: a recruit-free mix — goers, searchers, and idlers (a crashed
+  // colony slice) — through the step_masked_go forms, again right after a
+  // recruit round. Ants go to a nest they know (the one they found in
+  // round 1).
+  for (AntId a = 0; a < n; ++a) {
+    if (a % 7 == 0) {
+      actions[a] = Action::idle();
+      op[a] = MaskedOp::kIdle;
+    } else if (a % 3 == 0) {
+      actions[a] = Action::search();
+      op[a] = MaskedOp::kSearch;
+    } else {
+      targets[a] = generic.knows(a, 1) ? 1 : generic.knows(a, 2) ? 2
+                   : generic.knows(a, 3) ? 3 : 4;
+      actions[a] = Action::go(targets[a]);
+      op[a] = MaskedOp::kGo;
+    }
+  }
+  go_round("masked go/search/idle round 5");
+  expect_empty_matching("after masked go round 5");
+
+  // Rounds 6-13: a steady-state-like mix, mostly recruits (nine in ten
   // active) and goes with a few searchers and idlers, redrawn each round
   // so the pairs, self-recruitments and cross-nest returns vary. Targets
   // are a nest the ant knows, kept legal by the generic environment.
   util::Rng mix(17);
-  for (std::uint32_t round = 3; round <= 10; ++round) {
+  for (std::uint32_t round = 6; round <= 13; ++round) {
     for (AntId a = 0; a < n; ++a) {
       NestId known = kHomeNest;
       for (NestId i = 1; i <= generic.num_nests() && known == kHomeNest; ++i) {
@@ -576,9 +539,19 @@ TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
     }
     recruit_round("round " + std::to_string(round));
   }
-  EXPECT_EQ(generic.round(), 10u);
-  EXPECT_EQ(masked.round(), 10u);
-  EXPECT_EQ(quiet.round(), 10u);
+  EXPECT_EQ(generic.round(), 13u);
+
+  // reset() right after a recruit round: round 0 again, with no matching.
+  generic.reset(5);
+  masked.reset(5);
+  quiet.reset(5);
+  expect_empty_matching("after reset");
+  for (AntId a = 0; a < n; ++a) {
+    actions[a] = Action::search();
+    op[a] = MaskedOp::kSearch;
+  }
+  go_round("all-search round after reset");
+  EXPECT_EQ(quiet.round(), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

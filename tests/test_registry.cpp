@@ -68,22 +68,27 @@ TEST(Registry, UnknownNameThrowsListingKnownOnes) {
 
 TEST(Registry, CustomRegistrationIsVisibleAndReplaceable) {
   auto& registry = AlgorithmRegistry::instance();
-  registry.add("test-custom",
-               [](const SimulationConfig& config, const AlgorithmParams& p) {
-                 return std::make_unique<Simulation>(
-                     config, AlgorithmKind::kSimple, p);
-               });
+  AlgorithmSpec custom = builtin_algorithm_spec(AlgorithmKind::kSimple);
+  custom.name = "test-custom";
+  registry.add(custom);
   EXPECT_TRUE(registry.contains("test-custom"));
   const auto cfg = test::small_config(64, 2, 1, 3);
   auto sim = registry.make("test-custom", cfg);
   EXPECT_TRUE(sim->run().converged);
   // Replacement under the same name is allowed (last one wins).
-  registry.add("test-custom",
-               [](const SimulationConfig& config, const AlgorithmParams& p) {
-                 return std::make_unique<Simulation>(
-                     config, AlgorithmKind::kOptimal, p);
-               });
-  EXPECT_EQ(registry.make("test-custom", cfg)->colony().algorithm, "optimal");
+  AlgorithmSpec replacement = builtin_algorithm_spec(AlgorithmKind::kOptimal);
+  replacement.name = "test-custom";
+  registry.add(replacement);
+  EXPECT_EQ(registry.find("test-custom")->mode, replacement.mode);
+  // make() builds from the replacement: the run is Algorithm 2's, under
+  // the registered name.
+  auto replaced = registry.make("test-custom", cfg);
+  EXPECT_EQ(replaced->algorithm(), "test-custom");
+  const RunResult got = replaced->run();
+  const RunResult want = Simulation(cfg, AlgorithmKind::kOptimal).run();
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.winner, want.winner);
+  EXPECT_EQ(got.total_recruitments, want.total_recruitments);
 }
 
 TEST(Registry, NamesAreSortedAndIncludeBuiltins) {
@@ -199,11 +204,17 @@ TEST(RegistryV2, IdleSearchVariantIsRegisteredPurelyThroughTheSpecApi) {
 
 TEST(RegistryV2, AddValidatesSpecs) {
   auto& registry = AlgorithmRegistry::instance();
-  AlgorithmSpec nameless;
-  nameless.simulation = [](const SimulationConfig& c, const AlgorithmParams& p) {
-    return std::make_unique<Simulation>(c, AlgorithmKind::kSimple, p);
-  };
+  AlgorithmSpec nameless = builtin_algorithm_spec(AlgorithmKind::kSimple);
+  nameless.name.clear();
   EXPECT_THROW(registry.add(std::move(nameless)), std::invalid_argument);
+
+  // A spec without a colony factory is rejected even when it ships a
+  // pack: the colony factory is the reference engine every spec needs.
+  AlgorithmSpec factoryless = builtin_algorithm_spec(AlgorithmKind::kSimple);
+  factoryless.name = "test-factoryless";
+  factoryless.colony = nullptr;
+  EXPECT_THROW(registry.add(std::move(factoryless)), std::invalid_argument);
+  EXPECT_FALSE(registry.contains("test-factoryless"));
 
   AlgorithmSpec empty;
   empty.name = "test-empty";
