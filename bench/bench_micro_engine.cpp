@@ -310,22 +310,43 @@ BENCHMARK_CAPTURE(BM_LatticeEngineRound, packed, hh::core::EngineKind::kPacked)
 // ---------------------------------------------------------------------------
 // One engine round, steady state: the per-object ant loop (virtual
 // decide/observe per ant) against the packed SoA pass, identical
-// simulations otherwise. Runs keep stepping past convergence, which is
-// exactly the steady state we want to time.
+// simulations otherwise. The simple rows keep stepping past convergence,
+// which is exactly the steady state we want to time. The
+// packed_optimal_counter row steps whole Algorithm-2 trials instead
+// (counter-lottery pairing, n = 4096, k = 8), resetting to the next seed
+// at convergence, so its rounds span the active-heavy opening, the mixed
+// passive/final middle and the all-final tail — and CI's zero-allocation
+// gate covers the fused optimal pass in all three.
 
-void BM_EngineRound(benchmark::State& state, hh::core::EngineKind engine) {
+void BM_EngineRound(benchmark::State& state, hh::core::EngineKind engine,
+                    hh::core::AlgorithmKind algorithm =
+                        hh::core::AlgorithmKind::kSimple,
+                    hh::env::PairingKind pairing =
+                        hh::env::PairingKind::kPermutation) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
+  const bool whole_trials = algorithm != hh::core::AlgorithmKind::kSimple;
+  const std::uint32_t k = whole_trials ? 8 : 4;
   hh::core::SimulationConfig cfg;
   cfg.num_ants = n;
-  cfg.qualities = hh::core::SimulationConfig::binary_qualities(4, 2);
+  cfg.qualities = hh::core::SimulationConfig::binary_qualities(k, k / 2);
   cfg.seed = 5;
   cfg.max_rounds = ~0u;
   cfg.engine = engine;
-  hh::core::Simulation sim(cfg, hh::core::AlgorithmKind::kSimple);
-  for (int warmup = 0; warmup < 8; ++warmup) sim.step();
+  cfg.pairing = pairing;
+  hh::core::Simulation sim(cfg, algorithm);
+  if (!whole_trials) {
+    for (int warmup = 0; warmup < 8; ++warmup) sim.step();
+  }
 
   std::uint64_t allocs = 0;
+  std::uint64_t seed = cfg.seed;
   for (auto _ : state) {
+    // The rewind is not part of a round's cost: outside the alloc
+    // accounting, like BM_LatticeEngineRound's.
+    if (whole_trials && sim.converged() && !sim.reset(++seed)) {
+      state.SkipWithError("packed simulation did not reset in place");
+      break;
+    }
     const std::uint64_t before = allocation_count();
     benchmark::DoNotOptimize(sim.step());
     allocs += allocation_count() - before;
@@ -341,6 +362,11 @@ BENCHMARK_CAPTURE(BM_EngineRound, scalar, hh::core::EngineKind::kScalar)
 BENCHMARK_CAPTURE(BM_EngineRound, packed, hh::core::EngineKind::kPacked)
     ->RangeMultiplier(8)
     ->Range(64, 1 << 16);
+BENCHMARK_CAPTURE(BM_EngineRound, packed_optimal_counter,
+                  hh::core::EngineKind::kPacked,
+                  hh::core::AlgorithmKind::kOptimal,
+                  hh::env::PairingKind::kCounter)
+    ->Arg(4096);
 
 // ---------------------------------------------------------------------------
 // One FAULT-INJECTED engine round, steady state: crash + Byzantine lanes

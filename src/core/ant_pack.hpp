@@ -221,9 +221,10 @@ class AntPack {
   /// Implementations observe every ant quietly and immediately rewrite
   /// its op/active/target lanes with the NEXT round's decision — round
   /// masked_round() + 1 — in one pass over the state lanes instead of an
-  /// observe sweep plus a decide sweep, then return true. The default
-  /// opts out: return false with NO side effects (the caller then runs
-  /// the plain quiet observe).
+  /// observe sweep plus a decide sweep, then return true. The lanes come
+  /// in holding this round's decisions, so a row whose decision does not
+  /// change may be left as it is. The default opts out: return false with
+  /// NO side effects (the caller then runs the plain quiet observe).
   [[nodiscard]] virtual bool fused_observe_decide(
       const env::Environment& /*env*/, std::span<env::MaskedOp> /*op*/,
       std::span<std::uint8_t> /*active*/, std::span<env::NestId> /*targets*/) {

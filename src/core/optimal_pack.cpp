@@ -1,6 +1,7 @@
 #include "core/optimal_pack.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "util/contracts.hpp"
 
@@ -31,6 +32,13 @@ class OptimalPack final : public AntPack {
     pending_final_.resize(n);
     full_house_streak_.resize(n);
     fin_census_.resize(num_nests + 1);
+    // Each ant moves its commitment or finalizes at most once per round,
+    // and sits on at most one of the fused pass's ant lists. Left
+    // uninitialised: the fused pass writes before it reads, so building a
+    // colony touches none of their pages.
+    deferred_ = std::make_unique_for_overwrite<CensusUpdate[]>(n);
+    passive_ants_ = std::make_unique_for_overwrite<env::AntId[]>(n);
+    other_ants_ = std::make_unique_for_overwrite<env::AntId[]>(n);
     if (faults != nullptr) install_fault_plan(*faults);
     const bool did_reset = reset(colony_seed);
     HH_ASSERT(did_reset);
@@ -54,6 +62,7 @@ class OptimalPack final : public AntPack {
     std::fill(full_house_streak_.begin(), full_house_streak_.end(), 0u);
     std::fill(fin_census_.begin(), fin_census_.end(), 0u);
     finalized_count_ = 0;
+    listed_ = false;
     return true;
   }
 
@@ -145,6 +154,7 @@ class OptimalPack final : public AntPack {
     }
   }
 
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
   [[nodiscard]] bool fused_observe_decide(
       const env::Environment& env, std::span<env::MaskedOp> op,
       std::span<std::uint8_t> active,
@@ -156,19 +166,35 @@ class OptimalPack final : public AntPack {
     // (recruit returns come from the env's ant-indexed results lane, not
     // from targets[recruiter]), and the caller's gates guarantee every
     // lane acts.
-    const std::span<const std::uint32_t> counts = env.counts();
-    const std::span<const env::NestId> results = env.recruit_results();
-    const std::uint32_t home_count = counts[env::kHomeNest];
-    for (std::size_t a = 0; a < op.size(); ++a) {
-      if (static_cast<State>(state_[a]) == State::kSearch) {
-        const env::NestId found = env.location(static_cast<env::AntId>(a));
-        apply_search(a, found, counts[found], env.qualities()[found - 1]);
-      } else if (op[a] == env::MaskedOp::kRecruit) {
-        apply(a, results[a], home_count, 0.0);
-      } else {
-        apply(a, targets[a], counts[targets[a]], 0.0);
-      }
-      decide_one(a, op, active, targets);
+    //
+    // Those gates also make the block step colony-global: every ant
+    // observes every round, apply_search puts the whole colony at step 0
+    // after round 1, and active and passive ants both advance one step
+    // per round. So the round's step is derived once, here, and the
+    // per-ant switch on it becomes four specialised loops.
+    //
+    // The ant's state stays out of the per-ant branches too: the states
+    // interleave at random by ant index, so a branch on it mispredicts
+    // whenever they mix. Final ants (most of a trial's ant-rounds) get a
+    // store-free scan; passive ants and the rest (active, search, settled
+    // and optimal+settle final ants) each run from their own list, so
+    // each list loop sees one state.
+    const FusedLanes lanes = fused_lanes(env, op, active, targets);
+    if (!listed_) list_ants();
+    if (!settle_ && finalized_count_ > 0) observe_finals(lanes);
+    switch ((masked_round() + 2) & 3u) {
+      case 0:
+        observe_decide_listed<0>(lanes, env);
+        break;
+      case 1:
+        observe_decide_listed<1>(lanes, env);
+        break;
+      case 2:
+        observe_decide_listed<2>(lanes, env);
+        break;
+      default:
+        observe_decide_listed<3>(lanes, env);
+        break;
     }
     return true;
   }
@@ -278,6 +304,376 @@ class OptimalPack final : public AntPack {
       default:
         HH_ASSERT(false);
     }
+  }
+
+  /// One deferred census update: a commitment move from -> to (step 1),
+  /// or a finalization at `to` (step 3; `from` unused).
+  struct CensusUpdate {
+    env::NestId from;
+    env::NestId to;
+  };
+
+  /// Raw lane pointers for the fused pass. Its byte stores may alias any
+  /// object, the member vectors' own data pointers included, so indexing
+  /// the vectors would reload every base pointer for every ant.
+  struct FusedLanes {
+    std::uint8_t* state;
+    std::uint8_t* step;
+    std::uint8_t* pending_final;
+    std::uint8_t* pending_passive;
+    std::uint8_t* active_case;
+    env::NestId* nest;
+    env::NestId* nest_t;
+    std::uint32_t* count;
+    std::uint32_t* count_t;
+    CensusUpdate* deferred;
+    env::MaskedOp* op;
+    std::uint8_t* active;
+    env::NestId* targets;
+    const env::NestId* results;
+    const std::uint32_t* counts;
+    std::size_t n;
+  };
+
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+  [[nodiscard]] FusedLanes fused_lanes(const env::Environment& env,
+                                       std::span<env::MaskedOp> op,
+                                       std::span<std::uint8_t> active,
+                                       std::span<env::NestId> targets) {
+    return FusedLanes{state_.data(),         step_.data(),
+                      pending_final_.data(), pending_passive_.data(),
+                      case_.data(),          nest_.data(),
+                      nest_t_.data(),        count_.data(),
+                      count_t_.data(),       deferred_.get(),
+                      op.data(),             active.data(),
+                      targets.data(),        env.recruit_results().data(),
+                      env.counts().data(),   op.size()};
+  }
+
+  /// The fused pass's final ants: line 21's recruit(1, nest) every round.
+  /// A final ant's call never changes, so its op/active/target rows
+  /// still hold this round's recruit(1, nest) and need no rewrite — only
+  /// a poached final ant (j != nest) has anything to do: adopt j and
+  /// retarget. Poaching is rare, so the scan ORs a block's poached words
+  /// first (a fixed-length loop the compiler vectorizes) and walks the
+  /// block ant by ant only when that is nonzero.
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+  void observe_finals(const FusedLanes lanes) {
+    constexpr std::size_t kBlock = 64;
+    for (std::size_t first = 0; first < lanes.n; first += kBlock) {
+      const std::size_t last = std::min(first + kBlock, lanes.n);
+      std::uint32_t any = 1;  // a short tail block is walked as it is
+      if (last - first == kBlock) {
+        any = 0;
+        for (std::size_t i = 0; i < kBlock; ++i) {
+          any |= poached_word(lanes, first + i);
+        }
+      }
+      if (any == 0) [[likely]] continue;
+      for (std::size_t a = first; a < last; ++a) {
+        if (poached_word(lanes, a) == 0) continue;
+        HH_ASSERT(lanes.op[a] == env::MaskedOp::kRecruit &&
+                  lanes.active[a] == 1);
+        move_final(a, lanes.results[a]);
+        lanes.targets[a] = lanes.results[a];
+      }
+    }
+  }
+
+  /// Nonzero iff ant a is final and was poached (j != nest). A mask, not
+  /// a && (or an & of two bools), which GCC splits back into a branch on
+  /// the state alone.
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+  [[nodiscard]] static std::uint32_t poached_word(const FusedLanes& lanes,
+                                                  std::size_t a) {
+    const std::uint32_t final_mask =
+        0u - static_cast<std::uint32_t>(
+                 lanes.state[a] == static_cast<std::uint8_t>(State::kFinal));
+    return (lanes.results[a] ^ lanes.nest[a]) & final_mask;
+  }
+
+  /// A poached final ant adopts j (line 21's assignment): both censuses
+  /// move with it.
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+  void move_final(std::size_t a, env::NestId j) {
+    const env::NestId from = nest_[a];
+    --fin_census_[from];
+    ++fin_census_[j];
+    --census_[from];
+    ++census_[j];
+    nest_[a] = j;
+  }
+
+  /// The fused pass over the two ant lists at block step S (the step
+  /// every active and passive ant observes this round). Passive and
+  /// active ants update with integer arithmetic and put their census
+  /// updates on the deferred list (unconditional store, predicated
+  /// advance): commitment moves at step 1, finalizations at step 3, the
+  /// only steps that have them. The fused pass runs only for fault-free
+  /// colonies, so every ant counts in both censuses (here and in
+  /// move_final). Ants change state only at the end of a block, so step
+  /// 3 also keeps the lists: new final ants leave (except
+  /// optimal+settle's), and the other list's new passive ants join the
+  /// end of the passive list, which runs first.
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+  template <unsigned S>
+  void observe_decide_listed(const FusedLanes lanes,
+                             const env::Environment& env) {
+    const std::uint32_t home_count = lanes.counts[env::kHomeNest];
+    env::AntId* const passive_ants = passive_ants_.get();
+    std::uint32_t passive_end = 0;
+    std::uint32_t deferred = 0;
+    for (const bool other : {false, true}) {
+      env::AntId* const ants = other ? other_ants_.get() : passive_ants;
+      const std::uint32_t count = other ? other_count_ : passive_count_;
+      std::uint32_t kept = 0;
+      for (std::uint32_t i = 0; i < count; ++i) {
+        const env::AntId a = ants[i];
+        const Relist relist = observe_decide_one<S>(lanes, env, a, home_count,
+                                                    deferred);
+        if constexpr (S == 3) {
+          if (other) {
+            passive_ants[passive_end] = a;
+            passive_end += relist.to_passive;
+          }
+          ants[kept] = a;
+          kept += relist.stay;
+        }
+      }
+      if constexpr (S == 3) {
+        if (other) {
+          other_count_ = kept;
+          passive_count_ = passive_end;
+        } else {
+          passive_end = kept;
+        }
+      }
+    }
+    if constexpr (S == 1) {
+      std::uint32_t* const census = census_.data();
+      for (std::uint32_t i = 0; i < deferred; ++i) {
+        --census[lanes.deferred[i].from];
+        ++census[lanes.deferred[i].to];
+      }
+    } else if constexpr (S == 3) {
+      std::uint32_t* const fin_census = fin_census_.data();
+      for (std::uint32_t i = 0; i < deferred; ++i) {
+        ++fin_census[lanes.deferred[i].to];
+      }
+      finalized_count_ += deferred;
+    }
+  }
+
+  /// Build the fused pass's ant lists from the state lane (in the first
+  /// fused pass after a reset — round 1's, where every ant searches).
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+  void list_ants() {
+    passive_count_ = 0;
+    other_count_ = 0;
+    for (env::AntId a = 0; a < size(); ++a) {
+      const auto state = static_cast<State>(state_[a]);
+      if (state == State::kPassive) {
+        passive_ants_[passive_count_++] = a;
+      } else if (state != State::kFinal || settle_) {
+        other_ants_[other_count_++] = a;
+      }
+    }
+    listed_ = true;
+  }
+
+  /// Where step 3 puts a listed ant: back on its list, or on the passive
+  /// list; neither means it is final and leaves. Computed, not compared
+  /// after the fact: GCC turns a predicated advance on a compare of the
+  /// reloaded state into a branch on it.
+  struct Relist {
+    std::uint32_t stay;
+    std::uint32_t to_passive;
+  };
+
+  /// One listed ant's observe+decide at block step S. A listed final ant
+  /// (not optimal+settle's) was finalized outside the fused pass and has
+  /// had its round in observe_finals.
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+  template <unsigned S>
+  Relist observe_decide_one(const FusedLanes& lanes,
+                            const env::Environment& env, env::AntId a,
+                            std::uint32_t home_count, std::uint32_t& deferred) {
+    // settle_ finals watch the home-nest streak: they stay listed and take
+    // the general path.
+    const std::uint32_t final_leaves = settle_ ? 0u : 1u;
+    const std::uint8_t st = lanes.state[a];
+    if (st == static_cast<std::uint8_t>(State::kPassive)) {
+      HH_ASSERT(lanes.step[a] == S);
+      const std::uint32_t fin = observe_decide_passive<S>(lanes, a, deferred);
+      lanes.step[a] = static_cast<std::uint8_t>((S + 1) & 3u);
+      return {1u - (fin & final_leaves), 0u};
+    }
+    if (st == static_cast<std::uint8_t>(State::kActive)) {
+      HH_ASSERT(lanes.step[a] == S);
+      const Relist relist = observe_decide_active<S>(lanes, a, home_count,
+                                                     final_leaves, deferred);
+      lanes.step[a] = static_cast<std::uint8_t>((S + 1) & 3u);
+      return relist;
+    }
+    if (st == static_cast<std::uint8_t>(State::kFinal) && final_leaves != 0) {
+      return {0u, 0u};
+    }
+    fused_general(a, lanes, env, home_count);
+    const bool passive = static_cast<State>(state_[a]) == State::kPassive;
+    return {passive ? 0u : 1u, passive ? 1u : 0u};
+  }
+
+  /// A passive ant at block step S: lines 13-19.
+  /// Returns 1 iff the ant turned final.
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+  template <unsigned S>
+  static std::uint32_t observe_decide_passive(const FusedLanes& lanes,
+                                              env::AntId a,
+                                              std::uint32_t& deferred) {
+    constexpr std::uint32_t kGo = static_cast<std::uint8_t>(env::MaskedOp::kGo);
+    const env::NestId nest = lanes.nest[a];
+    if constexpr (S == 0) {
+      // R1 was go(nest); R2 (line 14) is recruit(0, nest).
+      lanes.op[a] = env::MaskedOp::kRecruit;
+      lanes.active[a] = 0;
+      lanes.targets[a] = nest;
+    } else if constexpr (S == 1) {
+      // Lines 14-17: j != nest means recruited — adopt j (nest := j holds
+      // either way) and finalize after the block.
+      const env::NestId j = lanes.results[a];
+      const std::uint32_t moved = j != nest ? 1u : 0u;
+      lanes.nest[a] = j;
+      lanes.deferred[deferred] = {nest, j};
+      deferred += moved;
+      lanes.pending_final[a] = static_cast<std::uint8_t>(moved);
+      lanes.op[a] = env::MaskedOp::kGo;  // R3 (line 18)
+      lanes.targets[a] = j;
+    } else if constexpr (S == 2) {
+      lanes.op[a] = env::MaskedOp::kGo;  // R4 (line 19)
+      lanes.targets[a] = nest;
+    } else {
+      // End of block: a recruited ant turns final (kPassive | 1 ==
+      // kFinal) and recruits from the next round on; the others go.
+      const std::uint8_t fin = lanes.pending_final[a];
+      lanes.state[a] = static_cast<std::uint8_t>(lanes.state[a] | fin);
+      lanes.pending_final[a] = 0;
+      lanes.deferred[deferred].to = nest;
+      deferred += fin;
+      lanes.op[a] = static_cast<env::MaskedOp>(kGo + fin);
+      lanes.active[a] = fin;
+      lanes.targets[a] = nest;
+      return fin;
+    }
+    return 0;
+  }
+
+  /// An active ant at block step S: lines 22-42.
+  /// Returns where step 3 puts the ant (see Relist); `final_leaves` is 0
+  /// when final ants stay listed (optimal+settle).
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+  template <unsigned S>
+  static Relist observe_decide_active(const FusedLanes& lanes, env::AntId a,
+                                      std::uint32_t home_count,
+                                      std::uint32_t final_leaves,
+                                      std::uint32_t& deferred) {
+    constexpr std::uint32_t kGo = static_cast<std::uint8_t>(env::MaskedOp::kGo);
+    constexpr auto kCase1 = static_cast<std::uint8_t>(ActiveCase::kCase1);
+    constexpr auto kCase3 = static_cast<std::uint8_t>(ActiveCase::kCase3);
+    const env::NestId nest = lanes.nest[a];
+    if constexpr (S == 0) {
+      // Line 23: nest_t := recruit(1, nest)'s j; R2 is go(nest_t).
+      const env::NestId j = lanes.results[a];
+      lanes.nest_t[a] = j;
+      lanes.op[a] = env::MaskedOp::kGo;
+      lanes.targets[a] = j;
+    } else if constexpr (S == 1) {
+      // Line 24: count_t := go(nest_t), then lines 25-42's case: case 3
+      // (recruited away) iff nest_t != nest, else case 1 if the
+      // population held up, case 2 if it fell. Case 3 adopts nest_t
+      // (line 38), cases 1/2 already hold it, so nest := nest_t.
+      const env::NestId nest_t = lanes.nest_t[a];
+      const std::uint32_t count_t = lanes.counts[nest_t];
+      const std::uint32_t count = lanes.count[a];
+      const std::uint32_t moved = nest_t != nest ? 1u : 0u;
+      const std::uint32_t fell = count_t < count ? 1u : 0u;
+      const std::uint32_t case2 = fell & (moved ^ 1u);
+      const std::uint32_t case1 = (fell | moved) ^ 1u;
+      lanes.count_t[a] = count_t;
+      lanes.count[a] = count + ((count_t - count) & (0u - case1));  // 27
+      lanes.pending_passive[a] = static_cast<std::uint8_t>(case2);  // 34
+      lanes.active_case[a] = static_cast<std::uint8_t>(1u + case2 + 2u * moved);
+      lanes.nest[a] = nest_t;
+      lanes.deferred[deferred] = {nest, nest_t};
+      deferred += moved;
+      // R3: case 2 recruit(0, nest) (line 35); cases 1/3 go(nest) (lines
+      // 28, 39).
+      lanes.op[a] = static_cast<env::MaskedOp>(kGo + case2);
+      lanes.active[a] = 0;
+      lanes.targets[a] = nest_t;
+    } else if constexpr (S == 2) {
+      // Lines 39-41 (case 3): count_n := go(nest) decides between
+      // dropping out and adopting count_n as the reference.
+      const std::uint8_t c = lanes.active_case[a];
+      const std::uint32_t count_n = lanes.counts[nest];
+      const std::uint32_t case3 = c == kCase3 ? 1u : 0u;
+      const std::uint32_t fell = count_n < lanes.count_t[a] ? 1u : 0u;
+      const std::uint32_t keep = case3 & (fell ^ 1u);
+      const std::uint32_t count = lanes.count[a];
+      lanes.count[a] = count + ((count_n - count) & (0u - keep));
+      lanes.pending_passive[a] =
+          static_cast<std::uint8_t>(lanes.pending_passive[a] | (case3 & fell));
+      // R4: case 1 recruit(0, nest) (line 29); cases 2/3 go(nest) (lines
+      // 36, 42).
+      const std::uint32_t case1 = c == kCase1 ? 1u : 0u;
+      lanes.op[a] = static_cast<env::MaskedOp>(kGo + case1);
+      lanes.active[a] = 0;
+      lanes.targets[a] = nest;
+    } else {
+      // End of block. Lines 29-31: case 1 with count_h (the home count
+      // recruit(0) returned) == count means every active ant is here —
+      // final. A pending drop-out turns passive (lines 34, 41); case 1
+      // never holds one. kActive + 1 == kPassive, kActive + 2 == kFinal.
+      const std::uint32_t case1 = lanes.active_case[a] == kCase1 ? 1u : 0u;
+      const std::uint32_t fin =
+          case1 & (home_count == lanes.count[a] ? 1u : 0u);
+      const std::uint32_t to_passive = lanes.pending_passive[a];
+      lanes.state[a] = static_cast<std::uint8_t>(
+          static_cast<std::uint8_t>(State::kActive) + to_passive + 2u * fin);
+      lanes.pending_passive[a] = 0;
+      lanes.active_case[a] = static_cast<std::uint8_t>(ActiveCase::kUndecided);
+      lanes.deferred[deferred].to = nest;
+      deferred += fin;
+      // R1: active and final ants recruit(1, nest) (lines 21, 23); a new
+      // passive ant goes (line 13).
+      lanes.op[a] = static_cast<env::MaskedOp>(kGo + (to_passive ^ 1u));
+      lanes.active[a] = 1;
+      lanes.targets[a] = nest;
+      return {(to_passive ^ 1u) & ((fin & final_leaves) ^ 1u), to_passive};
+    }
+    return {1u, 0u};
+  }
+
+  /// The general observe+decide of the fused pass: round 1's searches,
+  /// settled ants, and optimal+settle's final ants. The observation
+  /// follows from the state alone.
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+  void fused_general(std::size_t a, const FusedLanes& lanes,
+                     const env::Environment& env, std::uint32_t home_count) {
+    switch (static_cast<State>(state_[a])) {
+      case State::kSearch: {
+        const env::NestId found = env.location(static_cast<env::AntId>(a));
+        apply_search(a, found, lanes.counts[found], env.qualities()[found - 1]);
+        break;
+      }
+      case State::kFinal:  // recruit(1, nest): j and the home count
+        apply(a, lanes.results[a], home_count, 0.0);
+        break;
+      default:  // settled: go(nest) forever, nothing to learn
+        HH_ASSERT(static_cast<State>(state_[a]) == State::kSettled);
+        break;
+    }
+    decide_one(a, {lanes.op, lanes.n}, {lanes.active, lanes.n},
+               {lanes.targets, lanes.n});
   }
 
   void set_final(std::size_t a) {
@@ -446,6 +842,20 @@ class OptimalPack final : public AntPack {
   std::vector<std::uint32_t> full_house_streak_;  ///< settle only
   std::vector<std::uint32_t> fin_census_;  ///< committed census of correct
                                            ///< finalized ants
+  // The fused pass's lists (see observe_decide_listed). The census
+  // updates are deferred until the pass is over: the censuses are sums,
+  // and nothing reads them before agreement_census() runs after the pass.
+  std::unique_ptr<CensusUpdate[]> deferred_;
+  /// Passive ants, and the other ants that are not known final: together
+  /// a superset of the non-final ants (only the fused pass drops ants,
+  /// and only final ones; final is absorbing outside optimal+settle,
+  /// whose finals stay listed). Built by the first fused pass after a
+  /// reset (listed_).
+  std::unique_ptr<env::AntId[]> passive_ants_;
+  std::unique_ptr<env::AntId[]> other_ants_;
+  std::uint32_t passive_count_ = 0;
+  std::uint32_t other_count_ = 0;
+  bool listed_ = false;
 };
 
 }  // namespace

@@ -9,9 +9,9 @@
 // go() calls. The pack therefore keeps PER-ANT phase lanes (state, block
 // case, pending transitions) and drives every round >= 2 through the
 // masked SoA entry points (Environment::step_masked_*). The block step
-// itself is colony-global — all ants enter the block machine at round 2
-// and advance one step per round — so it is derived from the round number
-// rather than stored per ant.
+// is a per-ant lane, because a sleeping or crashed ant's block freezes;
+// in the fault-free, fully awake fused pass every active and passive ant
+// shares one step, derived from the round number (see optimal_pack.cpp).
 //
 // Bit-identical to the per-object OptimalAnt colony (which draws no
 // per-ant randomness at all): same observation-driven transitions, same

@@ -426,7 +426,6 @@ void HomeNestBackend::quiet_round(std::span<const MaskedOp> op,
       const bool b = b_lane[a] != 0;
       if (validating) validate(a, Action::recruit(b, tgt));
       loc[a] = kHomeNest;  // recruitment happens at the home nest
-      ++cnt[kHomeNest];
       // The return value unless the ant gets recruited; record_matching()
       // overwrites it for the ants that do.
       results[a] = tgt;
@@ -450,6 +449,9 @@ void HomeNestBackend::quiet_round(std::span<const MaskedOp> op,
       ++stats_.idles;
     }
   }
+  // Every recruit ant is at home: one add instead of a serial increment
+  // chain on the home-nest cell, one link per recruit ant.
+  cnt[kHomeNest] += mreq;
   requests_.resize(mreq);  // lint: capacity-reserved
   flags.resize(mreq);  // lint: capacity-reserved
   // The per-kind tallies the loop above did not keep (fewer live values

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <vector>
+
 #include "analysis/runner.hpp"
 #include "analysis/scenario.hpp"
 #include "core/registry.hpp"
@@ -189,20 +193,94 @@ TEST(AntPack, BitIdenticalUnderFaultsWithNoise) {
   }
 }
 
+/// One round's stats as a comparable row.
+std::array<std::uint32_t, 8> stats_row(const env::RoundStats& s) {
+  return {s.searches,          s.gos,
+          s.active_recruits,   s.passive_recruits,
+          s.idles,             s.successful_recruitments,
+          s.self_recruitments, s.cross_nest_recruitments};
+}
+
 TEST(AntPack, TrajectoriesMatchBetweenEngines) {
-  auto cfg = base_config(3);
-  cfg.record_trajectories = true;
-  for (AlgorithmKind kind : {AlgorithmKind::kSimple, AlgorithmKind::kQuorum,
-                             AlgorithmKind::kOptimal,
-                             AlgorithmKind::kOptimalSettle}) {
-    const auto scalar = run_with_engine(cfg, kind, EngineKind::kScalar);
-    const auto packed = run_with_engine(cfg, kind, EngineKind::kPacked);
-    ASSERT_EQ(scalar.trajectories.counts, packed.trajectories.counts);
-    ASSERT_EQ(scalar.trajectories.committed, packed.trajectories.committed);
-    ASSERT_EQ(scalar.trajectories.tandem_successes,
-              packed.trajectories.tandem_successes);
-    ASSERT_EQ(scalar.trajectories.transport_successes,
-              packed.trajectories.transport_successes);
+  // Round-by-round pins under every pairing model. The n = 1024, k = 8
+  // colonies keep Algorithm 2's passive and final ants mixed for about 25
+  // rounds, where the fused optimal pass's per-state lists and deferred
+  // census updates do most of their work; n = 1000 also leaves a short
+  // tail block for its 64-ant poached-final scan.
+  struct Case {
+    std::uint32_t n;
+    std::uint32_t k;
+    std::vector<AlgorithmKind> kinds;
+  };
+  const std::vector<Case> cases = {
+      {128, 4,
+       {AlgorithmKind::kSimple, AlgorithmKind::kQuorum,
+        AlgorithmKind::kOptimal, AlgorithmKind::kOptimalSettle}},
+      {1024, 8, {AlgorithmKind::kOptimal, AlgorithmKind::kOptimalSettle}},
+      {1000, 8, {AlgorithmKind::kOptimal}},
+  };
+  for (const env::PairingKind pairing :
+       {env::PairingKind::kPermutation, env::PairingKind::kUniformProposal,
+        env::PairingKind::kCounter}) {
+    for (const Case& c : cases) {
+      auto cfg = base_config(3);
+      cfg.num_ants = c.n;
+      cfg.qualities = SimulationConfig::binary_qualities(c.k, c.k / 2);
+      cfg.pairing = pairing;
+      cfg.record_trajectories = true;
+      for (const AlgorithmKind kind : c.kinds) {
+        const std::string label = std::string(algorithm_name(kind)) + "/" +
+                                  std::string(env::pairing_name(pairing)) +
+                                  "/n=" + std::to_string(c.n);
+        const auto scalar = run_with_engine(cfg, kind, EngineKind::kScalar);
+        const auto packed = run_with_engine(cfg, kind, EngineKind::kPacked);
+        const Trajectories& want = scalar.trajectories;
+        const Trajectories& got = packed.trajectories;
+        ASSERT_EQ(want.counts, got.counts) << label;
+        ASSERT_EQ(want.committed, got.committed) << label;
+        ASSERT_EQ(want.tandem_successes, got.tandem_successes) << label;
+        ASSERT_EQ(want.transport_successes, got.transport_successes) << label;
+        ASSERT_EQ(want.round_stats.size(), got.round_stats.size()) << label;
+        for (std::size_t r = 0; r < want.round_stats.size(); ++r) {
+          ASSERT_EQ(stats_row(want.round_stats[r]),
+                    stats_row(got.round_stats[r]))
+              << label << " round " << r + 1;
+        }
+      }
+    }
+  }
+}
+
+TEST(AntPack, PoachedFinalAntsMatchBetweenEngines) {
+  // A final ant changes nests only when it is recruited to another nest
+  // (it is "poached"), which ordinary seeds almost never produce. These
+  // colonies keep rival final groups alive for hundreds of rounds and
+  // poach thousands of times under each pairing model; their sizes also
+  // leave a short tail block for the fused optimal pass's 64-ant scan.
+  struct Case {
+    std::uint32_t n;
+    env::PairingKind pairing;
+    std::uint64_t seed;
+  };
+  for (const Case& c : {Case{100, env::PairingKind::kUniformProposal, 38},
+                        Case{100, env::PairingKind::kCounter, 60},
+                        Case{200, env::PairingKind::kPermutation, 36}}) {
+    auto cfg = base_config(c.seed);
+    cfg.num_ants = c.n;
+    cfg.qualities = SimulationConfig::binary_qualities(8, 4);
+    cfg.pairing = c.pairing;
+    cfg.record_trajectories = true;
+    const std::string label = std::string(env::pairing_name(c.pairing)) +
+                              "/n=" + std::to_string(c.n) +
+                              "/seed=" + std::to_string(c.seed);
+    const auto scalar =
+        run_with_engine(cfg, AlgorithmKind::kOptimal, EngineKind::kScalar);
+    const auto packed =
+        run_with_engine(cfg, AlgorithmKind::kOptimal, EngineKind::kPacked);
+    expect_identical(scalar, packed, label);
+    EXPECT_EQ(scalar.trajectories.counts, packed.trajectories.counts) << label;
+    EXPECT_EQ(scalar.trajectories.committed, packed.trajectories.committed)
+        << label;
   }
 }
 
