@@ -35,19 +35,17 @@ using hh::testing::allocation_count;
 
 void BM_Pairing(benchmark::State& state, hh::env::PairingKind kind) {
   const auto m = static_cast<std::size_t>(state.range(0));
-  std::vector<hh::env::RecruitRequest> requests;
-  for (std::size_t i = 0; i < m; ++i) {
-    requests.push_back({static_cast<hh::env::AntId>(i), i % 2 == 0, 1});
-  }
+  std::vector<std::uint8_t> active(m);
+  for (std::size_t i = 0; i < m; ++i) active[i] = i % 2 == 0 ? 1 : 0;
   const auto model = hh::env::make_pairing_model(kind);
   hh::util::Rng rng(1);
   hh::env::PairingScratch scratch;
   scratch.reserve(m);
-  model->pair_into(requests, rng, scratch);  // warm the workspace
+  model->pair_active(active, rng, scratch);  // warm the workspace
   std::uint64_t allocs = 0;
   for (auto _ : state) {
     const std::uint64_t before = allocation_count();
-    model->pair_into(requests, rng, scratch);
+    model->pair_active(active, rng, scratch);
     allocs += allocation_count() - before;
     benchmark::DoNotOptimize(scratch.recruited_by.data());
   }
@@ -311,18 +309,21 @@ BENCHMARK_CAPTURE(BM_LatticeEngineRound, packed, hh::core::EngineKind::kPacked)
 // One engine round, steady state: the per-object ant loop (virtual
 // decide/observe per ant) against the packed SoA pass, identical
 // simulations otherwise. The simple rows keep stepping past convergence,
-// which is exactly the steady state we want to time. The
-// packed_optimal_counter row steps whole Algorithm-2 trials instead
-// (counter-lottery pairing, n = 4096, k = 8), resetting to the next seed
-// at convergence, so its rounds span the active-heavy opening, the mixed
-// passive/final middle and the all-final tail — and CI's zero-allocation
-// gate covers the fused optimal pass in all three.
+// which is exactly the steady state we want to time; packed_noisy is the
+// packed simple row under noisy observation (the masked round's
+// perception pass and the plain observe instead of the fused
+// observe+decide). The packed_optimal_counter row steps whole Algorithm-2
+// trials instead (counter-lottery pairing, n = 4096, k = 8), resetting to
+// the next seed at convergence, so its rounds span the active-heavy
+// opening, the mixed passive/final middle and the all-final tail — and
+// CI's zero-allocation gate covers every packed row.
 
 void BM_EngineRound(benchmark::State& state, hh::core::EngineKind engine,
                     hh::core::AlgorithmKind algorithm =
                         hh::core::AlgorithmKind::kSimple,
                     hh::env::PairingKind pairing =
-                        hh::env::PairingKind::kPermutation) {
+                        hh::env::PairingKind::kPermutation,
+                    hh::env::NoiseConfig noise = {}) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const bool whole_trials = algorithm != hh::core::AlgorithmKind::kSimple;
   const std::uint32_t k = whole_trials ? 8 : 4;
@@ -333,6 +334,7 @@ void BM_EngineRound(benchmark::State& state, hh::core::EngineKind engine,
   cfg.max_rounds = ~0u;
   cfg.engine = engine;
   cfg.pairing = pairing;
+  cfg.noise = noise;
   hh::core::Simulation sim(cfg, algorithm);
   if (!whole_trials) {
     for (int warmup = 0; warmup < 8; ++warmup) sim.step();
@@ -360,6 +362,12 @@ BENCHMARK_CAPTURE(BM_EngineRound, scalar, hh::core::EngineKind::kScalar)
     ->RangeMultiplier(8)
     ->Range(64, 1 << 16);
 BENCHMARK_CAPTURE(BM_EngineRound, packed, hh::core::EngineKind::kPacked)
+    ->RangeMultiplier(8)
+    ->Range(64, 1 << 16);
+BENCHMARK_CAPTURE(BM_EngineRound, packed_noisy, hh::core::EngineKind::kPacked,
+                  hh::core::AlgorithmKind::kSimple,
+                  hh::env::PairingKind::kPermutation,
+                  hh::env::NoiseConfig{0.2, 0.02, 0.0})
     ->RangeMultiplier(8)
     ->Range(64, 1 << 16);
 BENCHMARK_CAPTURE(BM_EngineRound, packed_optimal_counter,

@@ -96,36 +96,17 @@ class SimpleFamilyPack final : public AntPack {
     }
   }
 
-  void observe_masked_acting(std::span<const std::uint8_t> act,
-                             std::span<const env::Outcome> outcomes) override {
-    for (std::size_t a = 0; a < act.size(); ++a) {
-      if (!act[a]) continue;  // frozen: crashed, sleeping, or Byzantine
-      switch (phase_[a]) {
-        case Phase::kInit:
-          apply_init(a, outcomes[a].nest, outcomes[a].count,
-                     outcomes[a].quality);
-          break;
-        case Phase::kRecruit:
-          apply_recruit(a, outcomes[a].nest);
-          break;
-        case Phase::kAssess:
-          apply_assess(a, outcomes[a].count, outcomes[a].quality);
-          break;
-      }
-      advance(a);
-    }
-  }
-
   void observe_masked_quiet_acting(
       std::span<const std::uint8_t> act, const env::Environment& env,
       std::span<const env::MaskedOp> /*op*/,
       std::span<const env::NestId> /*targets*/) override {
-    const std::span<const std::uint32_t> counts = env.counts();
     const std::span<const env::NestId> results = env.recruit_results();
-    for (std::size_t a = 0; a < act.size(); ++a) {
-      if (!act[a]) continue;  // frozen: crashed, sleeping, or Byzantine
-      observe_quiet(a, env, counts, results);
-    }
+    with_seen(env, [&](const auto& seen) {
+      for (std::size_t a = 0; a < act.size(); ++a) {
+        if (!act[a]) continue;  // frozen: crashed, sleeping, or Byzantine
+        observe_one(a, env, seen, results);
+      }
+    });
   }
 
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
@@ -134,12 +115,12 @@ class SimpleFamilyPack final : public AntPack {
       std::span<std::uint8_t> active,
       std::span<env::NestId> targets) override {
     // Observe ant a, then overwrite its lanes with its next-round call.
-    // observe_quiet reads no op/target row, so the overwrite is safe.
+    // observe_one reads no op/target row, so the overwrite is safe.
     const std::uint32_t next_round = masked_round() + 1;
-    const std::span<const std::uint32_t> counts = env.counts();
+    const ExactSeen seen = exact_seen(env);
     const std::span<const env::NestId> results = env.recruit_results();
     for (std::size_t a = 0; a < op.size(); ++a) {
-      observe_quiet(a, env, counts, results);
+      observe_one(a, env, seen, results);
       decide_one(a, next_round, op, active, targets);
     }
     return true;
@@ -215,17 +196,17 @@ class SimpleFamilyPack final : public AntPack {
     }
   }
 
-  /// One acting ant's quiet observe, exact observation. A recruit ant's
+  /// One acting ant's observe (SimpleAnt::observe). A recruit ant's
   /// return is its recruit_results() entry: the recruiter's advertised
   /// nest, or its own target nest_[a] when nobody recruited it — which
-  /// apply_recruit treats as no change, exactly as the loud kernel does.
-  void observe_quiet(std::size_t a, const env::Environment& env,
-                     std::span<const std::uint32_t> counts,
-                     std::span<const env::NestId> results) {
+  /// apply_recruit treats as no change, since the ant advertised nest_[a].
+  template <typename Seen>
+  void observe_one(std::size_t a, const env::Environment& env,
+                   const Seen& seen, std::span<const env::NestId> results) {
     switch (phase_[a]) {
       case Phase::kInit: {
         const env::NestId found = env.location(static_cast<env::AntId>(a));
-        apply_init(a, found, counts[found], env.qualities()[found - 1]);
+        apply_init(a, found, seen.count(a, found), seen.quality(a, found));
         break;
       }
       case Phase::kRecruit:
@@ -233,7 +214,7 @@ class SimpleFamilyPack final : public AntPack {
         break;
       case Phase::kAssess: {
         const env::NestId nest = nest_[a];
-        apply_assess(a, counts[nest], env.qualities()[nest - 1]);
+        apply_assess(a, seen.count(a, nest), seen.quality(a, nest));
         break;
       }
     }
@@ -336,36 +317,17 @@ class QuorumPack final : public AntPack {
     }
   }
 
-  void observe_masked_acting(std::span<const std::uint8_t> act,
-                             std::span<const env::Outcome> outcomes) override {
-    for (std::size_t a = 0; a < act.size(); ++a) {
-      if (!act[a]) continue;  // frozen: crashed, sleeping, or Byzantine
-      // Quorum-met ants recruit forever but their return value is ignored
-      // (commitment locked) and their phase stays parked at kRecruit.
-      if (static_cast<Stage>(stage_[a]) == Stage::kQuorumMet) continue;
-      if (static_cast<Stage>(stage_[a]) == Stage::kInit) {
-        apply_init(a, outcomes[a].nest, outcomes[a].count,
-                   outcomes[a].quality);
-      } else if (phase_[a] == Phase::kRecruit) {
-        apply_recruit(a, outcomes[a].nest);
-        phase_[a] = Phase::kAssess;
-      } else {
-        apply_assess(a, outcomes[a].count);
-        phase_[a] = Phase::kRecruit;
-      }
-    }
-  }
-
   void observe_masked_quiet_acting(
       std::span<const std::uint8_t> act, const env::Environment& env,
       std::span<const env::MaskedOp> /*op*/,
       std::span<const env::NestId> /*targets*/) override {
-    const std::span<const std::uint32_t> counts = env.counts();
     const std::span<const env::NestId> results = env.recruit_results();
-    for (std::size_t a = 0; a < act.size(); ++a) {
-      if (!act[a]) continue;  // frozen: crashed, sleeping, or Byzantine
-      observe_quiet(a, env, counts, results);
-    }
+    with_seen(env, [&](const auto& seen) {
+      for (std::size_t a = 0; a < act.size(); ++a) {
+        if (!act[a]) continue;  // frozen: crashed, sleeping, or Byzantine
+        observe_one(a, env, seen, results);
+      }
+    });
   }
 
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
@@ -374,11 +336,11 @@ class QuorumPack final : public AntPack {
       std::span<std::uint8_t> active,
       std::span<env::NestId> targets) override {
     // Observe ant a, then overwrite its lanes with its next-round call.
-    // observe_quiet reads no op/target row, so the overwrite is safe.
-    const std::span<const std::uint32_t> counts = env.counts();
+    // observe_one reads no op/target row, so the overwrite is safe.
+    const ExactSeen seen = exact_seen(env);
     const std::span<const env::NestId> results = env.recruit_results();
     for (std::size_t a = 0; a < op.size(); ++a) {
-      observe_quiet(a, env, counts, results);
+      observe_one(a, env, seen, results);
       decide_one(a, op, active, targets);
     }
     return true;
@@ -451,24 +413,24 @@ class QuorumPack final : public AntPack {
     }
   }
 
-  /// One acting ant's quiet observe, exact observation. A recruit ant's
+  /// One acting ant's observe (QuorumAnt::observe). A recruit ant's
   /// return is its recruit_results() entry: the recruiter's advertised
   /// nest, or its own target nest_[a] when nobody recruited it — which
-  /// apply_recruit treats as no change, exactly as the loud kernel does.
-  void observe_quiet(std::size_t a, const env::Environment& env,
-                     std::span<const std::uint32_t> counts,
-                     std::span<const env::NestId> results) {
+  /// apply_recruit treats as no change, since the ant advertised nest_[a].
+  template <typename Seen>
+  void observe_one(std::size_t a, const env::Environment& env,
+                   const Seen& seen, std::span<const env::NestId> results) {
     // Quorum-met ants recruit forever but their return value is ignored
     // (commitment locked) and their phase stays parked at kRecruit.
     if (static_cast<Stage>(stage_[a]) == Stage::kQuorumMet) return;
     if (static_cast<Stage>(stage_[a]) == Stage::kInit) {
       const env::NestId found = env.location(static_cast<env::AntId>(a));
-      apply_init(a, found, counts[found], env.qualities()[found - 1]);
+      apply_init(a, found, seen.count(a, found), seen.quality(a, found));
     } else if (phase_[a] == Phase::kRecruit) {
       apply_recruit(a, results[a]);
       phase_[a] = Phase::kAssess;
     } else {
-      apply_assess(a, counts[nest_[a]]);
+      apply_assess(a, seen.count(a, nest_[a]));
       phase_[a] = Phase::kRecruit;
     }
   }
@@ -571,6 +533,7 @@ void AntPack::begin_round(std::span<const std::uint8_t> awake) {
 bool AntPack::reset(std::uint64_t colony_seed) {
   std::fill(awake_.begin(), awake_.end(), std::uint8_t{1});
   any_asleep_ = false;
+  masked_round_ = 0;  // round 1's lanes are not planned yet
   if (!do_reset(colony_seed)) return false;
   if (has_faults_) {
     // Re-derive the Byzantine scout state; the installed plan (types,
@@ -625,6 +588,8 @@ void AntPack::fill_masked(std::uint32_t round, std::span<env::MaskedOp> op,
   HH_EXPECTS(op.size() == num_ants_);
   HH_EXPECTS(active.size() == num_ants_);
   HH_EXPECTS(targets.size() == num_ants_);
+  // Planned already: only the fused observe+decide plans ahead.
+  if (masked_round_ == round) return;
   masked_round_ = round;
   if (has_faults_) overlay_faults(round, op, active, targets);
   if (any_asleep_) {
@@ -643,57 +608,43 @@ void AntPack::fill_masked(std::uint32_t round, std::span<env::MaskedOp> op,
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-void AntPack::observe_masked(std::span<const env::Outcome> outcomes) {
-  // Byzantine search outcomes exist only while some scout window is still
-  // open — skip the O(n) scan for the rest of the run (mirrors the quiet
-  // form). An adversary that slept (kIdle outcome) made no search, so it
-  // neither learns nor burns a scout round.
-  if (byz_scouting_ > 0) {
-    for (env::AntId a = 0; a < num_ants_; ++a) {
-      if (!byzantine(a) || outcomes[a].kind != env::ActionKind::kSearch) {
-        continue;
-      }
-      scout_round_done(a);
-      // Track the worst nest seen; ties broken toward the first found so
-      // the adversary concentrates its pull on a single bad nest.
-      if (outcomes[a].quality < byz_quality_[a]) {
-        byz_quality_[a] = outcomes[a].quality;
-        byz_target_[a] = outcomes[a].nest;
-      }
-    }
-  }
-  observe_masked_acting(act(), outcomes);
-}
-
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
 void AntPack::observe_masked_quiet(const env::Environment& env,
                                    std::span<const env::MaskedOp> op,
                                    std::span<const env::NestId> targets) {
+  // Byzantine scouts learn only while some scout window is still open —
+  // skip the O(n) scan for the rest of the run.
   if (byz_scouting_ > 0) {
-    for (env::AntId a = 0; a < num_ants_; ++a) {
-      // op is this round's decide output: a scouting adversary holds
-      // kSearch, a sleeping one was overlaid to kIdle (no search, no
-      // learning, scout window stretched — like the scalar ant, whose
-      // rounds_scouted_ only advances on a search outcome).
-      if (!byzantine(a) || op[a] != env::MaskedOp::kSearch) continue;
-      scout_round_done(a);
-      const env::NestId found = env.location(a);
-      const double q = env.qualities()[found - 1];  // exact observation
-      if (q < byz_quality_[a]) {
-        byz_quality_[a] = q;
-        byz_target_[a] = found;
+    with_seen(env, [&](const auto& seen) {
+      for (env::AntId a = 0; a < num_ants_; ++a) {
+        // op is this round's decide output: a scouting adversary holds
+        // kSearch, a sleeping one was overlaid to kIdle (no search, no
+        // learning, scout window stretched — like the scalar ant, whose
+        // rounds_scouted_ only advances on a search outcome).
+        if (!byzantine(a) || op[a] != env::MaskedOp::kSearch) continue;
+        scout_round_done(a);
+        // Track the worst nest seen (as perceived); ties broken toward the
+        // first found so the adversary concentrates its pull on a single
+        // bad nest.
+        const env::NestId found = env.location(a);
+        const double q = seen.quality(a, found);
+        if (q < byz_quality_[a]) {
+          byz_quality_[a] = q;
+          byz_target_[a] = found;
+        }
       }
-    }
+    });
   }
   observe_masked_quiet_acting(act(), env, op, targets);
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-bool AntPack::observe_masked_quiet_then_decide(std::uint32_t round,
+void AntPack::observe_masked_quiet_then_decide(std::uint32_t round,
                                                const env::Environment& env,
                                                std::span<env::MaskedOp> op,
                                                std::span<std::uint8_t> active,
                                                std::span<env::NestId> targets) {
+  // The fused kernels read true counts: exact observation only.
+  HH_EXPECTS(env.perceived_counts().empty());
   // The gates mirror fill_masked's special cases: either live means the
   // next round needs the overlay machinery, so the fused pass is not
   // applicable and the round tail stays split. The hook contract lets
@@ -701,11 +652,10 @@ bool AntPack::observe_masked_quiet_then_decide(std::uint32_t round,
   HH_EXPECTS(round == masked_round_);
   if (!has_faults_ && !any_asleep_ &&
       fused_observe_decide(env, op, active, targets)) {
-    masked_round_ = round + 1;
-    return true;
+    masked_round_ = round + 1;  // the next fill_masked returns at once
+    return;
   }
   observe_masked_quiet(env, op, targets);
-  return false;
 }
 
 std::uint32_t AntPack::agreement_census(ConvergenceMode mode,
@@ -719,7 +669,7 @@ std::uint32_t AntPack::agreement_census(ConvergenceMode mode,
 }
 
 // The base kernels below are never reached by a built-in home-nest pack
-// (each overrides all three); the lattice's WalkerPack shell, whose driver
+// (each overrides both); the lattice's WalkerPack shell, whose driver
 // bypasses the kernels, is the one pack that keeps them.
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
@@ -728,12 +678,6 @@ void AntPack::decide_masked(std::uint32_t /*round*/,
                             std::span<env::MaskedOp> /*op*/,
                             std::span<std::uint8_t> /*active*/,
                             std::span<env::NestId> /*targets*/) {
-  HH_ASSERT(false);
-}
-
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-void AntPack::observe_masked_acting(std::span<const std::uint8_t> /*act*/,
-                                    std::span<const env::Outcome> /*outcomes*/) {
   HH_ASSERT(false);
 }
 
@@ -772,8 +716,8 @@ bool packed_available(AlgorithmKind kind) {
 
 Capabilities packed_capabilities(AlgorithmKind kind) {
   // One declaration covers every built-in: they all derive from the
-  // AntPack base, whose fault lanes, sleep overlay, loud/quiet observe
-  // kernels, and agreement censuses supply the whole matrix.
+  // AntPack base, whose fault lanes, sleep overlay, exact/noisy observe
+  // views, and agreement censuses supply the whole matrix.
   return packed_available(kind) ? Capabilities::standard_pack()
                                 : Capabilities{};
 }

@@ -28,14 +28,17 @@
 //     each round's op/active/target lanes and gates the derived kernels
 //     to the acting correct ants, so every algorithm gains packed fault
 //     support without fault code of its own.
-//   * Every round is a masked round: the driver fills the op/active/
-//     target lanes and runs Environment::step_masked_recruit, or its
-//     Outcome-free quiet form under exact observation. A colony-uniform
-//     round (every ant searches, recruits, or goes) is one whose op lane
-//     happens to be constant. In fault-free, fully awake steady state the
-//     quiet observe also writes the next round's lanes
-//     (observe_masked_quiet_then_decide), so no separate decide sweep
-//     runs.
+//   * Every round is one masked round, whatever the observation model:
+//     the driver fills the op/active/target lanes and runs
+//     Environment::step_masked_recruit_quiet. A colony-uniform round
+//     (every ant searches, recruits, or goes) is one whose op lane
+//     happens to be constant. The observe kernels read each call's
+//     returned count and quality through a view picked once per round
+//     (with_seen): the true values of the ant's nest under exact
+//     observation, the environment's per-ant perception lanes under
+//     noise. In fault-free, fully awake, exact steady state the observe
+//     also writes the next round's lanes (observe_masked_quiet_then_decide),
+//     so no separate decide sweep runs.
 //
 // Packs exist for every built-in algorithm: the Algorithm-3 family
 // (simple, rate-boosted, quality-aware, uniform-recruit), the quorum
@@ -58,7 +61,6 @@
 #include "core/capabilities.hpp"
 #include "core/colony.hpp"
 #include "core/convergence.hpp"
-#include "env/action.hpp"
 #include "env/environment.hpp"
 #include "env/faults.hpp"
 #include "env/nest.hpp"
@@ -89,35 +91,35 @@ class AntPack {
   /// Fill every ant's op/active/target lanes for `round` — fault and
   /// sleep rows written by the base class, acting correct ants by the
   /// derived decide kernel (drawing the same RNG sequence the scalar
-  /// colony would).
+  /// colony would). Returns at once when the lanes of `round` are already
+  /// planned: the previous round's observe_masked_quiet_then_decide wrote
+  /// them.
   void fill_masked(std::uint32_t round, std::span<env::MaskedOp> op,
                    std::span<std::uint8_t> active,
                    std::span<env::NestId> targets);
 
-  /// Absorb a round's Outcomes (the loud form — required under noisy
-  /// observation).
-  void observe_masked(std::span<const env::Outcome> outcomes);
-
-  /// Absorb a round quietly (exact observation): results are read
-  /// straight off the environment (counts, locations, the recruit()
-  /// return lane). `op` and `targets` must be the lanes fill_masked
-  /// produced for this round — each ant's result kind resolves through
-  /// them.
+  /// Absorb a masked round: results are read straight off the environment
+  /// (counts, locations, the recruit() return lane, and under a noisy
+  /// observation model the perception lanes). `op` and `targets` must be
+  /// the lanes fill_masked produced for this round — each ant's result
+  /// kind resolves through them.
   void observe_masked_quiet(const env::Environment& env,
                             std::span<const env::MaskedOp> op,
                             std::span<const env::NestId> targets);
 
-  /// The fused tail of a fault-free, fully-awake round: absorb round
-  /// `round` quietly AND overwrite the same lanes with every ant's round
-  /// `round + 1` decision, returning true — the driver then skips
-  /// fill_masked for the next round. Falls back to the plain quiet
-  /// observe (returning false) when fault or sleep lanes are live, or
-  /// when the pack does not implement the fusion hook. Must not be called
-  /// under partial synchrony — the sleep overlay belongs to fill_masked.
-  [[nodiscard]] bool observe_masked_quiet_then_decide(
-      std::uint32_t round, const env::Environment& env,
-      std::span<env::MaskedOp> op, std::span<std::uint8_t> active,
-      std::span<env::NestId> targets);
+  /// The fused tail of a fault-free, fully-awake round under exact
+  /// observation (ContractViolation under a noisy model): absorb round
+  /// `round` AND overwrite the same lanes with every ant's round
+  /// `round + 1` decision, so the next fill_masked returns at once. Falls
+  /// back to the plain observe_masked_quiet (the next fill_masked then
+  /// plans as usual) when fault or sleep lanes are live, or when the pack
+  /// does not implement the fusion hook. Must not be called under partial
+  /// synchrony — the sleep overlay belongs to fill_masked.
+  void observe_masked_quiet_then_decide(std::uint32_t round,
+                                        const env::Environment& env,
+                                        std::span<env::MaskedOp> op,
+                                        std::span<std::uint8_t> active,
+                                        std::span<env::NestId> targets);
 
   /// Overwrite `census` (size k+1, indexed by nest) with the number of
   /// CORRECT ants committed to each nest (faulty ants are exempt from
@@ -201,23 +203,20 @@ class AntPack {
                              std::span<std::uint8_t> active,
                              std::span<env::NestId> targets);
 
-  /// Masked observe kernel, loud form: apply outcomes[a] for every ant
-  /// with act[a] != 0.
-  virtual void observe_masked_acting(std::span<const std::uint8_t> act,
-                                     std::span<const env::Outcome> outcomes);
-
-  /// Masked observe kernel, quiet form (exact observation): derive each
-  /// acting ant's results from the environment (counts(), location(),
-  /// recruit_results()) and the round's op/target lanes — op[a] is the
-  /// single source of truth for whether ant a's result is a recruit
-  /// return or a visit count (no kernel re-derives its decide table).
+  /// Masked observe kernel: derive each acting ant's results from the
+  /// environment (location(), recruit_results(), and the returned counts
+  /// and qualities through with_seen()) and the round's op/target lanes
+  /// — op[a] is the single source of truth for whether ant a's result is
+  /// a recruit return or a visit count (no kernel re-derives its decide
+  /// table).
   virtual void observe_masked_quiet_acting(std::span<const std::uint8_t> act,
                                            const env::Environment& env,
                                            std::span<const env::MaskedOp> op,
                                            std::span<const env::NestId> targets);
 
   /// Fusion hook behind observe_masked_quiet_then_decide. The caller's
-  /// gates guarantee every lane acts (no faults, no sleepers).
+  /// gates guarantee every lane acts (no faults, no sleepers) and that
+  /// observation is exact, so implementations read true counts directly.
   /// Implementations observe every ant quietly and immediately rewrite
   /// its op/active/target lanes with the NEXT round's decision — round
   /// masked_round() + 1 — in one pass over the state lanes instead of an
@@ -229,6 +228,56 @@ class AntPack {
       const env::Environment& /*env*/, std::span<env::MaskedOp> /*op*/,
       std::span<std::uint8_t> /*active*/, std::span<env::NestId> /*targets*/) {
     return false;
+  }
+
+  // --- what a call returned, as the observe kernels read it ---------------
+  // A search or go call returns the count (and quality) of the nest the
+  // ant stands in, a recruit call the home nest's count. The observe
+  // kernels read them through one of two views, which with_seen() picks
+  // once per round — never per ant.
+
+  /// Exact observation: the true values of the nest the ant stands in.
+  struct ExactSeen {
+    const std::uint32_t* counts;  ///< by nest
+    const double* qualities;      ///< nest i at index i - 1
+    [[nodiscard]] std::uint32_t count(std::size_t /*a*/,
+                                      env::NestId nest) const {
+      return counts[nest];
+    }
+    [[nodiscard]] double quality(std::size_t /*a*/, env::NestId nest) const {
+      return qualities[nest - 1];
+    }
+  };
+
+  /// Noisy observation: ant a's own perceived values, which the
+  /// environment's perception pass drew for the nest it stands in.
+  struct NoisySeen {
+    const std::uint32_t* counts;  ///< by ant
+    const double* qualities;      ///< by ant
+    [[nodiscard]] std::uint32_t count(std::size_t a,
+                                      env::NestId /*nest*/) const {
+      return counts[a];
+    }
+    [[nodiscard]] double quality(std::size_t a, env::NestId /*nest*/) const {
+      return qualities[a];
+    }
+  };
+
+  /// The exact view of `env`'s last round.
+  [[nodiscard]] static ExactSeen exact_seen(const env::Environment& env) {
+    return {env.counts().data(), env.qualities().data()};
+  }
+
+  /// Run body(view) with the view `env`'s observation model calls for
+  /// (only a noisy model fills the perception lanes).
+  template <typename Body>
+  static void with_seen(const env::Environment& env, Body&& body) {
+    if (env.perceived_counts().empty()) {
+      body(exact_seen(env));
+    } else {
+      body(NoisySeen{env.perceived_counts().data(),
+                     env.perceived_qualities().data()});
+    }
   }
 
   // --- fault-lane helpers for derived kernels ------------------------------
@@ -298,7 +347,7 @@ class AntPack {
   bool has_faults_ = false;
   std::uint32_t correct_count_ = 0;
   std::uint32_t byz_count_ = 0;
-  std::uint32_t masked_round_ = 0;  ///< round of the last fill_masked
+  std::uint32_t masked_round_ = 0;  ///< see masked_round()
   bool any_asleep_ = false;         ///< current round's mask has a sleeper
   std::vector<std::uint8_t> act_;   ///< faulted packs: see act()
   std::vector<std::uint8_t> awake_;  ///< partial synchrony: 1 = acts

@@ -115,43 +115,34 @@ class OptimalPack final : public AntPack {
   }
 
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-  void observe_masked_acting(std::span<const std::uint8_t> act,
-                             std::span<const env::Outcome> outcomes) override {
-    for (std::size_t a = 0; a < act.size(); ++a) {
-      if (!act[a]) continue;
-      const env::Outcome& out = outcomes[a];
-      apply(a, out.nest, out.count, out.quality);
-    }
-  }
-
-  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
   void observe_masked_quiet_acting(
       std::span<const std::uint8_t> act, const env::Environment& env,
       std::span<const env::MaskedOp> op,
       std::span<const env::NestId> targets) override {
-    const std::span<const std::uint32_t> counts = env.counts();
     // The recruit() return values j, ant-indexed — the env fills the lane
     // in its matching-bookkeeping walk, so a recruit ant's observation is
     // one sequential load instead of the recruited_by_ant() load chain.
     const std::span<const env::NestId> results = env.recruit_results();
-    const std::uint32_t home_count = counts[env::kHomeNest];
-    for (std::size_t a = 0; a < act.size(); ++a) {
-      if (!act[a]) continue;
-      if (static_cast<State>(state_[a]) == State::kSearch) {
-        const env::NestId found = env.location(static_cast<env::AntId>(a));
-        apply_search(a, found, counts[found], env.qualities()[found - 1]);
-        continue;
+    with_seen(env, [&](const auto& seen) {
+      for (std::size_t a = 0; a < act.size(); ++a) {
+        if (!act[a]) continue;
+        if (static_cast<State>(state_[a]) == State::kSearch) {
+          const env::NestId found = env.location(static_cast<env::AntId>(a));
+          apply_search(a, found, seen.count(a, found), seen.quality(a, found));
+          continue;
+        }
+        // op[a] is what decide_masked emitted this round — the one copy of
+        // the R1-R4 recruit/go classification. Only a search reads the
+        // quality.
+        if (op[a] == env::MaskedOp::kRecruit) {
+          // j plus the home-nest population (read by finals for settling).
+          apply(a, results[a], seen.count(a, env::kHomeNest), 0.0);
+        } else {
+          // go(targets[a]): the visited nest's end-of-round count.
+          apply(a, targets[a], seen.count(a, targets[a]), 0.0);
+        }
       }
-      // op[a] is what decide_masked emitted this round — the one copy of
-      // the R1-R4 recruit/go classification.
-      if (op[a] == env::MaskedOp::kRecruit) {
-        // j plus the home-nest population (read by finals for settling).
-        apply(a, results[a], home_count, 0.0);
-      } else {
-        // go(targets[a]): the visited nest's end-of-round count.
-        apply(a, targets[a], counts[targets[a]], 0.0);
-      }
-    }
+    });
   }
 
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)

@@ -220,7 +220,9 @@ Simulation::Simulation(const SimulationConfig& config, EngineParts engine,
     home_ = static_cast<env::HomeNestBackend*>(world_.get());
   }
   engine_fallback_ = std::move(engine.fallback);
-  exact_observation_ = !config.noise.any();
+  // The fused observe+decide reads true counts and leaves the sleep
+  // overlay to fill_masked: exact, fully synchronous configs only.
+  fused_tail_ = !config.noise.any() && config.skip_probability == 0.0;
   actions_.resize(config.num_ants);
   if (pack_) {
     HH_EXPECTS(pack_->size() == config.num_ants);
@@ -278,7 +280,6 @@ bool Simulation::reset(std::uint64_t seed) {
   world_->reset(util::mix_seed(seed, kEnvSeedTag));
   scheduler_rng_.reseed(util::mix_seed(seed, kSchedulerSeedTag));
   detector_.reset();
-  masked_lanes_prefilled_ = false;
   total_recruitments_ = 0;
   total_tandem_runs_ = 0;
   total_transports_ = 0;
@@ -388,49 +389,30 @@ bool Simulation::step_packed() {
   }
 
   // One batch decide over the state arrays into the op/active/target
-  // lanes — unless the previous round's fused observe already planned
-  // them (fault-free steady state; the flag is one-shot) — then one
-  // masked round, in its Outcome-free quiet form when observation is
-  // exact. A colony-uniform round is a masked round with a constant op
-  // lane.
-  if (!masked_lanes_prefilled_) {
-    pack_->fill_masked(round, masked_op_, recruit_active_, masked_targets_);
-  }
-  masked_lanes_prefilled_ = false;
+  // lanes (a no-op when the previous round's fused observe already
+  // planned them), then one masked round under every observation model.
+  // A colony-uniform round is a masked round with a constant op lane.
+  pack_->fill_masked(round, masked_op_, recruit_active_, masked_targets_);
+  home_->step_masked_recruit_quiet(masked_op_, recruit_active_,
+                                   masked_targets_);
 
   // Tandem/transport attribution as in step_scalar; finalized() reflects
   // pre-observe state there (an ant's own observe cannot change another
   // ant's attribution), so attributing before the batch observe is
-  // equivalent. Every success that is not a transport is a tandem run.
+  // equivalent. The env hands over this round's successful recruiters
+  // directly, so attribution touches the successes alone (one batch
+  // finalized() count) instead of testing every ant. Every success that
+  // is not a transport is a tandem run.
   std::uint32_t transport = 0;
-  if (exact_observation_) {
-    home_->step_masked_recruit_quiet(masked_op_, recruit_active_,
-                                     masked_targets_);
-    // The env hands over this round's successful recruiters directly, so
-    // attribution touches the successes alone (one batch finalized()
-    // count) instead of testing every ant.
-    if (pack_->any_finalized()) {
-      transport = pack_->count_finalized(home_->successful_recruiters());
-    }
-    // Fuse next round's decide into this observe when eligible — never
-    // under partial synchrony, whose sleep overlay must run through
-    // fill_masked after the round's wake draws.
-    if (config_.skip_probability == 0.0) {
-      masked_lanes_prefilled_ = pack_->observe_masked_quiet_then_decide(
-          round, *home_, masked_op_, recruit_active_, masked_targets_);
-    } else {
-      pack_->observe_masked_quiet(*home_, masked_op_, masked_targets_);
-    }
+  if (pack_->any_finalized()) {
+    transport = pack_->count_finalized(home_->successful_recruiters());
+  }
+  if (fused_tail_) {
+    // Fuse next round's decide into this observe when eligible.
+    pack_->observe_masked_quiet_then_decide(round, *home_, masked_op_,
+                                            recruit_active_, masked_targets_);
   } else {
-    const std::vector<env::Outcome>& outcomes = home_->step_masked_recruit(
-        masked_op_, recruit_active_, masked_targets_);
-    if (home_->last_round_stats().successful_recruitments > 0 &&
-        pack_->any_finalized()) {
-      for (env::AntId a = 0; a < config_.num_ants; ++a) {
-        if (outcomes[a].recruit_succeeded && pack_->finalized(a)) ++transport;
-      }
-    }
-    pack_->observe_masked(outcomes);
+    pack_->observe_masked_quiet(*home_, masked_op_, masked_targets_);
   }
   const std::uint32_t tandem =
       home_->last_round_stats().successful_recruitments - transport;

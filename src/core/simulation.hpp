@@ -292,7 +292,7 @@ class Simulation {
   std::uint64_t total_tandem_runs_ = 0;
   std::uint64_t total_transports_ = 0;
   Trajectories trajectories_;
-  bool exact_observation_ = true;      // no noise: quiet rounds eligible
+  bool fused_tail_ = false;            // exact + synchronous: fused observe
   std::string engine_fallback_;        // why kAuto fell back ("" = packed)
   std::vector<env::Action> actions_;   // reused per round
   std::vector<bool> awake_;            // reused per round (scalar engine)
@@ -301,10 +301,6 @@ class Simulation {
   std::vector<std::uint8_t> recruit_active_;   // reused per round (packed)
   std::vector<env::MaskedOp> masked_op_;       // reused per round (packed)
   std::vector<env::NestId> masked_targets_;    // reused per round (packed)
-  // True when the previous round's fused observe already wrote this
-  // round's masked lanes (AntPack::observe_masked_quiet_then_decide), so
-  // step_packed skips fill_masked. Consumed (cleared) every round.
-  bool masked_lanes_prefilled_ = false;
 };
 
 }  // namespace hh::core

@@ -23,13 +23,6 @@ std::optional<BackendKind> backend_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-const std::vector<Outcome>& Backend::step_masked_recruit(
-    std::span<const MaskedOp>, std::span<const std::uint8_t>,
-    std::span<const NestId>) {
-  throw ContractViolation(
-      "step_masked_recruit: this backend has no recruitment process");
-}
-
 void Backend::step_masked_recruit_quiet(std::span<const MaskedOp>,
                                         std::span<const std::uint8_t>,
                                         std::span<const NestId>) {

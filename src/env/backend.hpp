@@ -21,6 +21,11 @@
 //     backend supports makes identical draws in identical order to
 //     step() with the corresponding Action vector.
 //
+// The masked entry points are Outcome-free ("quiet"): callers read
+// counts() and the backend's own result lanes directly. step() is the one
+// round that materializes per-ant Outcomes — the reference the masked
+// rounds are held to, and the scalar engine's round.
+//
 // Identity rule: a backend is part of a scenario's identity. Scenarios on
 // the default HomeNestBackend serialize exactly as before the seam was
 // introduced (no fingerprint drift); any other backend adds an
@@ -119,24 +124,15 @@ class Backend {
   virtual const std::vector<Outcome>& step(std::span<const Action> actions) = 0;
 
   /// One mixed round with NO recruiters (op values kGo/kSearch/kIdle
-  /// only); targets is read only at kGo positions. Zero-alloc.
-  virtual const std::vector<Outcome>& step_masked_go(
-      std::span<const MaskedOp> op, std::span<const NestId> targets) = 0;
-
-  /// step_masked_go without materialized Outcomes; callers read counts()
-  /// (and backend-specific lanes) directly. Zero-alloc.
+  /// only); targets is read only at kGo positions. No Outcomes: callers
+  /// read counts() (and backend-specific lanes) directly. Zero-alloc.
   virtual void step_masked_go_quiet(std::span<const MaskedOp> op,
                                     std::span<const NestId> targets) = 0;
 
-  /// One mixed round that may contain recruiters. Worlds without a
-  /// recruitment process (the lattice) inherit this default, which
-  /// throws ContractViolation — a kernel routed to the wrong world is a
-  /// programming error, not a model outcome.
-  virtual const std::vector<Outcome>& step_masked_recruit(
-      std::span<const MaskedOp> op, std::span<const std::uint8_t> active,
-      std::span<const NestId> targets);
-
-  /// step_masked_recruit without Outcomes. Same default as above.
+  /// One mixed round that may contain recruiters, without Outcomes.
+  /// Worlds without a recruitment process (the lattice) inherit this
+  /// default, which throws ContractViolation — a kernel routed to the
+  /// wrong world is a programming error, not a model outcome.
   virtual void step_masked_recruit_quiet(std::span<const MaskedOp> op,
                                          std::span<const std::uint8_t> active,
                                          std::span<const NestId> targets);

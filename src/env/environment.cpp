@@ -42,6 +42,10 @@ HomeNestBackend::HomeNestBackend(EnvironmentConfig cfg,
   pairing_scratch_.reserve(cfg_.num_ants);
   success_ants_.reserve(cfg_.num_ants);
   recruit_result_.assign(cfg_.num_ants, kHomeNest);
+  if (!observe_exact_) {
+    perceived_count_.assign(cfg_.num_ants, 0);
+    perceived_quality_.assign(cfg_.num_ants, 0.0);
+  }
 }
 
 void HomeNestBackend::reset(std::uint64_t seed) {
@@ -60,6 +64,8 @@ void HomeNestBackend::reset(std::uint64_t seed) {
   std::fill(request_index_.begin(), request_index_.end(), kNoRequest);
   success_ants_.clear();
   std::fill(recruit_result_.begin(), recruit_result_.end(), kHomeNest);
+  std::fill(perceived_count_.begin(), perceived_count_.end(), 0u);
+  std::fill(perceived_quality_.begin(), perceived_quality_.end(), 0.0);
   stats_ = RoundStats{};
 }
 
@@ -146,9 +152,12 @@ const std::vector<Outcome>& HomeNestBackend::step_rows(const ActionAt& action_at
   const std::uint32_t k = num_nests();
   stats_ = RoundStats{};
   requests_.clear();
+  auto& flags = pairing_scratch_.active;
+  flags.clear();
 
   // Phase 1: validate and apply all location updates simultaneously; the
-  // search landing draws are made here, in ant order.
+  // search landing draws are made here, in ant order, and each recruit
+  // call's active flag is packed in request order.
   for (AntId a = 0; a < cfg_.num_ants; ++a) {
     const Action action = action_at(a);
     if (cfg_.enforce_model) validate(a, action);
@@ -174,6 +183,7 @@ const std::vector<Outcome>& HomeNestBackend::step_rows(const ActionAt& action_at
         location_[a] = kHomeNest;  // recruitment happens at the home nest
         request_index_[a] = static_cast<std::uint32_t>(requests_.size());
         requests_.push_back(RecruitRequest{a, action.active, action.target});  // lint: capacity-reserved
+        flags.push_back(action.active ? 1 : 0);  // lint: capacity-reserved
         outcomes_[a] = Outcome{ActionKind::kRecruit, action.target, 0.0, 0,
                                false, false};
         if (action.active) {
@@ -190,12 +200,13 @@ const std::vector<Outcome>& HomeNestBackend::step_rows(const ActionAt& action_at
     }
   }
 
-  // Phase 2: the centralized pairing process (Algorithm 1 by default),
-  // writing into the environment-owned scratch buffers. The ctx keys
-  // counter-based models on (pairing_seed_, executing round); sequential
-  // models read only the rng.
-  pairing_->pair_into(requests_, PairingCtx{rng_, pairing_seed_, round_ + 1},
-                      pairing_scratch_);
+  // Phase 2: the centralized pairing process (Algorithm 1 by default)
+  // over the packed flags, writing into the environment-owned scratch
+  // buffers — the same pair_active() call the masked round makes. The ctx
+  // keys counter-based models on (pairing_seed_, executing round);
+  // sequential models read only the rng.
+  pairing_->pair_active(flags, PairingCtx{rng_, pairing_seed_, round_ + 1},
+                        pairing_scratch_);
   HH_ENSURES(pairing_scratch_.recruited_by.size() == requests_.size());
   HH_ENSURES(pairing_scratch_.recruit_succeeded.size() == requests_.size());
 
@@ -312,70 +323,28 @@ const std::vector<Outcome>& HomeNestBackend::step(std::span<const Action> action
   return step_rows([&](AntId a) { return actions[a]; });
 }
 
-namespace {
-
-/// Adapter: the masked SoA lanes as an Action-yielding row accessor.
-struct MaskedRows {
-  std::span<const MaskedOp> op;
-  std::span<const std::uint8_t> active;
-  std::span<const NestId> targets;
-
-  Action operator()(AntId a) const {
-    switch (op[a]) {
-      case MaskedOp::kGo: return Action::go(targets[a]);
-      case MaskedOp::kRecruit: return Action::recruit(active[a] != 0, targets[a]);
-      case MaskedOp::kSearch: return Action::search();
-      case MaskedOp::kIdle: break;
-    }
-    return Action::idle();
-  }
-};
-
-}  // namespace
-
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-const std::vector<Outcome>& HomeNestBackend::step_masked_recruit(
-    std::span<const MaskedOp> op, std::span<const std::uint8_t> active,
-    std::span<const NestId> targets) {
-  HH_EXPECTS(op.size() == cfg_.num_ants);
-  HH_EXPECTS(active.size() == cfg_.num_ants);
-  HH_EXPECTS(targets.size() == cfg_.num_ants);
-  return step_rows(MaskedRows{op, active, targets});
-}
-
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-const std::vector<Outcome>& HomeNestBackend::step_masked_go(
-    std::span<const MaskedOp> op, std::span<const NestId> targets) {
-  HH_EXPECTS(op.size() == cfg_.num_ants);
-  HH_EXPECTS(targets.size() == cfg_.num_ants);
-  // No recruiters: the request list stays empty and pair_active() on an
-  // empty span draws nothing, so sharing step_rows keeps this
-  // RNG-equivalent to step() with the same (recruit-free) action vector.
-  return step_rows([&](AntId a) {
-    HH_ASSERT(op[a] != MaskedOp::kRecruit);
-    return MaskedRows{op, {}, targets}(a);
-  });
-}
-
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
 void HomeNestBackend::quiet_round(std::span<const MaskedOp> op,
                                   std::span<const std::uint8_t> active,
                                   std::span<const NestId> targets) {
   // Observably identical to step_rows() over the same rows, minus the
   // Outcome array — same RNG consumption, locations, counts, knowledge,
-  // stats, matching, and ant-indexed views — but in two passes instead
-  // of four. The reordering is legal under EVERY pairing model:
+  // stats, matching, ant-indexed views, and (noisy models) perceived
+  // values — but in two passes plus the perception pass instead of four.
+  // The reordering is legal under EVERY pairing and observation model:
   //   * the search landings are the only shared-stream draws made before
   //     the pairing, and the pass below makes them in ant order, exactly
   //     as step_rows' phase 1 does;
-  //   * pair_into() is exactly "pack the active flags, then
-  //     pair_active()", and the pass packs the flags in ant order — the
-  //     request ranks requests_.push_back() assigns on the loud path — so
-  //     a sequential model draws the same values from the same stream
-  //     position, and a keyed model sees the same ranks;
+  //   * the pass packs the active flags in ant order — the request ranks
+  //     step_rows' phase 1 assigns — and the pairing is the same
+  //     pair_active() call over them, so a sequential model draws the
+  //     same values from the same stream position, and a keyed model sees
+  //     the same ranks;
   //   * the census draws nothing, so taking it before the pairing instead
-  //     of after is invisible even to the sequential models.
-  HH_EXPECTS(observe_exact_);
+  //     of after is invisible even to the sequential models;
+  //   * the perception draws come last, in ant order and per ant in
+  //     phase 4's order, as they do in step_rows (record_matching() draws
+  //     nothing).
   const std::uint32_t k = num_nests();
   const AntId n = cfg_.num_ants;
   const bool validating = cfg_.enforce_model;
@@ -463,14 +432,44 @@ void HomeNestBackend::quiet_round(std::span<const MaskedOp> op,
   stats_.passive_recruits = mreq - n_rec_active;
 
   // Pass 2 — the pairing over the packed flags (flags aliases
-  // scratch.active, the buffer pair_into() packs), then the matched-pairs
-  // bookkeeping. A recruit-free round pairs the empty set: no draws, an
-  // empty matching.
+  // scratch.active, the buffer step_rows packs too), then the
+  // matched-pairs bookkeeping. A recruit-free round pairs the empty set:
+  // no draws, an empty matching.
   pairing_->pair_active(flags, PairingCtx{rng_, pairing_seed_, round_ + 1},
                         pairing_scratch_);
   HH_ENSURES(pairing_scratch_.recruited_by.size() == requests_.size());
   record_matching();
+  // The exact model is the identity and draws nothing: its callers read
+  // the counts and qualities themselves.
+  if (!observe_exact_) perceive(op);
   ++round_;
+}
+
+// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+void HomeNestBackend::perceive(std::span<const MaskedOp> op) {
+  // step_rows' phase 4 without the Outcome array: the same perception
+  // calls, in ant order and in the same order per ant. A searcher or a
+  // go-er stands in the nest its call returns; a recruit's count is the
+  // home nest's.
+  const ObservationModel& model = *observation_;
+  for (AntId a = 0; a < cfg_.num_ants; ++a) {
+    const NestId at = location_[a];
+    switch (op[a]) {
+      case MaskedOp::kSearch:
+        perceived_quality_[a] = model.perceive_quality(quality(at), rng_);
+        perceived_count_[a] = model.perceive_count(count_[at], rng_);
+        break;
+      case MaskedOp::kGo:
+        perceived_count_[a] = model.perceive_count(count_[at], rng_);
+        perceived_quality_[a] = model.perceive_quality(quality(at), rng_);
+        break;
+      case MaskedOp::kRecruit:
+        perceived_count_[a] = model.perceive_count(count_[kHomeNest], rng_);
+        break;
+      case MaskedOp::kIdle:
+        break;
+    }
+  }
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)

@@ -10,7 +10,9 @@
 //   2. the recruitment matching M is computed (Algorithm 1 by default),
 //   3. end-of-round counts c(i, r) are taken, and
 //   4. return values are delivered (counts possibly filtered through an
-//      ObservationModel — the Section 6 noisy-perception extension).
+//      ObservationModel — the Section 6 noisy-perception extension): as
+//      per-ant Outcomes by step(), or, by the masked SoA rounds, through
+//      the state accessors plus (noisy models) the perception lanes.
 //
 // Model-rule enforcement: with EnvironmentConfig::enforce_model (default),
 // illegal calls throw hh::ModelViolation — e.g. go(i) to a nest the ant has
@@ -92,39 +94,27 @@ class HomeNestBackend final : public Backend {
   // recruits. A colony-uniform round is just a masked round whose op lane
   // is constant. RNG-equivalent to step() with the corresponding action
   // vector, so the packed engine keeps the zero-allocation contract for
-  // every round composition (per-ant phase lanes, fault and sleep lanes).
-  // tests/test_environment.cpp pins the equivalence under every pairing.
+  // every round composition (per-ant phase lanes, fault and sleep lanes)
+  // under every observation model. tests/test_environment.cpp pins the
+  // equivalence under every pairing model, exact and noisy.
   //
-  // The loud forms share step()'s row-level core. The quiet forms (exact
-  // observation only; ContractViolation otherwise) skip the per-ant
-  // Outcome array — callers read counts(), location(), recruit_results()
-  // and the matching views directly — and run the fused round: one
-  // ant-order pass for classification, search draws, request packing and
-  // the count census, then the pairing, then the matched-pairs
-  // bookkeeping (see quiet_round()).
+  // Both forms are the fused round (see quiet_round()) and skip the
+  // per-ant Outcome array: callers read counts(), location(),
+  // recruit_results(), the matching views and, under a noisy model, the
+  // perceived_counts()/perceived_qualities() lanes directly. (_quiet:
+  // no Outcomes, unlike step().)
 
   /// One round that may contain recruiters. After it, last_pairing()
   /// holds the matching (indexed by request position) and
   /// recruited_by_ant()/recruit_succeeded_ant() give the ant-indexed view.
-  const std::vector<Outcome>& step_masked_recruit(
-      std::span<const MaskedOp> op, std::span<const std::uint8_t> active,
-      std::span<const NestId> targets) override;
-
-  /// step_masked_recruit without Outcomes (exact observation only).
   void step_masked_recruit_quiet(std::span<const MaskedOp> op,
                                  std::span<const std::uint8_t> active,
                                  std::span<const NestId> targets) override;
 
   /// One round with NO recruiters (op values kGo/kSearch/kIdle only): the
-  /// request set is empty, and pairing an empty set draws nothing, so it
-  /// stays RNG-equivalent to step(). `active` is not needed; `targets` is
-  /// read only at kGo positions.
-  const std::vector<Outcome>& step_masked_go(
-      std::span<const MaskedOp> op,
-      std::span<const NestId> targets) override;
-
-  /// step_masked_go without Outcomes (exact observation only): the quiet
-  /// round with an empty `active` lane.
+  /// fused round with an empty `active` lane. The request set is empty,
+  /// and pairing an empty set draws nothing, so it stays RNG-equivalent
+  /// to step(). `targets` is read only at kGo positions.
   void step_masked_go_quiet(std::span<const MaskedOp> op,
                             std::span<const NestId> targets) override;
 
@@ -179,25 +169,40 @@ class HomeNestBackend final : public Backend {
   /// Ant-indexed view: whether `a` successfully recruited someone in the
   /// last round.
   [[nodiscard]] bool recruit_succeeded_ant(AntId a) const;
-  /// The ants that appear as the RECRUITER in a pair of the last quiet
+  /// The ants that appear as the RECRUITER in a pair of the last masked
   /// round's matching, in request order (each at most once — matching
-  /// validity); empty after a quiet round without pairs and after
-  /// reset(). Valid after every quiet round; lets the driver attribute
+  /// validity); empty after a masked round without pairs and after
+  /// reset(). Valid after every masked round; lets the driver attribute
   /// tandem runs vs transports over the successes alone instead of
   /// scanning every ant.
   [[nodiscard]] std::span<const AntId> successful_recruiters() const {
     return success_ants_;
   }
   /// recruit_results()[a] = the recruit(b, i) return value j for every
-  /// ant whose op was kRecruit in the last quiet round: the recruiter's
+  /// ant whose op was kRecruit in the last masked round: the recruiter's
   /// advertised nest when `a` was recruited, a's own target otherwise.
-  /// Valid after every quiet round. Entries of ants that made no
+  /// Valid after every masked round. Entries of ants that made no
   /// recruit() call hold no return value (they are stale), so callers
   /// must consult it only for their recruit lanes. One sequential lane
   /// load where recruited_by_ant() chases the request-index indirection
   /// plus two dependent random loads.
   [[nodiscard]] std::span<const NestId> recruit_results() const {
     return recruit_result_;
+  }
+  /// perceived_counts()[a] = the count ant a's call returned in the last
+  /// masked round under a noisy observation model: the perceived count of
+  /// the nest a searched or went to, or of the home nest for a recruit.
+  /// perceived_qualities()[a] likewise holds the perceived quality of the
+  /// nest a searched or went to. Entries of ants whose call returned no
+  /// such value (idle ants; a recruit's quality) are stale. Both spans
+  /// are EMPTY under exact observation: a caller then reads counts() and
+  /// qualities() at the ant's nest, which is what the call returned.
+  [[nodiscard]] std::span<const std::uint32_t> perceived_counts() const {
+    return perceived_count_;
+  }
+  /// See perceived_counts().
+  [[nodiscard]] std::span<const double> perceived_qualities() const {
+    return perceived_quality_;
   }
   /// Whether ant a has knowledge of nest i (visited or been recruited to).
   [[nodiscard]] bool knows(AntId a, NestId i) const;
@@ -215,28 +220,31 @@ class HomeNestBackend final : public Backend {
   void validate(AntId a, const Action& action) const;
   void grant_knowledge(AntId a, NestId i);
 
-  /// The row-level core of the loud rounds: `action_at(a)` yields ant
-  /// a's Action. step() and the loud masked entry points are thin
-  /// adapters over it, which is what makes them RNG-equivalent by
-  /// construction.
+  /// step()'s round, one row at a time: `action_at(a)` yields ant a's
+  /// Action. The reference the masked rounds are held to.
   template <typename ActionAt>
   const std::vector<Outcome>& step_rows(const ActionAt& action_at);
-  /// The core of both quiet entry points (exact observation only): one
-  /// fused ant-order pass does classification, the search draws,
-  /// request packing AND the count census, then the pairing runs over
-  /// the packed active flags and record_matching() does the bookkeeping.
-  /// Observably identical to step_rows() — see the legality argument at
-  /// the definition. An empty `active` lane marks a recruit-free round
-  /// (no kRecruit in op; ContractViolation otherwise).
+  /// The core of both masked entry points: one fused ant-order pass does
+  /// classification, the search draws, request packing AND the count
+  /// census, then the pairing runs over the packed active flags,
+  /// record_matching() does the bookkeeping, and under a noisy model
+  /// perceive() fills the perception lanes. Observably identical to
+  /// step_rows() — see the legality argument at the definition. An empty
+  /// `active` lane marks a recruit-free round (no kRecruit in op;
+  /// ContractViolation otherwise).
   void quiet_round(std::span<const MaskedOp> op,
                    std::span<const std::uint8_t> active,
                    std::span<const NestId> targets);
-  /// The matching bookkeeping after a quiet round's pairing: walks the
+  /// The matching bookkeeping after a masked round's pairing: walks the
   /// matched pairs only — successful_recruiters(), recruit_results() for
   /// the recruited ants, tandem-run knowledge, and stats_'s
   /// pair/self/cross-nest counts. Expects the round's first pass to have
   /// stored each recruit ant's own target in recruit_result_.
   void record_matching();
+  /// The perception pass of a masked round under a noisy model: each
+  /// non-idle ant's perceived count and quality, drawn as step_rows'
+  /// phase 4 draws them (see perceived_counts()).
+  void perceive(std::span<const MaskedOp> op);
 
   EnvironmentConfig cfg_;
   std::unique_ptr<PairingModel> pairing_;
@@ -262,7 +270,7 @@ class HomeNestBackend final : public Backend {
   // matching views never see a stale request.
   std::vector<std::uint32_t> request_index_;
   PairingScratch pairing_scratch_;      // reused each round
-  // Per-round results of the quiet rounds (see the accessors):
+  // Per-round results of the masked rounds (see the accessors):
   // success_ants_ holds this round's successful recruiters;
   // recruit_result_[a] holds ant a's recruit() return value j. The first
   // pass stores each recruit ant's own target, and the matching-
@@ -270,6 +278,10 @@ class HomeNestBackend final : public Backend {
   // at construction, zero allocations per round.
   std::vector<AntId> success_ants_;
   std::vector<NestId> recruit_result_;
+  // The perception lanes (see perceived_counts()): sized n for noisy
+  // models at construction, empty for the exact one.
+  std::vector<std::uint32_t> perceived_count_;
+  std::vector<double> perceived_quality_;
   RoundStats stats_;
 };
 

@@ -211,14 +211,6 @@ struct MaskedLatticeRows {
 }  // namespace
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-const std::vector<Outcome>& LatticeBackend::step_masked_go(
-    std::span<const MaskedOp> op, std::span<const NestId> targets) {
-  HH_EXPECTS(op.size() == num_ants_ && targets.size() == num_ants_);
-  run_round<true>(MaskedLatticeRows{op, targets});
-  return outcomes_;
-}
-
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
 void LatticeBackend::step_masked_go_quiet(std::span<const MaskedOp> op,
                                           std::span<const NestId> targets) {
   HH_EXPECTS(op.size() == num_ants_ && targets.size() == num_ants_);

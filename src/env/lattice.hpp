@@ -12,8 +12,8 @@
 // see PAPERS.md). A search() step either repeats roughly the previous
 // heading (with probability persist, uniform over the two non-backward
 // edges) or picks uniformly among all three edges. go(i) is a directed
-// relocation; there is no recruitment process — the step_masked_recruit
-// entry points inherit the Backend base's ContractViolation defaults.
+// relocation; there is no recruitment process — step_masked_recruit_quiet
+// inherits the Backend base's ContractViolation default.
 //
 // The backend records each ant's FIRST-PASSAGE time to the target site
 // (the round it first stood there; analysis/metrics.hpp summarizes the
@@ -22,9 +22,8 @@
 //
 // All walk randomness is environment randomness (walkers draw no RNG of
 // their own), so scalar/packed engine equivalence reduces to the masked
-// entry points being RNG-equivalent to step() — which they are by
-// construction: both are adapters over one shared row core, exactly as
-// in HomeNestBackend.
+// entry point being RNG-equivalent to step() — which it is by
+// construction: both are adapters over one shared row core.
 #ifndef HH_ENV_LATTICE_HPP
 #define HH_ENV_LATTICE_HPP
 
@@ -97,8 +96,6 @@ class LatticeBackend final : public Backend {
   }
 
   const std::vector<Outcome>& step(std::span<const Action> actions) override;
-  const std::vector<Outcome>& step_masked_go(
-      std::span<const MaskedOp> op, std::span<const NestId> targets) override;
   void step_masked_go_quiet(std::span<const MaskedOp> op,
                             std::span<const NestId> targets) override;
   void reset(std::uint64_t seed) override;
@@ -130,10 +127,10 @@ class LatticeBackend final : public Backend {
   void walk(AntId a);
 
   /// The row-level core every entry point goes through: `action_at(a)`
-  /// yields ant a's Action. step() and the masked forms are thin adapters
+  /// yields ant a's Action. step() and the masked form are thin adapters
   /// over this one template, which is what makes them RNG-equivalent by
-  /// construction (same draws, same order). Loud instantiations also
-  /// materialize per-ant Outcomes.
+  /// construction (same draws, same order). The loud instantiation —
+  /// step()'s — also materializes per-ant Outcomes.
   template <bool kLoud, typename ActionAt>
   void run_round(const ActionAt& action_at);
 
@@ -154,7 +151,7 @@ class LatticeBackend final : public Backend {
   std::vector<std::uint32_t> first_passage_; ///< 0 = target not yet reached
   std::vector<std::uint8_t> kind_;           ///< this round's ActionKind per ant
   std::vector<std::uint32_t> counts_;        ///< population per site
-  std::vector<Outcome> outcomes_;            ///< loud-round returns
+  std::vector<Outcome> outcomes_;            ///< step()'s returns
 };
 
 }  // namespace hh::env

@@ -17,29 +17,6 @@ void PairingScratch::reserve(std::size_t max_requests) {
   ticket.reserve(max_requests);
 }
 
-PairingResult PairingModel::pair(std::span<const RecruitRequest> requests,
-                                 util::Rng& rng) const {
-  PairingScratch scratch;
-  pair_into(requests, rng, scratch);
-  PairingResult result;
-  result.recruited_by = scratch.recruited_by;
-  result.recruit_succeeded.assign(scratch.recruit_succeeded.begin(),
-                                  scratch.recruit_succeeded.end());
-  return result;
-}
-
-void PairingModel::pair_into(std::span<const RecruitRequest> requests,
-                             const PairingCtx& ctx,
-                             PairingScratch& scratch) const {
-  // Pack the active flags to one sequential byte array: the matching
-  // loops visit requests in random order, and a 1-byte load beats a
-  // 12-byte RecruitRequest load for cache residency at large m.
-  const std::size_t m = requests.size();
-  scratch.active.resize(m);
-  for (std::size_t x = 0; x < m; ++x) scratch.active[x] = requests[x].active;
-  pair_active(scratch.active, ctx, scratch);
-}
-
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
 void PermutationPairing::pair_active(std::span<const std::uint8_t> active,
                                      const PairingCtx& ctx,

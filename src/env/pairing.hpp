@@ -21,7 +21,8 @@
 
 namespace hh::env {
 
-/// One ant's recruit(b, i) call, as seen by the pairing process.
+/// One ant's recruit(b, i) call, as the environment records it. The
+/// pairing process sees only the active flags (PairingModel::pair_active).
 struct RecruitRequest {
   AntId ant = 0;              ///< caller
   bool active = false;        ///< b: true iff the ant recruits actively
@@ -36,7 +37,7 @@ inline constexpr std::int32_t kNotRecruited = -1;
 /// SplitMix64 stream per request slot on (seed, round, slot) and leaves
 /// `rng` untouched — which is what makes its draws order-free and the
 /// propose/lottery phases flat O(m) loops. `round` is 1-based; round == 0
-/// marks an unkeyed ad-hoc call (tests, one-off pair() users), for which
+/// marks an unkeyed ad-hoc call (tests, benchmarks), for which
 /// the counter model derives an ephemeral key by drawing ONE word from
 /// `rng` — so ad-hoc calls stay deterministic given the rng state.
 struct PairingCtx {
@@ -62,9 +63,9 @@ struct PairingScratch {
 
   // Model workspace (contents meaningless between calls).
   std::vector<std::uint32_t> perm;            ///< permutation buffer
-  std::vector<std::uint8_t> active;           ///< request active flags, packed
-                                              ///< to 1B for the random-order
-                                              ///< matching loop
+  std::vector<std::uint8_t> active;           ///< the environment's packed
+                                              ///< active flags (its
+                                              ///< pair_active() input)
   std::vector<std::int32_t> proposal;         ///< uniform-proposal only
   std::vector<std::int32_t> winner;           ///< uniform-proposal + counter
   std::vector<std::uint32_t> proposer_count;  ///< uniform-proposal only
@@ -84,29 +85,12 @@ struct PairingScratch {
   }
 };
 
-/// The matching M, as owning vectors — the convenience form returned by
-/// PairingModel::pair() for tests and one-off callers. The engine path
-/// uses pair_into() + PairingScratch instead and never materializes this.
-struct PairingResult {
-  /// See PairingScratch::recruited_by.
-  std::vector<std::int32_t> recruited_by;
-  /// See PairingScratch::recruit_succeeded.
-  std::vector<bool> recruit_succeeded;
-
-  /// Number of pairs in M.
-  [[nodiscard]] std::size_t pair_count() const {
-    std::size_t pairs = 0;
-    for (auto r : recruited_by) pairs += (r != kNotRecruited) ? 1u : 0u;
-    return pairs;
-  }
-};
-
 /// Strategy interface for the home-nest pairing process.
 ///
 /// The matching depends on nothing but each request's active flag, so the
-/// virtual core is SoA: pair_active() over a packed byte span. pair_into()
-/// (AoS requests) and pair() (owning vectors) are thin wrappers drawing
-/// the identical RNG sequence.
+/// whole interface is SoA: pair_active() over a packed byte span, one flag
+/// per recruit() call in request order. The environment packs the flags
+/// itself (into PairingScratch::active) as it collects the calls.
 class PairingModel {
  public:
   virtual ~PairingModel() = default;
@@ -125,23 +109,6 @@ class PairingModel {
                    PairingScratch& scratch) const {
     pair_active(active, PairingCtx{rng}, scratch);
   }
-
-  /// AoS wrapper: packs the requests' active flags into scratch.active and
-  /// delegates to pair_active() — nothing more, which is what lets the
-  /// environment's quiet round pack the flags in its own first pass and
-  /// call pair_active() directly under every model.
-  void pair_into(std::span<const RecruitRequest> requests,
-                 const PairingCtx& ctx, PairingScratch& scratch) const;
-
-  /// Rng-only AoS wrapper (unkeyed ad-hoc call).
-  void pair_into(std::span<const RecruitRequest> requests, util::Rng& rng,
-                 PairingScratch& scratch) const {
-    pair_into(requests, PairingCtx{rng}, scratch);
-  }
-
-  /// Convenience wrapper over pair_into() returning owning vectors.
-  [[nodiscard]] PairingResult pair(std::span<const RecruitRequest> requests,
-                                   util::Rng& rng) const;
 
   /// Short stable identifier for reports.
   [[nodiscard]] virtual std::string_view name() const = 0;

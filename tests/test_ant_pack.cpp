@@ -104,9 +104,10 @@ TEST(AntPack, BitIdenticalUnderNEstimateError) {
 TEST(AntPack, BitIdenticalUnderNoiseAndAlternatePairing) {
   // Noise and the pairing model live in the environment, which both
   // engines share — but the packed path must still consume the
-  // environment RNG in the same order. Noisy configs run the loud round;
-  // exact ones the quiet fused round, whose reordered census and pairing
-  // must be invisible under every pairing model.
+  // environment RNG in the same order. Every config runs the fused masked
+  // round, whose reordered census and pairing must be invisible under
+  // every pairing model; noisy ones end it with the perception pass,
+  // whose draws must land where step()'s phase 4 makes them.
   for (const env::PairingKind pairing :
        {env::PairingKind::kPermutation, env::PairingKind::kUniformProposal,
         env::PairingKind::kCounter}) {
@@ -174,8 +175,8 @@ TEST(AntPack, BitIdenticalUnderCrashAndByzantineFaultLanes) {
 }
 
 TEST(AntPack, BitIdenticalUnderFaultsWithNoise) {
-  // Faulted AND noisy: the loud masked path (per-ant Outcomes, noisy
-  // perception draws in ant order) with fault lanes on top.
+  // Faulted AND noisy: the perception pass (noisy draws in ant order) with
+  // fault lanes on top.
   auto cfg = base_config(17);
   cfg.faults.crash_fraction = 0.1;
   cfg.faults.byzantine_fraction = 0.05;
@@ -190,6 +191,31 @@ TEST(AntPack, BitIdenticalUnderFaultsWithNoise) {
     const auto scalar = run_with_engine(cfg, kind, EngineKind::kScalar);
     const auto packed = run_with_engine(cfg, kind, EngineKind::kPacked);
     expect_identical(scalar, packed, std::string(algorithm_name(kind)));
+  }
+
+  // Byzantine-heavy: with a 30% flip rate a scout often perceives a good
+  // nest as bad, so the worst nest it settles on depends on its perceived
+  // qualities, not the true ones — and the kidnapping it then does moves
+  // the per-round census. Round-by-round pins, not just the aggregate.
+  auto byz = base_config(0);
+  byz.faults.byzantine_fraction = 0.1;
+  byz.noise.quality_flip_prob = 0.3;
+  byz.convergence_tolerance = 0.25;
+  byz.stability_rounds = 4;
+  byz.max_rounds = 400;
+  byz.record_trajectories = true;
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    byz.seed = seed;
+    for (const AlgorithmKind kind :
+         {AlgorithmKind::kSimple, AlgorithmKind::kOptimal}) {
+      const std::string label = std::string(algorithm_name(kind)) +
+                                "/byzantine-heavy/seed=" + std::to_string(seed);
+      const auto scalar = run_with_engine(byz, kind, EngineKind::kScalar);
+      const auto packed = run_with_engine(byz, kind, EngineKind::kPacked);
+      expect_identical(scalar, packed, label);
+      EXPECT_EQ(scalar.trajectories.committed, packed.trajectories.committed)
+          << label;
+    }
   }
 }
 
@@ -524,9 +550,10 @@ TEST(AntPack, AllSleepersRoundDoesNotStallTheNextUniformRound) {
   // that reads the stale all-zero lane skips every ant and silently
   // freezes the packed engine while the scalar engine keeps running.
   // Tiny colonies at moderate skip make the asleep-then-awake round pair
-  // frequent; count noise keeps observation loud. Trajectories (not just
-  // the aggregate RunResult) pin the per-round census, which a frozen
-  // pack cannot reproduce even in runs where neither engine converges.
+  // frequent; count noise runs the observe through the perception lanes.
+  // Trajectories (not just the aggregate RunResult) pin the per-round
+  // census, which a frozen pack cannot reproduce even in runs where
+  // neither engine converges.
   for (std::uint32_t n : {1u, 2u, 4u}) {
     auto cfg = base_config(0);
     cfg.num_ants = n;

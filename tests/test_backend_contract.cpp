@@ -7,14 +7,15 @@
 //     binary's operator new);
 //   * reset(seed) == fresh — a reset backend is indistinguishable from
 //     a newly constructed one with the same seed;
-//   * masked/generic RNG equivalence — step_masked_go and its quiet form
-//     make identical draws in identical order to step() with the
+//   * masked/generic RNG equivalence — step_masked_go_quiet makes
+//     identical draws in identical order to step() with the
 //     corresponding Action vector, so trajectories coincide exactly.
 //
-// The home-nest case runs with enforce_model = false and allow_idle =
+// The home-nest cases run with enforce_model = false and allow_idle =
 // true: the contract rounds mix search/idle/go freely, which the strict
 // Section 2 preconditions would reject (knowledge gating is home-nest
-// semantics, not part of the backend contract).
+// semantics, not part of the backend contract). The noisy home-nest case
+// puts the masked round's perception pass under the same three terms.
 #include "counting_alloc.hpp"
 //
 #include <gtest/gtest.h>
@@ -40,16 +41,26 @@ struct BackendCase {
   std::function<std::unique_ptr<Backend>(std::uint64_t seed)> make;
 };
 
+EnvironmentConfig home_nest_config(std::uint64_t seed) {
+  EnvironmentConfig cfg;
+  cfg.num_ants = kAnts;
+  cfg.qualities = {1.0, 0.5, 0.0};
+  cfg.seed = seed;
+  cfg.enforce_model = false;
+  cfg.allow_idle = true;
+  return cfg;
+}
+
 std::vector<BackendCase> backend_cases() {
   std::vector<BackendCase> cases;
   cases.push_back({"home-nest", [](std::uint64_t seed) {
-                     EnvironmentConfig cfg;
-                     cfg.num_ants = kAnts;
-                     cfg.qualities = {1.0, 0.5, 0.0};
-                     cfg.seed = seed;
-                     cfg.enforce_model = false;
-                     cfg.allow_idle = true;
-                     return std::make_unique<HomeNestBackend>(std::move(cfg));
+                     return std::make_unique<HomeNestBackend>(
+                         home_nest_config(seed));
+                   }});
+  cases.push_back({"home-nest-noisy", [](std::uint64_t seed) {
+                     return std::make_unique<HomeNestBackend>(
+                         home_nest_config(seed), nullptr,
+                         std::make_unique<NoisyObservation>(0.3, 0.1, 0.05));
                    }});
   cases.push_back({"lattice", [](std::uint64_t seed) {
                      LatticeConfig cfg;
@@ -62,8 +73,8 @@ std::vector<BackendCase> backend_cases() {
 
 /// Deterministic mixed-op schedule, valid on every world: location 1
 /// exists everywhere (candidate nest 1 / lattice site 1), so kGo
-/// targets it (the home-nest loud path materializes quality(target),
-/// which only candidate nests have).
+/// targets it (a home-nest go returns quality(target), which only
+/// candidate nests have).
 MaskedOp op_for(std::uint32_t round, AntId a) {
   switch ((a + round) % 4) {
     case 0:
@@ -113,20 +124,13 @@ std::vector<Snapshot> drive_generic(Backend& b, std::uint32_t rounds) {
   return out;
 }
 
-enum class MaskedForm : std::uint8_t { kLoud, kQuiet };
-
-std::vector<Snapshot> drive_masked(Backend& b, std::uint32_t rounds,
-                                   MaskedForm form) {
+std::vector<Snapshot> drive_masked(Backend& b, std::uint32_t rounds) {
   std::vector<Snapshot> out;
   std::vector<MaskedOp> op(b.num_ants());
   std::vector<NestId> targets(b.num_ants(), NestId{1});
   for (std::uint32_t r = 1; r <= rounds; ++r) {
     for (AntId a = 0; a < b.num_ants(); ++a) op[a] = op_for(r, a);
-    if (form == MaskedForm::kLoud) {
-      (void)b.step_masked_go(op, targets);
-    } else {
-      b.step_masked_go_quiet(op, targets);
-    }
+    b.step_masked_go_quiet(op, targets);
     out.push_back(snapshot(b));
   }
   return out;
@@ -137,14 +141,8 @@ TEST(BackendContract, MaskedMatchesGenericExactly) {
     SCOPED_TRACE(c.name);
     const auto generic_backend = c.make(0xC0117AC7);
     const auto masked_backend = c.make(0xC0117AC7);
-    const auto quiet_backend = c.make(0xC0117AC7);
-    const auto generic = drive_generic(*generic_backend, kRounds);
-    const auto masked =
-        drive_masked(*masked_backend, kRounds, MaskedForm::kLoud);
-    const auto quiet =
-        drive_masked(*quiet_backend, kRounds, MaskedForm::kQuiet);
-    EXPECT_EQ(generic, masked);
-    EXPECT_EQ(generic, quiet);
+    EXPECT_EQ(drive_generic(*generic_backend, kRounds),
+              drive_masked(*masked_backend, kRounds));
   }
 }
 
@@ -184,7 +182,6 @@ TEST(BackendContract, StepEntryPointsAllocateNothing) {
         op[a] = op_for(r, a);
       }
       (void)backend->step(actions);
-      (void)backend->step_masked_go(op, targets);
       backend->step_masked_go_quiet(op, targets);
     }
     backend->reset(0xA110C);
@@ -193,15 +190,13 @@ TEST(BackendContract, StepEntryPointsAllocateNothing) {
 }
 
 TEST(BackendContract, RecruitEntryPointsAreContractGated) {
-  // Worlds without a recruitment process inherit the throwing defaults;
-  // the home-nest world overrides them.
+  // Worlds without a recruitment process inherit the throwing default;
+  // the home-nest world overrides it.
   LatticeConfig cfg;
   LatticeBackend lattice(4, cfg, 7);
   std::vector<MaskedOp> op(4, MaskedOp::kRecruit);
   const std::vector<std::uint8_t> active(4, 1);
   const std::vector<NestId> targets(4, 0);
-  EXPECT_THROW((void)lattice.step_masked_recruit(op, active, targets),
-               hh::ContractViolation);
   EXPECT_THROW(lattice.step_masked_recruit_quiet(op, active, targets),
                hh::ContractViolation);
 }

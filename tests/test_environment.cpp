@@ -3,7 +3,9 @@
 // per-round statistics.
 #include "env/environment.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -294,13 +296,15 @@ TEST(Environment, DeterministicGivenSeed) {
   EXPECT_NE(run(42), run(43));
 }
 
-// The masked SoA entry points (step_masked_recruit/go and the quiet
-// forms) must be RNG- and state-equivalent to step() with the
-// corresponding action vector — every packed round rests on this, from
+// The masked SoA entry points (step_masked_recruit_quiet and
+// step_masked_go_quiet) must be RNG- and state-equivalent to step() with
+// the corresponding action vector — every packed round rests on this, from
 // colony-uniform rounds (a constant op lane) to Algorithm 2's mixed block
-// rounds with fault lanes. Run under every pairing model: the quiet forms
-// are the fused single-pass round, a separate implementation of the same
-// round, for all three.
+// rounds with fault lanes. Run under every pairing model (the masked round
+// is the fused single-pass round, a separate implementation of the same
+// round, for all three) and under both observation models: a noisy masked
+// round ends with the perception pass, whose lanes must hold exactly what
+// step()'s Outcomes return.
 class EnvironmentPairing : public ::testing::TestWithParam<PairingKind> {};
 
 TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
@@ -309,41 +313,53 @@ TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
   auto cfg = config(n, qualities, 91);
   cfg.allow_idle = true;  // masked rounds carry crashed (idle) ants
   Environment generic(cfg, make_pairing_model(GetParam()));
-  Environment masked(cfg, make_pairing_model(GetParam()));
   Environment quiet(cfg, make_pairing_model(GetParam()));
+  // The noisy pair runs the same calls. Its perception draws shift the
+  // shared stream, so after round 1 its ants know other nests than the
+  // exact pair's, which chooses the calls: it skips the model checks.
+  auto noisy_cfg = cfg;
+  noisy_cfg.enforce_model = false;
+  const auto noisy_model = [] {
+    return std::make_unique<NoisyObservation>(0.3, 0.1, 0.05);
+  };
+  Environment noisy_generic(noisy_cfg, make_pairing_model(GetParam()),
+                            noisy_model());
+  Environment noisy_quiet(noisy_cfg, make_pairing_model(GetParam()),
+                          noisy_model());
+  ASSERT_TRUE(quiet.perceived_counts().empty());
+  ASSERT_EQ(noisy_quiet.perceived_counts().size(), n);
 
-  const auto expect_same_state = [&](const Environment& other,
+  const auto expect_same_state = [&](const Environment& want,
+                                     const Environment& got,
                                      const std::string& label) {
-    for (NestId i = 0; i <= generic.num_nests(); ++i) {
-      EXPECT_EQ(generic.count(i), other.count(i)) << label << " nest " << i;
+    for (NestId i = 0; i <= want.num_nests(); ++i) {
+      EXPECT_EQ(want.count(i), got.count(i)) << label << " nest " << i;
     }
     for (AntId a = 0; a < n; ++a) {
-      EXPECT_EQ(generic.location(a), other.location(a))
-          << label << " ant " << a;
-      for (NestId i = 0; i <= generic.num_nests(); ++i) {
-        EXPECT_EQ(generic.knows(a, i), other.knows(a, i)) << label;
+      EXPECT_EQ(want.location(a), got.location(a)) << label << " ant " << a;
+      for (NestId i = 0; i <= want.num_nests(); ++i) {
+        EXPECT_EQ(want.knows(a, i), got.knows(a, i)) << label;
       }
     }
-    const RoundStats& want = generic.last_round_stats();
-    const RoundStats& got = other.last_round_stats();
-    EXPECT_EQ(want.searches, got.searches) << label;
-    EXPECT_EQ(want.gos, got.gos) << label;
-    EXPECT_EQ(want.active_recruits, got.active_recruits) << label;
-    EXPECT_EQ(want.passive_recruits, got.passive_recruits) << label;
-    EXPECT_EQ(want.idles, got.idles) << label;
-    EXPECT_EQ(want.successful_recruitments, got.successful_recruitments)
-        << label;
-    EXPECT_EQ(want.self_recruitments, got.self_recruitments) << label;
-    EXPECT_EQ(want.cross_nest_recruitments, got.cross_nest_recruitments)
-        << label;
-    EXPECT_EQ(generic.round(), other.round()) << label;
+    const RoundStats& w = want.last_round_stats();
+    const RoundStats& g = got.last_round_stats();
+    EXPECT_EQ(w.searches, g.searches) << label;
+    EXPECT_EQ(w.gos, g.gos) << label;
+    EXPECT_EQ(w.active_recruits, g.active_recruits) << label;
+    EXPECT_EQ(w.passive_recruits, g.passive_recruits) << label;
+    EXPECT_EQ(w.idles, g.idles) << label;
+    EXPECT_EQ(w.successful_recruitments, g.successful_recruitments) << label;
+    EXPECT_EQ(w.self_recruitments, g.self_recruitments) << label;
+    EXPECT_EQ(w.cross_nest_recruitments, g.cross_nest_recruitments) << label;
+    EXPECT_EQ(want.round(), got.round()) << label;
   };
 
   // What the ant-indexed matching views promise after a round without
   // recruit calls, and after reset(): an empty matching — never the pairs
   // of an older round.
   const auto expect_empty_matching = [&](const std::string& label) {
-    for (const Environment* e : {&generic, &masked, &quiet}) {
+    for (const Environment* e :
+         {&generic, &quiet, &noisy_generic, &noisy_quiet}) {
       for (AntId a = 0; a < n; ++a) {
         EXPECT_EQ(e->recruited_by_ant(a), kNotRecruited)
             << label << " ant " << a;
@@ -351,82 +367,94 @@ TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
       }
     }
     EXPECT_TRUE(quiet.successful_recruiters().empty()) << label;
+    EXPECT_TRUE(noisy_quiet.successful_recruiters().empty()) << label;
   };
 
   std::vector<Action> actions(n);
   std::vector<MaskedOp> op(n);
   std::vector<std::uint8_t> active(n, 0);
   std::vector<NestId> targets(n, kHomeNest);
+  // Perceived values that differ from the true ones: the noisy pair must
+  // actually be noisy for its checks to mean anything.
+  std::uint32_t perturbed = 0;
 
-  // A recruit-free round through all three environments: the loud and
-  // quiet step_masked_go forms against the generic Outcomes.
-  const auto go_round = [&](const std::string& label) {
-    const std::vector<Outcome> generic_out = generic.step(actions);
-    const std::vector<Outcome>& masked_out = masked.step_masked_go(op, targets);
-    quiet.step_masked_go_quiet(op, targets);
-    for (AntId a = 0; a < n; ++a) {
-      EXPECT_EQ(generic_out[a].nest, masked_out[a].nest) << label;
-      EXPECT_EQ(generic_out[a].count, masked_out[a].count) << label;
-      EXPECT_EQ(generic_out[a].quality, masked_out[a].quality) << label;
-    }
-    expect_same_state(masked, label + " (masked)");
-    expect_same_state(quiet, label + " (quiet)");
-  };
-
-  // A round that may carry recruit calls through all three environments,
-  // checked against the generic Outcomes, the ant-indexed matching views,
-  // the quiet recruit() return lane, and the successful-recruiter list.
-  const auto recruit_round = [&](const std::string& label) {
-    const std::vector<Outcome> generic_out = generic.step(actions);
-    const std::vector<Outcome>& masked_out =
-        masked.step_masked_recruit(op, active, targets);
-    quiet.step_masked_recruit_quiet(op, active, targets);
+  // Every call's return against the masked environment, read the way the
+  // packs read it: the ant's location for a search or go (an idle ant's
+  // Outcome reports it too), recruit_results() for a recruit; the count
+  // and quality of the nest the ant stands in (home, for a recruit's
+  // count) — the true values under exact observation, the perception
+  // lanes under noise. Then the matching views against the Outcomes, the
+  // successful-recruiter list, and the full state.
+  const auto expect_match = [&](const std::vector<Outcome>& want_out,
+                                const Environment& want, const Environment& got,
+                                const std::string& label) {
+    const bool noisy = !got.perceived_counts().empty();
     std::vector<AntId> recruiters;  // in request (= ant) order
     for (AntId a = 0; a < n; ++a) {
-      EXPECT_EQ(generic_out[a].nest, masked_out[a].nest) << label << " ant " << a;
-      EXPECT_EQ(generic_out[a].count, masked_out[a].count)
-          << label << " ant " << a;
-      EXPECT_EQ(generic_out[a].quality, masked_out[a].quality)
-          << label << " ant " << a;
-      EXPECT_EQ(generic_out[a].recruited, masked_out[a].recruited)
-          << label << " ant " << a;
-      EXPECT_EQ(generic_out[a].recruit_succeeded, masked_out[a].recruit_succeeded)
-          << label << " ant " << a;
-      // Ant-indexed matching views agree with the Outcomes on both the
-      // loud and the quiet environment.
-      EXPECT_EQ(masked_out[a].recruited,
-                masked.recruited_by_ant(a) != kNotRecruited)
-          << label << " ant " << a;
-      EXPECT_EQ(masked_out[a].recruit_succeeded, masked.recruit_succeeded_ant(a))
-          << label << " ant " << a;
-      EXPECT_EQ(masked.recruited_by_ant(a), quiet.recruited_by_ant(a))
-          << label << " ant " << a;
-      EXPECT_EQ(generic_out[a].recruit_succeeded, quiet.recruit_succeeded_ant(a))
-          << label << " ant " << a;
-      if (op[a] != MaskedOp::kRecruit) continue;
-      // recruit() returns j: the recruiter's advertised nest, or the
-      // ant's own target when nobody recruited it.
-      EXPECT_EQ(quiet.recruit_results()[a], generic_out[a].nest)
-          << label << " ant " << a;
-      if (generic_out[a].recruited) {
-        const std::int32_t recruiter = quiet.recruited_by_ant(a);
-        ASSERT_GE(recruiter, 0) << label;
-        EXPECT_EQ(generic_out[a].nest,
-                  targets[static_cast<std::size_t>(recruiter)])
-            << label << " ant " << a;
+      const Outcome& out = want_out[a];
+      const NestId at = got.location(a);
+      const std::string where = label + " ant " + std::to_string(a);
+      if (op[a] == MaskedOp::kRecruit) {
+        EXPECT_EQ(out.nest, got.recruit_results()[a]) << where;
+        EXPECT_EQ(out.count, noisy ? got.perceived_counts()[a]
+                                   : got.count(kHomeNest))
+            << where;
+      } else {
+        EXPECT_EQ(out.nest, at) << where;
+      }
+      if (op[a] == MaskedOp::kSearch || op[a] == MaskedOp::kGo) {
+        EXPECT_EQ(out.count, noisy ? got.perceived_counts()[a] : got.count(at))
+            << where;
+        EXPECT_EQ(out.quality,
+                  noisy ? got.perceived_qualities()[a] : got.quality(at))
+            << where;
+        perturbed += noisy && (out.count != got.count(at) ||
+                               out.quality != got.quality(at))
+                         ? 1u
+                         : 0u;
+      }
+      EXPECT_EQ(out.recruited, got.recruited_by_ant(a) != kNotRecruited)
+          << where;
+      EXPECT_EQ(out.recruit_succeeded, got.recruit_succeeded_ant(a)) << where;
+      EXPECT_EQ(want.recruited_by_ant(a), got.recruited_by_ant(a)) << where;
+      if (out.recruited) {
+        const std::int32_t recruiter = got.recruited_by_ant(a);
+        ASSERT_GE(recruiter, 0) << where;
+        EXPECT_EQ(out.nest, targets[static_cast<std::size_t>(recruiter)])
+            << where;
         recruiters.push_back(static_cast<AntId>(recruiter));
       }
     }
-    const std::span<const AntId> listed = quiet.successful_recruiters();
+    const std::span<const AntId> listed = got.successful_recruiters();
     EXPECT_EQ(std::vector<AntId>(listed.begin(), listed.end()), recruiters)
         << label;
-    expect_same_state(masked, label + " (masked)");
-    expect_same_state(quiet, label + " (quiet)");
+    expect_same_state(want, got, label);
+  };
+
+  // A recruit-free round through step_masked_go_quiet, exact and noisy.
+  const auto go_round = [&](const std::string& label) {
+    const std::vector<Outcome> exact_out = generic.step(actions);
+    quiet.step_masked_go_quiet(op, targets);
+    expect_match(exact_out, generic, quiet, label + " (exact)");
+    const std::vector<Outcome> noisy_out = noisy_generic.step(actions);
+    noisy_quiet.step_masked_go_quiet(op, targets);
+    expect_match(noisy_out, noisy_generic, noisy_quiet, label + " (noisy)");
+  };
+
+  // A round that may carry recruit calls through
+  // step_masked_recruit_quiet, exact and noisy.
+  const auto recruit_round = [&](const std::string& label) {
+    const std::vector<Outcome> exact_out = generic.step(actions);
+    quiet.step_masked_recruit_quiet(op, active, targets);
+    expect_match(exact_out, generic, quiet, label + " (exact)");
+    const std::vector<Outcome> noisy_out = noisy_generic.step(actions);
+    noisy_quiet.step_masked_recruit_quiet(op, active, targets);
+    expect_match(noisy_out, noisy_generic, noisy_quiet, label + " (noisy)");
   };
 
   // Rounds 1-3: the colony-uniform rounds of the Algorithm-3 family as
   // constant op lanes. Round 1: every ant searches (the recruit-free
-  // entry points).
+  // entry point).
   for (AntId a = 0; a < n; ++a) {
     actions[a] = Action::search();
     op[a] = MaskedOp::kSearch;
@@ -447,7 +475,7 @@ TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
 
   // Round 3: every ant goes to the nest it holds after the recruit round
   // (its own, or its recruiter's), through the recruit-capable entry
-  // points the packed engine uses for every round. A recruit-free round
+  // point the packed engine uses for every round. A recruit-free round
   // right after a recruit round must leave an empty matching behind.
   for (AntId a = 0; a < n; ++a) {
     targets[a] = quiet.recruit_results()[a];
@@ -487,7 +515,7 @@ TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
   recruit_round("mixed round 4");
 
   // Round 5: a recruit-free mix — goers, searchers, and idlers (a crashed
-  // colony slice) — through the step_masked_go forms, again right after a
+  // colony slice) — through step_masked_go_quiet, again right after a
   // recruit round. Ants go to a nest they know (the one they found in
   // round 1).
   for (AntId a = 0; a < n; ++a) {
@@ -541,11 +569,22 @@ TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
   }
   EXPECT_EQ(generic.round(), 13u);
 
-  // reset() right after a recruit round: round 0 again, with no matching.
+  EXPECT_GT(perturbed, 0u);
+
+  // reset() right after a recruit round: round 0 again, with no matching
+  // and the perception lanes of a fresh build.
   generic.reset(5);
-  masked.reset(5);
   quiet.reset(5);
+  noisy_generic.reset(5);
+  noisy_quiet.reset(5);
   expect_empty_matching("after reset");
+  noisy_cfg.seed = 5;
+  const Environment fresh(noisy_cfg, make_pairing_model(GetParam()),
+                          noisy_model());
+  EXPECT_TRUE(std::ranges::equal(noisy_quiet.perceived_counts(),
+                                 fresh.perceived_counts()));
+  EXPECT_TRUE(std::ranges::equal(noisy_quiet.perceived_qualities(),
+                                 fresh.perceived_qualities()));
   for (AntId a = 0; a < n; ++a) {
     actions[a] = Action::search();
     op[a] = MaskedOp::kSearch;

@@ -65,27 +65,34 @@ TEST(HotPath, PackedSimulationRoundNeverAllocates) {
   cfg.qualities = core::SimulationConfig::binary_qualities(4, 2);
   cfg.seed = 13;
   cfg.engine = core::EngineKind::kPacked;
-  // simple/quorum cover the uniform round shapes; optimal (settle on and
-  // off) covers the masked mixed-phase rounds — every round >= 2 of
-  // Algorithm 2 interleaves recruit and go calls across per-ant states.
-  // All three pairing models must honor the contract (the counter model's
-  // ticket lane is reserved up front like every other scratch lane).
-  for (const env::PairingKind pairing :
-       {env::PairingKind::kPermutation, env::PairingKind::kUniformProposal,
-        env::PairingKind::kCounter}) {
-    cfg.pairing = pairing;
-    for (const core::AlgorithmKind kind :
-         {core::AlgorithmKind::kSimple, core::AlgorithmKind::kQuorum,
-          core::AlgorithmKind::kOptimal, core::AlgorithmKind::kOptimalSettle}) {
-      core::Simulation sim(cfg, kind);
-      ASSERT_TRUE(sim.packed());
-      sim.step();  // settle any lazy first-round setup
-      EXPECT_EQ(allocations_during([&] {
-                  for (int round = 0; round < 100; ++round) sim.step();
-                }),
-                0u)
-          << core::algorithm_name(kind) << " / "
-          << env::pairing_name(pairing);
+  // simple/quorum cover the colony-uniform rounds; optimal (settle on and
+  // off) covers the mixed-phase rounds — every round >= 2 of Algorithm 2
+  // interleaves recruit and go calls across per-ant states. All three
+  // pairing models must honor the contract (the counter model's ticket
+  // lane is reserved up front like every other scratch lane), exact
+  // observation (the fused observe+decide) and noisy observation (the
+  // perception pass and the plain observe) alike.
+  for (const bool noisy : {false, true}) {
+    cfg.noise.count_sigma = noisy ? 0.2 : 0.0;
+    cfg.noise.quality_flip_prob = noisy ? 0.02 : 0.0;
+    for (const env::PairingKind pairing :
+         {env::PairingKind::kPermutation, env::PairingKind::kUniformProposal,
+          env::PairingKind::kCounter}) {
+      cfg.pairing = pairing;
+      for (const core::AlgorithmKind kind :
+           {core::AlgorithmKind::kSimple, core::AlgorithmKind::kQuorum,
+            core::AlgorithmKind::kOptimal,
+            core::AlgorithmKind::kOptimalSettle}) {
+        core::Simulation sim(cfg, kind);
+        ASSERT_TRUE(sim.packed());
+        sim.step();  // settle any lazy first-round setup
+        EXPECT_EQ(allocations_during([&] {
+                    for (int round = 0; round < 100; ++round) sim.step();
+                  }),
+                  0u)
+            << core::algorithm_name(kind) << " / "
+            << env::pairing_name(pairing) << (noisy ? " / noisy" : " / exact");
+      }
     }
   }
 }
@@ -115,54 +122,27 @@ TEST(HotPath, FaultedPackedRoundNeverAllocates) {
 }
 
 TEST(HotPath, PairIntoReusesScratch) {
-  std::vector<env::RecruitRequest> requests;
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    requests.push_back({i, i % 2 == 0, 1});
-  }
+  // The environment packs each round's active flags into its scratch and
+  // pairs them there: after one warm call, pair_active allocates nothing.
+  std::vector<std::uint8_t> flags(256);
+  for (std::size_t i = 0; i < flags.size(); ++i) flags[i] = i % 2 == 0 ? 1 : 0;
   util::Rng rng(4);
   env::PairingScratch scratch;
-  scratch.reserve(requests.size());
+  scratch.reserve(flags.size());
   for (const env::PairingKind kind :
        {env::PairingKind::kPermutation, env::PairingKind::kUniformProposal,
         env::PairingKind::kCounter}) {
     const auto model = env::make_pairing_model(kind);
-    model->pair_into(requests, rng, scratch);  // warm (workspace sizing)
+    model->pair_active(flags, rng, scratch);  // warm (workspace sizing)
     EXPECT_EQ(allocations_during([&] {
                 for (int i = 0; i < 20; ++i) {
-                  model->pair_into(requests, rng, scratch);
+                  model->pair_active(flags, rng, scratch);
                 }
               }),
               0u)
         << model->name();
-    ASSERT_EQ(scratch.recruited_by.size(), requests.size());
-    ASSERT_EQ(scratch.recruit_succeeded.size(), requests.size());
-  }
-}
-
-TEST(HotPath, PairWrapperMatchesPairInto) {
-  // The owning-vector wrapper must draw the identical RNG sequence and
-  // produce the identical matching.
-  std::vector<env::RecruitRequest> requests;
-  for (std::uint32_t i = 0; i < 64; ++i) {
-    requests.push_back({i, i % 3 != 0, 1});
-  }
-  for (const env::PairingKind kind :
-       {env::PairingKind::kPermutation, env::PairingKind::kUniformProposal,
-        env::PairingKind::kCounter}) {
-    const auto model = env::make_pairing_model(kind);
-    util::Rng rng_a(21);
-    util::Rng rng_b(21);
-    const env::PairingResult result = model->pair(requests, rng_a);
-    env::PairingScratch scratch;
-    model->pair_into(requests, rng_b, scratch);
-    ASSERT_EQ(result.recruited_by, scratch.recruited_by);
-    ASSERT_EQ(result.recruit_succeeded.size(),
-              scratch.recruit_succeeded.size());
-    for (std::size_t i = 0; i < result.recruit_succeeded.size(); ++i) {
-      EXPECT_EQ(result.recruit_succeeded[i],
-                scratch.recruit_succeeded[i] != 0);
-    }
-    EXPECT_EQ(rng_a(), rng_b());  // streams advanced identically
+    ASSERT_EQ(scratch.recruited_by.size(), flags.size());
+    ASSERT_EQ(scratch.recruit_succeeded.size(), flags.size());
   }
 }
 

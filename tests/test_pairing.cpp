@@ -3,6 +3,7 @@
 #include "env/pairing.hpp"
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,17 +13,20 @@
 namespace hh::env {
 namespace {
 
-std::vector<RecruitRequest> make_requests(std::size_t active,
-                                          std::size_t passive) {
-  std::vector<RecruitRequest> reqs;
-  for (std::size_t i = 0; i < active + passive; ++i) {
-    RecruitRequest r;
-    r.ant = static_cast<AntId>(i);
-    r.active = i < active;
-    r.target = r.active ? 1 : 2;
-    reqs.push_back(r);
-  }
-  return reqs;
+/// The active flags of `active` active recruit() calls followed by
+/// `passive` passive ones, in request order.
+std::vector<std::uint8_t> make_flags(std::size_t active, std::size_t passive) {
+  std::vector<std::uint8_t> flags(active + passive, 0);
+  for (std::size_t i = 0; i < active; ++i) flags[i] = 1;
+  return flags;
+}
+
+/// One unkeyed ad-hoc matching over `flags`, in a fresh scratch.
+PairingScratch pair(const PairingModel& model,
+                    std::span<const std::uint8_t> flags, util::Rng& rng) {
+  PairingScratch scratch;
+  model.pair_active(flags, rng, scratch);
+  return scratch;
 }
 
 // Checks that the result is a valid matching per the model:
@@ -31,23 +35,23 @@ std::vector<RecruitRequest> make_requests(std::size_t active,
 //  * only active ants appear as recruiters;
 //  * an ant is never simultaneously recruiter in one pair and recruited in
 //    another (self-pairs are the single allowed overlap).
-void expect_valid_matching(const std::vector<RecruitRequest>& reqs,
-                           const PairingResult& result) {
-  ASSERT_EQ(result.recruited_by.size(), reqs.size());
-  ASSERT_EQ(result.recruit_succeeded.size(), reqs.size());
-  std::vector<int> times_recruiter(reqs.size(), 0);
-  for (std::size_t x = 0; x < reqs.size(); ++x) {
+void expect_valid_matching(const std::vector<std::uint8_t>& flags,
+                           const PairingScratch& result) {
+  ASSERT_EQ(result.recruited_by.size(), flags.size());
+  ASSERT_EQ(result.recruit_succeeded.size(), flags.size());
+  std::vector<int> times_recruiter(flags.size(), 0);
+  for (std::size_t x = 0; x < flags.size(); ++x) {
     const std::int32_t by = result.recruited_by[x];
     if (by != kNotRecruited) {
       ASSERT_GE(by, 0);
-      ASSERT_LT(static_cast<std::size_t>(by), reqs.size());
-      EXPECT_TRUE(reqs[static_cast<std::size_t>(by)].active)
+      ASSERT_LT(static_cast<std::size_t>(by), flags.size());
+      EXPECT_TRUE(flags[static_cast<std::size_t>(by)])
           << "recruiter " << by << " is not active";
       EXPECT_TRUE(result.recruit_succeeded[static_cast<std::size_t>(by)]);
       ++times_recruiter[static_cast<std::size_t>(by)];
     }
   }
-  for (std::size_t x = 0; x < reqs.size(); ++x) {
+  for (std::size_t x = 0; x < flags.size(); ++x) {
     EXPECT_LE(times_recruiter[x], 1) << "ant recruited twice";
     if (result.recruit_succeeded[x]) {
       EXPECT_EQ(times_recruiter[x], 1)
@@ -65,7 +69,7 @@ class PairingModelTest : public ::testing::TestWithParam<PairingKind> {};
 TEST_P(PairingModelTest, EmptyRequestSet) {
   util::Rng rng(1);
   const auto model = make_pairing_model(GetParam());
-  const auto result = model->pair({}, rng);
+  const auto result = pair(*model, {}, rng);
   EXPECT_TRUE(result.recruited_by.empty());
   EXPECT_EQ(result.pair_count(), 0u);
 }
@@ -73,9 +77,9 @@ TEST_P(PairingModelTest, EmptyRequestSet) {
 TEST_P(PairingModelTest, AllPassiveNobodyPaired) {
   util::Rng rng(2);
   const auto model = make_pairing_model(GetParam());
-  const auto reqs = make_requests(0, 10);
-  const auto result = model->pair(reqs, rng);
-  expect_valid_matching(reqs, result);
+  const auto flags = make_flags(0, 10);
+  const auto result = pair(*model, flags, rng);
+  expect_valid_matching(flags, result);
   EXPECT_EQ(result.pair_count(), 0u);
 }
 
@@ -87,35 +91,34 @@ TEST_P(PairingModelTest, MatchingInvariantsHoldOverManyRandomRounds) {
     const auto active = static_cast<std::size_t>(shape.uniform_u64(20));
     const auto passive = static_cast<std::size_t>(shape.uniform_u64(20));
     if (active + passive == 0) continue;
-    const auto reqs = make_requests(active, passive);
-    const auto result = model->pair(reqs, rng);
-    expect_valid_matching(reqs, result);
+    const auto flags = make_flags(active, passive);
+    const auto result = pair(*model, flags, rng);
+    expect_valid_matching(flags, result);
     EXPECT_LE(result.pair_count(), active);
-    EXPECT_LE(result.pair_count(), reqs.size());
+    EXPECT_LE(result.pair_count(), flags.size());
   }
 }
 
 TEST_P(PairingModelTest, DeterministicGivenRngState) {
   const auto model = make_pairing_model(GetParam());
-  const auto reqs = make_requests(8, 8);
+  const auto flags = make_flags(8, 8);
   util::Rng rng1(99);
   util::Rng rng2(99);
-  const auto r1 = model->pair(reqs, rng1);
-  const auto r2 = model->pair(reqs, rng2);
+  const auto r1 = pair(*model, flags, rng1);
+  const auto r2 = pair(*model, flags, rng2);
   EXPECT_EQ(r1.recruited_by, r2.recruited_by);
-  EXPECT_EQ(std::vector<bool>(r1.recruit_succeeded),
-            std::vector<bool>(r2.recruit_succeeded));
+  EXPECT_EQ(r1.recruit_succeeded, r2.recruit_succeeded);
 }
 
 TEST_P(PairingModelTest, LoneActiveAntSelfRecruits) {
   // Lemma 3.1: "if c(0,r) < 2, ant a is forced to recruit itself".
   util::Rng rng(5);
   const auto model = make_pairing_model(GetParam());
-  const auto reqs = make_requests(1, 0);
+  const auto flags = make_flags(1, 0);
   int self_pairs = 0;
   for (int t = 0; t < 50; ++t) {
-    const auto result = model->pair(reqs, rng);
-    expect_valid_matching(reqs, result);
+    const auto result = pair(*model, flags, rng);
+    expect_valid_matching(flags, result);
     if (result.recruited_by[0] == 0) ++self_pairs;
   }
   // With only one ant in R the uniform draw always picks it.
@@ -127,10 +130,10 @@ TEST_P(PairingModelTest, ActiveAntsRecruitPassivePoolEffectively) {
   // should succeed each round (Lemma 2.1 promises >= 1/16 each).
   util::Rng rng(6);
   const auto model = make_pairing_model(GetParam());
-  const auto reqs = make_requests(50, 50);
+  const auto flags = make_flags(50, 50);
   std::size_t pairs = 0;
   constexpr int kRounds = 200;
-  for (int t = 0; t < kRounds; ++t) pairs += model->pair(reqs, rng).pair_count();
+  for (int t = 0; t < kRounds; ++t) pairs += pair(*model, flags, rng).pair_count();
   const double per_active =
       static_cast<double>(pairs) / (50.0 * kRounds);
   EXPECT_GE(per_active, 1.0 / 16.0);
@@ -165,12 +168,12 @@ TEST_P(PairingModelTest, PairCountDistributionMatchesAnalyticAtMTwo) {
   // a non-uniform target draw) shifts this mass — which bit-identity pins
   // can never catch for a NEW model.
   const auto model = make_pairing_model(GetParam());
-  const auto reqs = make_requests(2, 0);
+  const auto flags = make_flags(2, 0);
   util::Rng rng(0xC0DE);
   constexpr int kTrials = 40000;
   int two_pairs = 0;
   for (int t = 0; t < kTrials; ++t) {
-    const auto result = model->pair(reqs, rng);
+    const auto result = pair(*model, flags, rng);
     const auto pairs = result.pair_count();
     ASSERT_GE(pairs, 1u);
     ASSERT_LE(pairs, 2u);
@@ -193,12 +196,12 @@ TEST_P(PairingModelTest, SingleRecruiterTargetIsUniformChiSquare) {
   // (self included) is hit w.p. 1/m. Chi-square over the m buckets.
   const auto model = make_pairing_model(GetParam());
   constexpr std::size_t kM = 8;
-  const auto reqs = make_requests(1, kM - 1);
+  const auto flags = make_flags(1, kM - 1);
   util::Rng rng(0xFACE);
   constexpr int kTrials = 80000;
   std::vector<int> hits(kM, 0);
   for (int t = 0; t < kTrials; ++t) {
-    const auto result = model->pair(reqs, rng);
+    const auto result = pair(*model, flags, rng);
     ASSERT_EQ(result.pair_count(), 1u);  // lone recruiter always succeeds
     for (std::size_t x = 0; x < kM; ++x) {
       if (result.recruited_by[x] != kNotRecruited) ++hits[x];
@@ -216,10 +219,10 @@ TEST_P(PairingModelTest, SingleRecruiterTargetIsUniformChiSquare) {
 
 TEST_P(PairingModelTest, MatchingValidAcrossEveryEntryPoint) {
   // The validity invariants (each ant <= 1 pair, only active ants
-  // recruit) must hold identically through all three model entry points:
-  // pair() (owning), pair_into() (AoS + scratch), and the SoA core
-  // pair_active() — both its unkeyed Rng form and the keyed PairingCtx
-  // form the environment uses.
+  // recruit) must hold identically through both forms of pair_active():
+  // the unkeyed Rng form and the keyed PairingCtx form the environment
+  // uses — over one scratch reused across calls, as the environment
+  // reuses it.
   const auto model = make_pairing_model(GetParam());
   util::Rng rng(0xBEEF);
   util::Rng shape(0xF00D);
@@ -229,30 +232,17 @@ TEST_P(PairingModelTest, MatchingValidAcrossEveryEntryPoint) {
     const auto active = static_cast<std::size_t>(shape.uniform_u64(32));
     const auto passive = static_cast<std::size_t>(shape.uniform_u64(32));
     if (active + passive == 0) continue;
-    const auto reqs = make_requests(active, passive);
+    const auto flags = make_flags(active, passive);
 
-    const auto owning = model->pair(reqs, rng);
-    expect_valid_matching(reqs, owning);
-
-    model->pair_into(reqs, rng, scratch);
-    PairingResult from_scratch;
-    from_scratch.recruited_by = scratch.recruited_by;
-    from_scratch.recruit_succeeded.assign(scratch.recruit_succeeded.begin(),
-                                          scratch.recruit_succeeded.end());
-    expect_valid_matching(reqs, from_scratch);
+    model->pair_active(flags, rng, scratch);
+    expect_valid_matching(flags, scratch);
 
     // Keyed SoA call — the engine path (counter models draw nothing from
     // the rng here; sequential models must behave exactly as before).
-    std::vector<std::uint8_t> flags(reqs.size());
-    for (std::size_t x = 0; x < reqs.size(); ++x) flags[x] = reqs[x].active;
     model->pair_active(flags,
                        PairingCtx{rng, 0x5EED, 1 + static_cast<std::uint32_t>(trial)},
                        scratch);
-    PairingResult keyed;
-    keyed.recruited_by = scratch.recruited_by;
-    keyed.recruit_succeeded.assign(scratch.recruit_succeeded.begin(),
-                                   scratch.recruit_succeeded.end());
-    expect_valid_matching(reqs, keyed);
+    expect_valid_matching(flags, scratch);
   }
 }
 
@@ -295,11 +285,11 @@ TEST(PermutationPairing, Lemma21SuccessProbabilityAtLeastOneSixteenth) {
   util::Rng rng(7);
   for (const auto& [active, passive] : std::vector<std::pair<int, int>>{
            {2, 0}, {4, 0}, {16, 0}, {64, 0}, {2, 14}, {8, 8}, {32, 96}}) {
-    const auto reqs = make_requests(active, passive);
+    const auto flags = make_flags(active, passive);
     constexpr int kRounds = 4000;
     std::int64_t successes = 0;
     for (int t = 0; t < kRounds; ++t) {
-      const auto result = model.pair(reqs, rng);
+      const auto result = pair(model, flags, rng);
       for (int a = 0; a < active; ++a) successes += result.recruit_succeeded[a];
     }
     const double p_hat =
@@ -314,12 +304,12 @@ TEST(PermutationPairing, TwoActiveAntsPairingIsSymmetric) {
   // often.
   PermutationPairing model;
   util::Rng rng(8);
-  const auto reqs = make_requests(2, 0);
+  const auto flags = make_flags(2, 0);
   int wins_a = 0;
   int wins_b = 0;
   constexpr int kRounds = 20000;
   for (int t = 0; t < kRounds; ++t) {
-    const auto result = model.pair(reqs, rng);
+    const auto result = pair(model, flags, rng);
     wins_a += result.recruit_succeeded[0];
     wins_b += result.recruit_succeeded[1];
   }
@@ -333,11 +323,11 @@ TEST(PermutationPairing, RecruitedAntsAreChosenUniformlyAmongEligible) {
   PermutationPairing model;
   util::Rng rng(9);
   constexpr std::size_t kM = 8;
-  const auto reqs = make_requests(1, kM - 1);
+  const auto flags = make_flags(1, kM - 1);
   std::vector<int> recruited(kM, 0);
   constexpr int kRounds = 80000;
   for (int t = 0; t < kRounds; ++t) {
-    const auto result = model.pair(reqs, rng);
+    const auto result = pair(model, flags, rng);
     for (std::size_t x = 0; x < kM; ++x) {
       if (result.recruited_by[x] != kNotRecruited) ++recruited[x];
     }

@@ -106,9 +106,9 @@ TEST(RegistryV2, BuiltinSpecsDeclareTheStandardPackMatrix) {
     EXPECT_EQ(spec.mode, default_mode(kind));
     EXPECT_EQ(static_cast<bool>(spec.pack), packed_available(kind));
     ASSERT_TRUE(static_cast<bool>(spec.colony));
-    // Every built-in pack rides the AntPack base (PR 4), whose fault
-    // lanes + loud/quiet observe kernels + awake mask (PR 8) supply the
-    // whole standard matrix, partial synchrony included.
+    // Every built-in pack rides the AntPack base, whose fault lanes,
+    // exact/noisy observe views and awake mask supply the whole standard
+    // matrix, partial synchrony included.
     if (spec.pack) {
       EXPECT_EQ(spec.capabilities, Capabilities::standard_pack())
           << spec.name;

@@ -213,7 +213,7 @@ TEST(ArenaReuse, ResetAndRerunIsBitIdenticalToFreshConstruction) {
 
 TEST(ArenaReuse, ResetMatchesFreshUnderNoiseAndBothPairings) {
   core::SimulationConfig cfg = test::small_config(64, 4, 2, /*seed=*/3);
-  cfg.noise.count_sigma = 0.2;  // loud packed path
+  cfg.noise.count_sigma = 0.2;  // the masked round's perception pass
   for (const env::PairingKind pairing :
        {env::PairingKind::kPermutation, env::PairingKind::kUniformProposal}) {
     cfg.pairing = pairing;
@@ -231,7 +231,9 @@ TEST(ArenaReuse, ResetMatchesFreshUnderNoiseAndBothPairings) {
 TEST(ArenaReuse, ResetMatchesFreshUnderFaultPlans) {
   // The fault plan is a function of the master seed: a reset must
   // resample it (new crash rounds, new Byzantine positions) exactly as a
-  // fresh construction would.
+  // fresh construction would. A reset right after round 1 must also
+  // re-plan round 1: the lanes the pack planned for the old trial's
+  // round 1 hold the old plan's fault rows.
   core::SimulationConfig cfg = test::small_config(96, 4, 2, /*seed=*/21);
   cfg.faults.crash_fraction = 0.1;
   cfg.faults.byzantine_fraction = 0.05;
@@ -241,15 +243,21 @@ TEST(ArenaReuse, ResetMatchesFreshUnderFaultPlans) {
   for (const core::AlgorithmKind kind :
        {core::AlgorithmKind::kSimple, core::AlgorithmKind::kQuorum,
         core::AlgorithmKind::kOptimal, core::AlgorithmKind::kOptimalSettle}) {
-    core::Simulation reused(cfg, kind);
-    ASSERT_TRUE(reused.packed());
-    (void)reused.run();
-    ASSERT_TRUE(reused.reset(77));
-    const core::RunResult warm = reused.run();
-    core::SimulationConfig fresh_cfg = cfg;
-    fresh_cfg.seed = 77;
-    core::Simulation fresh(fresh_cfg, kind);
-    expect_same_run(fresh.run(), warm);
+    for (const bool after_one_round : {false, true}) {
+      core::Simulation reused(cfg, kind);
+      ASSERT_TRUE(reused.packed());
+      if (after_one_round) {
+        (void)reused.step();
+      } else {
+        (void)reused.run();
+      }
+      ASSERT_TRUE(reused.reset(77));
+      const core::RunResult warm = reused.run();
+      core::SimulationConfig fresh_cfg = cfg;
+      fresh_cfg.seed = 77;
+      core::Simulation fresh(fresh_cfg, kind);
+      expect_same_run(fresh.run(), warm);
+    }
   }
 }
 
