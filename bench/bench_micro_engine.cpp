@@ -9,11 +9,15 @@
 //     must sustain >= 3x the per-object trial throughput (the
 //     BM_PackedSpeedup_* entries report the ratio directly as a counter);
 //   * allocs_per_round == 0 on every steady-state round benchmark — the
-//     zero-allocation invariant of Environment::step().
+//     zero-allocation invariant of Environment::step();
+//   * BM_PackedBuild's bytes_per_ant and page_faults_per_build — the
+//     packed engine's set-up footprint (DESIGN.md §3).
 //
 // CI runs this with a small --benchmark_min_time; run without flags for
 // full precision.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
+#include <sys/resource.h>
 
 #include <chrono>
 #include <filesystem>
@@ -178,7 +182,9 @@ BENCHMARK(BM_EnvironmentRound)->RangeMultiplier(8)->Range(256, 1 << 17);
 // irregular as the R1-R4 block positions make it; four such mixes rotate
 // so no round repeats its predecessor's. Targets are legalised by an
 // all-search first round, as in BM_EnvironmentRound (validation is off,
-// as on the packed engine, but the calls stay legal).
+// as on the packed engine, but the calls stay legal). The world holds the
+// packed engine's lane set (WorldLanes::kMasked: no knowledge table, no
+// Outcome rows).
 
 void BM_FusedCounterRound(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
@@ -188,9 +194,11 @@ void BM_FusedCounterRound(benchmark::State& state) {
   cfg.seed = 3;
   cfg.enforce_model = false;  // as the packed engine builds it (DESIGN.md §1)
   hh::env::Environment environment(
-      std::move(cfg), hh::env::make_pairing_model(hh::env::PairingKind::kCounter));
-  environment.step(
-      std::vector<hh::env::Action>(n, hh::env::Action::search()));
+      std::move(cfg), hh::env::make_pairing_model(hh::env::PairingKind::kCounter),
+      nullptr, hh::env::WorldLanes::kMasked);
+  environment.step_masked_go_quiet(
+      std::vector<hh::env::MaskedOp>(n, hh::env::MaskedOp::kSearch),
+      std::vector<hh::env::NestId>(n, hh::env::kHomeNest));
 
   constexpr std::size_t kMixes = 4;
   std::vector<std::vector<hh::env::MaskedOp>> op(kMixes);
@@ -415,6 +423,71 @@ BENCHMARK_CAPTURE(BM_FaultedEngineRound, scalar, hh::core::EngineKind::kScalar)
 BENCHMARK_CAPTURE(BM_FaultedEngineRound, packed, hh::core::EngineKind::kPacked)
     ->RangeMultiplier(8)
     ->Range(64, 1 << 14);
+
+// ---------------------------------------------------------------------------
+// The packed engine's set-up footprint: one colony build through the
+// Scenario + registry path (as Runner and perfbench build it), k = 8,
+// counter-lottery pairing, at the two reference sizes. bytes_per_ant is
+// the heap the live simulation holds (glibc mallinfo2, uordblks + hblkhd,
+// after minus before). page_faults_per_build counts the build's minor
+// page faults after malloc_trim has handed the freed pages back, which is
+// what a cold build pays on first touch. The timed region is the build
+// alone. Builds allocate by design, so these rows stay out of CI's
+// zero-allocation gate.
+
+std::size_t heap_in_use() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+long minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+void BM_PackedBuild(benchmark::State& state, const char* algorithm) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  hh::core::SimulationConfig cfg;
+  cfg.num_ants = n;
+  cfg.qualities = hh::core::SimulationConfig::binary_qualities(8, 4);
+  cfg.pairing = hh::env::PairingKind::kCounter;
+  cfg.engine = hh::core::EngineKind::kPacked;
+  const auto scenario = hh::analysis::Scenario{
+      .name = algorithm, .algorithm = algorithm, .config = cfg};
+  // A first build initialises the process-wide caches (algorithm specs,
+  // registry), which must not count against the colony.
+  (void)scenario.make_simulation(1);
+  double bytes = 0.0;
+  double faults = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    malloc_trim(0);
+    const std::size_t heap_before = heap_in_use();
+    const long faults_before = minor_faults();
+    state.ResumeTiming();
+    auto sim = scenario.make_simulation(1);
+    benchmark::DoNotOptimize(sim.get());
+    state.PauseTiming();
+    faults += static_cast<double>(minor_faults() - faults_before);
+    bytes += static_cast<double>(heap_in_use() - heap_before);
+    sim.reset();  // destruction stays outside the timed region
+    state.ResumeTiming();
+  }
+  const auto iterations = static_cast<double>(state.iterations());
+  state.counters["bytes_per_ant"] =
+      benchmark::Counter(bytes / iterations / static_cast<double>(n));
+  state.counters["page_faults_per_build"] =
+      benchmark::Counter(faults / iterations);
+}
+BENCHMARK_CAPTURE(BM_PackedBuild, optimal, "optimal")
+    ->Arg(4096)
+    ->Arg(1 << 20)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_PackedBuild, simple, "simple")
+    ->Arg(4096)
+    ->Arg(1 << 20)
+    ->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // End-to-end trial throughput through the Scenario + registry path (the

@@ -30,7 +30,7 @@ class OptimalPack final : public AntPack {
     case_.resize(n);
     pending_passive_.resize(n);
     pending_final_.resize(n);
-    full_house_streak_.resize(n);
+    if (settle_) full_house_streak_.resize(n);
     fin_census_.resize(num_nests + 1);
     // Each ant moves its commitment or finalizes at most once per round,
     // and sits on at most one of the fused pass's ant lists. Left
@@ -121,7 +121,7 @@ class OptimalPack final : public AntPack {
       std::span<const env::NestId> targets) override {
     // The recruit() return values j, ant-indexed — the env fills the lane
     // in its matching-bookkeeping walk, so a recruit ant's observation is
-    // one sequential load instead of the recruited_by_ant() load chain.
+    // one sequential load.
     const std::span<const env::NestId> results = env.recruit_results();
     with_seen(env, [&](const auto& seen) {
       for (std::size_t a = 0; a < act.size(); ++a) {
@@ -830,7 +830,7 @@ class OptimalPack final : public AntPack {
   std::vector<std::uint8_t> case_;         ///< ActiveCase per ant
   std::vector<std::uint8_t> pending_passive_;
   std::vector<std::uint8_t> pending_final_;
-  std::vector<std::uint32_t> full_house_streak_;  ///< settle only
+  std::vector<std::uint32_t> full_house_streak_;  ///< empty unless settle_
   std::vector<std::uint32_t> fin_census_;  ///< committed census of correct
                                            ///< finalized ants
   // The fused pass's lists (see observe_decide_listed). The census

@@ -95,18 +95,22 @@ std::vector<std::string> engine_gaps(const SimulationConfig& config,
 /// Build the world `config` names. The home-nest world keeps its exact
 /// pre-seam construction (strategies, seed derivation); the lattice world
 /// derives its seed through the same kEnvSeedTag so a given master seed
-/// means the same thing on every backend.
+/// means the same thing on every backend. The packed engine's world holds
+/// only the lanes the masked rounds read: it never calls step() and never
+/// validates, so it builds no Outcome rows and no knowledge table.
 std::unique_ptr<env::Backend> make_world(const SimulationConfig& config,
                                          bool trusted_engine) {
+  const env::WorldLanes lanes =
+      trusted_engine ? env::WorldLanes::kMasked : env::WorldLanes::kFull;
   if (config.env_backend == env::BackendKind::kLattice) {
     return std::make_unique<env::LatticeBackend>(
         config.num_ants, config.lattice,
-        util::mix_seed(config.seed, kEnvSeedTag));
+        util::mix_seed(config.seed, kEnvSeedTag), lanes);
   }
   return std::make_unique<env::HomeNestBackend>(
       make_env_config(config, trusted_engine),
       env::make_pairing_model(config.pairing),
-      env::make_observation_model(config.noise));
+      env::make_observation_model(config.noise), lanes);
 }
 
 /// The cached built-in AlgorithmSpec for `kind` (the kind constructor
@@ -127,26 +131,29 @@ const AlgorithmSpec& builtin_spec_cached(AlgorithmKind kind) {
 }  // namespace
 
 std::uint32_t Simulation::auto_max_rounds(const SimulationConfig& config) {
+  double bound = 0.0;
   if (config.env_backend == env::BackendKind::kLattice) {
     // A colony's slowest first passage is bounded by per-walker cover
     // time, O(V log V) on a bounded-degree graph — the cap is a generous
     // multiple of that, not the k-log-n recruitment bound below.
     const auto sites = static_cast<double>(config.lattice.width) *
                        static_cast<double>(config.lattice.height);
-    const double bound = 50.0 * sites * (std::log2(sites) + 2.0) + 1000.0;
-    // Huge lattices push the bound past uint32 range, where the narrowing
-    // cast is UB — saturate instead (the cap only has to be generous).
-    constexpr double kMax =
-        static_cast<double>(std::numeric_limits<std::uint32_t>::max());
-    return static_cast<std::uint32_t>(std::min(bound, kMax));
+    bound = 50.0 * sites * (std::log2(sites) + 2.0) + 1000.0;
+  } else {
+    // Generous multiple of the worst theoretical bound in play, O(k log n)
+    // (Theorem 5.11); a cap, not an expectation — converging runs stop
+    // early.
+    const double log_n = std::log2(
+        static_cast<double>(std::max<std::uint32_t>(config.num_ants, 2)));
+    const auto k = static_cast<double>(config.qualities.size());
+    bound = 200.0 * (k + 2.0) * (log_n + 2.0) + 1000.0;
   }
-  // Generous multiple of the worst theoretical bound in play, O(k log n)
-  // (Theorem 5.11); a cap, not an expectation — converging runs stop early.
-  const double log_n =
-      std::log2(static_cast<double>(std::max<std::uint32_t>(config.num_ants, 2)));
-  const auto k = static_cast<double>(config.qualities.size());
-  const double bound = 200.0 * (k + 2.0) * (log_n + 2.0) + 1000.0;
-  return static_cast<std::uint32_t>(bound);
+  // Huge lattices and huge k push either bound past uint32 range, where
+  // the narrowing cast is UB — saturate instead (the cap only has to be
+  // generous).
+  constexpr double kMax =
+      static_cast<double>(std::numeric_limits<std::uint32_t>::max());
+  return static_cast<std::uint32_t>(std::min(bound, kMax));
 }
 
 Simulation::EngineParts Simulation::build_engine(
@@ -223,7 +230,6 @@ Simulation::Simulation(const SimulationConfig& config, EngineParts engine,
   // The fused observe+decide reads true counts and leaves the sleep
   // overlay to fill_masked: exact, fully synchronous configs only.
   fused_tail_ = !config.noise.any() && config.skip_probability == 0.0;
-  actions_.resize(config.num_ants);
   if (pack_) {
     HH_EXPECTS(pack_->size() == config.num_ants);
     census_.resize(config.qualities.size() + 1);
@@ -233,6 +239,7 @@ Simulation::Simulation(const SimulationConfig& config, EngineParts engine,
     if (config.skip_probability > 0.0) awake_u8_.resize(config.num_ants);
   } else {
     HH_EXPECTS(colony_.size() == config.num_ants);
+    actions_.resize(config.num_ants);
     awake_.resize(config.num_ants);
   }
 }

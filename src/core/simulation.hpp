@@ -214,7 +214,9 @@ class Simulation {
   /// The world this simulation runs in (any backend).
   [[nodiscard]] const env::Backend& world() const { return *world_; }
   /// The home-nest world. HH_EXPECTS the home-nest backend — callers on
-  /// other backends must use world() (the seam exists so they can).
+  /// other backends must use world() (the seam exists so they can). On
+  /// the packed engine it holds only the masked rounds' lanes
+  /// (env::WorldLanes::kMasked): knows() fails HH_EXPECTS there.
   [[nodiscard]] const env::Environment& environment() const;
   /// The per-object colony. On the packed engine this holds no ants (the
   /// state lives in SoA arrays) — use algorithm()/num_ants()/
@@ -245,9 +247,13 @@ class Simulation {
   /// The effective round cap for this simulation.
   [[nodiscard]] std::uint32_t max_rounds() const { return max_rounds_; }
 
- private:
-  static std::uint32_t auto_max_rounds(const SimulationConfig& config);
+  /// The round cap used when config.max_rounds == 0: a generous multiple
+  /// of the theoretical bound (home nest: O(k log n); lattice: cover
+  /// time), saturated at UINT32_MAX. A pure function of the config.
+  [[nodiscard]] static std::uint32_t auto_max_rounds(
+      const SimulationConfig& config);
 
+ private:
   /// Exactly one of `colony` (per-object engine) or `pack` (packed
   /// engine) is populated; built once by build_engine().
   struct EngineParts {
@@ -294,7 +300,7 @@ class Simulation {
   Trajectories trajectories_;
   bool fused_tail_ = false;            // exact + synchronous: fused observe
   std::string engine_fallback_;        // why kAuto fell back ("" = packed)
-  std::vector<env::Action> actions_;   // reused per round
+  std::vector<env::Action> actions_;   // reused per round (scalar engine)
   std::vector<bool> awake_;            // reused per round (scalar engine)
   std::vector<std::uint8_t> awake_u8_;  // reused per round (packed psync)
   std::vector<std::uint32_t> census_;  // reused per round (packed engine)

@@ -24,7 +24,8 @@
 // The masked entry points are Outcome-free ("quiet"): callers read
 // counts() and the backend's own result lanes directly. step() is the one
 // round that materializes per-ant Outcomes — the reference the masked
-// rounds are held to, and the scalar engine's round.
+// rounds are held to, and the scalar engine's round. Its rows exist only
+// in worlds built with WorldLanes::kFull (the default).
 //
 // Identity rule: a backend is part of a scenario's identity. Scenarios on
 // the default HomeNestBackend serialize exactly as before the seam was
@@ -59,6 +60,18 @@ enum class BackendKind : std::uint8_t {
 /// Inverse of backend_name; nullopt for unknown names.
 [[nodiscard]] std::optional<BackendKind> backend_from_name(
     std::string_view name);
+
+/// Which per-ant lanes a backend builds.
+///   * kFull (the default) — every lane: step()'s per-ant Outcome rows
+///     and, on the home-nest world, the knowledge table that model
+///     validation and knows() read.
+///   * kMasked — only what the masked rounds read: the packed engine's
+///     worlds, which never call step() and never validate
+///     (core::Simulation builds them). step() and knows() on such a world
+///     fail HH_EXPECTS.
+/// Either way the masked rounds' results are bit-identical; the lanes
+/// differ only in footprint and set-up cost (DESIGN.md §3).
+enum class WorldLanes : std::uint8_t { kFull, kMasked };
 
 /// Aggregate statistics for the most recent round (for metrics collection;
 /// none of this is observable by ants). Worlds without a recruitment
@@ -120,7 +133,8 @@ class Backend {
   /// Execute one synchronous round from per-ant Actions — the generic
   /// reference path every masked entry point must be RNG-equivalent to.
   /// actions.size() must equal num_ants(); the returned span is valid
-  /// until the next step. Zero-alloc after construction.
+  /// until the next step. Zero-alloc after construction. Worlds built
+  /// with WorldLanes::kMasked hold no Outcome rows and fail HH_EXPECTS.
   virtual const std::vector<Outcome>& step(std::span<const Action> actions) = 0;
 
   /// One mixed round with NO recruiters (op values kGo/kSearch/kIdle

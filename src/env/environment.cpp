@@ -15,9 +15,11 @@ constexpr std::uint64_t kPairingSeedTag = 0x9A1217;
 }
 
 HomeNestBackend::HomeNestBackend(EnvironmentConfig cfg,
-                         std::unique_ptr<PairingModel> pairing,
-                         std::unique_ptr<ObservationModel> observation)
+                                 std::unique_ptr<PairingModel> pairing,
+                                 std::unique_ptr<ObservationModel> observation,
+                                 WorldLanes lanes)
     : cfg_(std::move(cfg)),
+      lanes_(lanes),
       pairing_(pairing ? std::move(pairing)
                        : std::make_unique<PermutationPairing>()),
       observation_(observation ? std::move(observation)
@@ -28,17 +30,20 @@ HomeNestBackend::HomeNestBackend(EnvironmentConfig cfg,
   HH_EXPECTS(cfg_.num_ants >= 1);
   HH_EXPECTS(!cfg_.qualities.empty());
   for (double q : cfg_.qualities) HH_EXPECTS(q >= 0.0 && q <= 1.0);
+  // Validation reads the knowledge table, which only a full world keeps.
+  HH_EXPECTS(full_lanes() || !cfg_.enforce_model);
 
   location_.assign(cfg_.num_ants, kHomeNest);  // all ants start at home
   count_.assign(num_nests() + 1, 0);
   count_[kHomeNest] = cfg_.num_ants;
-  knowledge_.assign(static_cast<std::size_t>(cfg_.num_ants) * (num_nests() + 1),
-                    0);
-  outcomes_.resize(cfg_.num_ants);
+  if (full_lanes()) {
+    knowledge_.assign(
+        static_cast<std::size_t>(cfg_.num_ants) * (num_nests() + 1), 0);
+    outcomes_.resize(cfg_.num_ants);
+  }
   // Every per-round buffer is sized for the worst case up front so that
   // step() never allocates (see the invariant in the header).
   requests_.reserve(cfg_.num_ants);
-  request_index_.assign(cfg_.num_ants, kNoRequest);
   pairing_scratch_.reserve(cfg_.num_ants);
   success_ants_.reserve(cfg_.num_ants);
   recruit_result_.assign(cfg_.num_ants, kHomeNest);
@@ -61,7 +66,6 @@ void HomeNestBackend::reset(std::uint64_t seed) {
   count_[kHomeNest] = cfg_.num_ants;
   std::fill(knowledge_.begin(), knowledge_.end(), std::uint8_t{0});
   requests_.clear();
-  std::fill(request_index_.begin(), request_index_.end(), kNoRequest);
   success_ants_.clear();
   std::fill(recruit_result_.begin(), recruit_result_.end(), kHomeNest);
   std::fill(perceived_count_.begin(), perceived_count_.end(), 0u);
@@ -85,9 +89,34 @@ double HomeNestBackend::quality(NestId i) const {
 }
 
 bool HomeNestBackend::knows(AntId a, NestId i) const {
+  HH_EXPECTS(full_lanes());
   HH_EXPECTS(a < cfg_.num_ants);
   HH_EXPECTS(i <= num_nests());
   return knowledge_[static_cast<std::size_t>(a) * (num_nests() + 1) + i] != 0;
+}
+
+std::uint32_t HomeNestBackend::request_of(AntId a) const {
+  const auto row = std::lower_bound(
+      requests_.begin(), requests_.end(), a,
+      [](const RecruitRequest& r, AntId ant) { return r.ant < ant; });
+  if (row == requests_.end() || row->ant != a) return kNoRequest;
+  return static_cast<std::uint32_t>(row - requests_.begin());
+}
+
+std::int32_t HomeNestBackend::recruited_by_ant(AntId a) const {
+  HH_EXPECTS(a < cfg_.num_ants);
+  const std::uint32_t idx = request_of(a);
+  if (idx == kNoRequest) return kNotRecruited;
+  const std::int32_t recruiter = pairing_scratch_.recruited_by[idx];
+  if (recruiter == kNotRecruited) return kNotRecruited;
+  return static_cast<std::int32_t>(
+      requests_[static_cast<std::size_t>(recruiter)].ant);
+}
+
+bool HomeNestBackend::recruit_succeeded_ant(AntId a) const {
+  HH_EXPECTS(a < cfg_.num_ants);
+  const std::uint32_t idx = request_of(a);
+  return idx != kNoRequest && pairing_scratch_.recruit_succeeded[idx] != 0;
 }
 
 void HomeNestBackend::grant_knowledge(AntId a, NestId i) {
@@ -161,7 +190,6 @@ const std::vector<Outcome>& HomeNestBackend::step_rows(const ActionAt& action_at
   for (AntId a = 0; a < cfg_.num_ants; ++a) {
     const Action action = action_at(a);
     if (cfg_.enforce_model) validate(a, action);
-    request_index_[a] = kNoRequest;
     switch (action.kind) {
       case ActionKind::kSearch: {
         // search(): i chosen uniformly at random from {1..k}.
@@ -181,7 +209,6 @@ const std::vector<Outcome>& HomeNestBackend::step_rows(const ActionAt& action_at
         break;
       case ActionKind::kRecruit:
         location_[a] = kHomeNest;  // recruitment happens at the home nest
-        request_index_[a] = static_cast<std::uint32_t>(requests_.size());
         requests_.push_back(RecruitRequest{a, action.active, action.target});  // lint: capacity-reserved
         flags.push_back(action.active ? 1 : 0);  // lint: capacity-reserved
         outcomes_[a] = Outcome{ActionKind::kRecruit, action.target, 0.0, 0,
@@ -216,7 +243,10 @@ const std::vector<Outcome>& HomeNestBackend::step_rows(const ActionAt& action_at
 
   // Phase 4: deliver return values and update knowledge. The exact
   // observation model is the identity and draws no randomness, so the hot
-  // path skips its virtual calls entirely (observe_exact_).
+  // path skips its virtual calls entirely (observe_exact_). Phase 1 made
+  // the requests in ant order, so the recruit ants' rows are met in
+  // order: `idx` is the next one's position.
+  std::uint32_t idx = 0;
   for (AntId a = 0; a < cfg_.num_ants; ++a) {
     Outcome& out = outcomes_[a];
     switch (out.kind) {
@@ -243,7 +273,6 @@ const std::vector<Outcome>& HomeNestBackend::step_rows(const ActionAt& action_at
         break;
       }
       case ActionKind::kRecruit: {
-        const std::uint32_t idx = request_index_[a];
         const std::int32_t recruiter = pairing_scratch_.recruited_by[idx];
         if (recruiter != kNotRecruited) {
           // Return value j is the recruiter's advertised nest (Algorithm 1
@@ -264,6 +293,7 @@ const std::vector<Outcome>& HomeNestBackend::step_rows(const ActionAt& action_at
         out.count = observe_exact_
                         ? count_[kHomeNest]
                         : observation_->perceive_count(count_[kHomeNest], rng_);
+        ++idx;
         break;
       }
       case ActionKind::kIdle:
@@ -297,7 +327,9 @@ void HomeNestBackend::record_matching() {
   }
   success_ants_.resize(n_pairs);  // lint: capacity-reserved
   // Raw lane pointers: the knowledge byte store may alias anything, so
-  // member loads would be repeated every pair.
+  // member loads would be repeated every pair. A kMasked world keeps no
+  // knowledge table and skips that store.
+  const bool knowing = full_lanes();
   const RecruitRequest* const requests = requests_.data();
   NestId* const results = recruit_result_.data();
   std::uint32_t self = 0;
@@ -310,7 +342,9 @@ void HomeNestBackend::record_matching() {
     results[to.ant] = from.target;
     self += from.ant == to.ant ? 1u : 0u;
     cross += from.target != to.target ? 1u : 0u;
-    if (from.target != kHomeNest) grant_knowledge(to.ant, from.target);
+    if (knowing && from.target != kHomeNest) {
+      grant_knowledge(to.ant, from.target);
+    }
   }
   stats_.successful_recruitments = static_cast<std::uint32_t>(n_pairs);
   stats_.self_recruitments = self;
@@ -319,6 +353,7 @@ void HomeNestBackend::record_matching() {
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
 const std::vector<Outcome>& HomeNestBackend::step(std::span<const Action> actions) {
+  HH_EXPECTS(full_lanes());
   HH_EXPECTS(actions.size() == cfg_.num_ants);
   return step_rows([&](AntId a) { return actions[a]; });
 }
@@ -328,9 +363,10 @@ void HomeNestBackend::quiet_round(std::span<const MaskedOp> op,
                                   std::span<const std::uint8_t> active,
                                   std::span<const NestId> targets) {
   // Observably identical to step_rows() over the same rows, minus the
-  // Outcome array — same RNG consumption, locations, counts, knowledge,
-  // stats, matching, ant-indexed views, and (noisy models) perceived
-  // values — but in two passes plus the perception pass instead of four.
+  // Outcome array — same RNG consumption, locations, counts, knowledge
+  // (which only a full world tracks), stats, matching, ant-indexed views,
+  // and (noisy models) perceived values — but in two passes plus the
+  // perception pass instead of four.
   // The reordering is legal under EVERY pairing and observation model:
   //   * the search landings are the only shared-stream draws made before
   //     the pairing, and the pass below makes them in ant order, exactly
@@ -348,6 +384,7 @@ void HomeNestBackend::quiet_round(std::span<const MaskedOp> op,
   const std::uint32_t k = num_nests();
   const AntId n = cfg_.num_ants;
   const bool validating = cfg_.enforce_model;
+  const bool knowing = full_lanes();
   // A recruit-free round passes no active lane and packs no requests.
   const bool recruits = !active.empty();
   stats_ = RoundStats{};
@@ -377,7 +414,6 @@ void HomeNestBackend::quiet_round(std::span<const MaskedOp> op,
   NestId* const loc = location_.data();
   std::uint32_t* const cnt = count_.data();
   NestId* const results = recruit_result_.data();
-  std::uint32_t* const req_index = request_index_.data();
   RecruitRequest* const req_rows = requests_.data();
   std::uint8_t* const flag_rows = flags.data();
   std::uint32_t mreq = 0;
@@ -388,7 +424,6 @@ void HomeNestBackend::quiet_round(std::span<const MaskedOp> op,
       if (validating) validate(a, Action::go(tgt));
       loc[a] = tgt;
       ++cnt[tgt];
-      req_index[a] = kNoRequest;
     } else if (o == MaskedOp::kRecruit) {
       HH_ASSERT(recruits);
       const NestId tgt = tgts[a];
@@ -398,7 +433,6 @@ void HomeNestBackend::quiet_round(std::span<const MaskedOp> op,
       // The return value unless the ant gets recruited; record_matching()
       // overwrites it for the ants that do.
       results[a] = tgt;
-      req_index[a] = mreq;
       req_rows[mreq] = RecruitRequest{a, b, tgt};
       flag_rows[mreq] = b ? 1 : 0;
       ++mreq;
@@ -407,14 +441,12 @@ void HomeNestBackend::quiet_round(std::span<const MaskedOp> op,
       // draw, in the same ant order, as step_rows' phase 1.
       const auto found = static_cast<NestId>(1 + rng_.uniform_u64(k));
       loc[a] = found;
-      grant_knowledge(a, found);
+      if (knowing) grant_knowledge(a, found);
       ++cnt[found];
-      req_index[a] = kNoRequest;
       ++stats_.searches;
     } else {
       if (validating) validate(a, Action::idle());
       ++cnt[loc[a]];
-      req_index[a] = kNoRequest;
       ++stats_.idles;
     }
   }

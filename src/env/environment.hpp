@@ -18,7 +18,9 @@
 // illegal calls throw hh::ModelViolation — e.g. go(i) to a nest the ant has
 // neither visited nor been recruited to (the knowledge interpretation of
 // the paper's precondition; see DESIGN.md §2), or recruit(1, i) advertising
-// an unknown nest.
+// an unknown nest. The per-(ant, nest) knowledge table that check reads
+// exists only in worlds built with WorldLanes::kFull (env/backend.hpp);
+// the packed engine's trusted worlds skip both.
 #ifndef HH_ENV_ENVIRONMENT_HPP
 #define HH_ENV_ENVIRONMENT_HPP
 
@@ -62,16 +64,21 @@ struct EnvironmentConfig {
 class HomeNestBackend final : public Backend {
  public:
   /// Construct with explicit strategies; pass nullptr for the defaults
-  /// (PermutationPairing / ExactObservation).
+  /// (PermutationPairing / ExactObservation). `lanes` = kMasked builds no
+  /// Outcome rows and no knowledge table (the packed engine's world);
+  /// it requires cfg.enforce_model == false, since validation reads the
+  /// table.
   explicit HomeNestBackend(
       EnvironmentConfig cfg, std::unique_ptr<PairingModel> pairing = nullptr,
-      std::unique_ptr<ObservationModel> observation = nullptr);
+      std::unique_ptr<ObservationModel> observation = nullptr,
+      WorldLanes lanes = WorldLanes::kFull);
   ~HomeNestBackend() override = default;
 
   /// Execute one synchronous round. actions[a] is ant a's single call for
   /// this round; actions.size() must equal num_ants(). Returns one Outcome
   /// per ant (reference valid until the next step()). Throws ModelViolation
-  /// for illegal calls when enforce_model is set.
+  /// for illegal calls when enforce_model is set. A kMasked world holds no
+  /// Outcome rows: step() fails HH_EXPECTS there.
   ///
   /// Hot-path invariant: performs ZERO heap allocations after construction
   /// (all round state — outcomes, requests, pairing scratch — is owned by
@@ -160,14 +167,14 @@ class HomeNestBackend final : public Backend {
   /// recruited `a`, or kNotRecruited — including when `a` made no
   /// recruit() call, for every ant after a round with no recruit calls
   /// at all (its matching is empty by definition), and before the first
-  /// round. Translates the pairing scratch's request-position indices,
-  /// which packs must not do themselves. Defined inline below: the
-  /// packed engines call these once per recruiting ant per round (tens
-  /// of millions of calls per sweep), so the loads must not hide behind
-  /// a call boundary.
+  /// round. Translates the pairing scratch's request-position indices by
+  /// a binary search over the request rows, whose ant ids ascend: every
+  /// round packs them in ant order. O(log m) per call and no per-ant
+  /// lane — only tests and diagnostics call it; the packs read
+  /// recruit_results() and successful_recruiters().
   [[nodiscard]] std::int32_t recruited_by_ant(AntId a) const;
   /// Ant-indexed view: whether `a` successfully recruited someone in the
-  /// last round.
+  /// last round (same lookup as recruited_by_ant()).
   [[nodiscard]] bool recruit_succeeded_ant(AntId a) const;
   /// The ants that appear as the RECRUITER in a pair of the last masked
   /// round's matching, in request order (each at most once — matching
@@ -184,8 +191,8 @@ class HomeNestBackend final : public Backend {
   /// Valid after every masked round. Entries of ants that made no
   /// recruit() call hold no return value (they are stale), so callers
   /// must consult it only for their recruit lanes. One sequential lane
-  /// load where recruited_by_ant() chases the request-index indirection
-  /// plus two dependent random loads.
+  /// load where recruited_by_ant() searches the request rows and then
+  /// chases the recruiter's row.
   [[nodiscard]] std::span<const NestId> recruit_results() const {
     return recruit_result_;
   }
@@ -205,6 +212,7 @@ class HomeNestBackend final : public Backend {
     return perceived_quality_;
   }
   /// Whether ant a has knowledge of nest i (visited or been recruited to).
+  /// A kMasked world keeps no knowledge table: knows() fails HH_EXPECTS.
   [[nodiscard]] bool knows(AntId a, NestId i) const;
   /// Stats of the most recent round.
   [[nodiscard]] const RoundStats& last_round_stats() const override {
@@ -214,11 +222,16 @@ class HomeNestBackend final : public Backend {
   [[nodiscard]] const PairingModel& pairing_model() const { return *pairing_; }
 
  private:
-  /// request_index_ sentinel: the ant made no recruit() call this round.
+  /// request_of() sentinel: the ant made no recruit() call last round.
   static constexpr std::uint32_t kNoRequest = 0xffffffffu;
 
+  /// The position of ant a's row in requests_ (the last round's recruit
+  /// calls, in ascending ant order), or kNoRequest.
+  [[nodiscard]] std::uint32_t request_of(AntId a) const;
   void validate(AntId a, const Action& action) const;
   void grant_knowledge(AntId a, NestId i);
+  /// Whether this world keeps the knowledge table and Outcome rows.
+  [[nodiscard]] bool full_lanes() const { return lanes_ == WorldLanes::kFull; }
 
   /// step()'s round, one row at a time: `action_at(a)` yields ant a's
   /// Action. The reference the masked rounds are held to.
@@ -237,7 +250,7 @@ class HomeNestBackend final : public Backend {
                    std::span<const NestId> targets);
   /// The matching bookkeeping after a masked round's pairing: walks the
   /// matched pairs only — successful_recruiters(), recruit_results() for
-  /// the recruited ants, tandem-run knowledge, and stats_'s
+  /// the recruited ants, tandem-run knowledge (full worlds), and stats_'s
   /// pair/self/cross-nest counts. Expects the round's first pass to have
   /// stored each recruit ant's own target in recruit_result_.
   void record_matching();
@@ -247,6 +260,7 @@ class HomeNestBackend final : public Backend {
   void perceive(std::span<const MaskedOp> op);
 
   EnvironmentConfig cfg_;
+  WorldLanes lanes_;
   std::unique_ptr<PairingModel> pairing_;
   std::unique_ptr<ObservationModel> observation_;
   bool observe_exact_;  // cached observation_->exact(): branch, not virtual call
@@ -262,13 +276,13 @@ class HomeNestBackend final : public Backend {
   std::vector<std::uint32_t> count_;    // c(i, r), indexed by nest (0..k)
   // (k+1) slots per ant, flattened. uint8_t rather than vector<bool>:
   // branch-free byte loads/stores on the validation and knowledge paths.
+  // Empty in a kMasked world, as is outcomes_.
   std::vector<std::uint8_t> knowledge_;
-  std::vector<Outcome> outcomes_;       // reused each round
-  std::vector<RecruitRequest> requests_;  // reused each round
-  // ant -> index into requests_, or kNoRequest. Every round rewrites it
-  // for every ant (reset() fills it with kNoRequest), so the ant-indexed
-  // matching views never see a stale request.
-  std::vector<std::uint32_t> request_index_;
+  std::vector<Outcome> outcomes_;       // step()'s rows, reused each round
+  // The last round's recruit calls in ant order (so their ant ids
+  // ascend); empty before the first round, after a recruit-free round
+  // and after reset().
+  std::vector<RecruitRequest> requests_;
   PairingScratch pairing_scratch_;      // reused each round
   // Per-round results of the masked rounds (see the accessors):
   // success_ants_ holds this round's successful recruiters;
@@ -284,23 +298,6 @@ class HomeNestBackend final : public Backend {
   std::vector<double> perceived_quality_;
   RoundStats stats_;
 };
-
-inline std::int32_t HomeNestBackend::recruited_by_ant(AntId a) const {
-  HH_EXPECTS(a < cfg_.num_ants);
-  const std::uint32_t idx = request_index_[a];
-  if (idx == kNoRequest) return kNotRecruited;
-  const std::int32_t recruiter = pairing_scratch_.recruited_by[idx];
-  if (recruiter == kNotRecruited) return kNotRecruited;
-  return static_cast<std::int32_t>(
-      requests_[static_cast<std::size_t>(recruiter)].ant);
-}
-
-inline bool HomeNestBackend::recruit_succeeded_ant(AntId a) const {
-  HH_EXPECTS(a < cfg_.num_ants);
-  const std::uint32_t idx = request_index_[a];
-  if (idx == kNoRequest) return false;
-  return pairing_scratch_.recruit_succeeded[idx] != 0;
-}
 
 /// The pre-seam name for the default backend. Kept as a first-class alias:
 /// "Environment" is this world's name throughout the paper commentary and

@@ -35,8 +35,10 @@ std::uint32_t lattice_target_site(const LatticeConfig& cfg) {
 }
 
 LatticeBackend::LatticeBackend(std::uint32_t num_ants,
-                               const LatticeConfig& cfg, std::uint64_t seed)
+                               const LatticeConfig& cfg, std::uint64_t seed,
+                               WorldLanes lanes)
     : cfg_(cfg),
+      lanes_(lanes),
       num_ants_(num_ants),
       width_(cfg.width),
       height_(cfg.height),
@@ -59,10 +61,9 @@ LatticeBackend::LatticeBackend(std::uint32_t num_ants,
   loc_.assign(num_ants_, nest_);
   back_dir_.assign(num_ants_, kNoDir);
   first_passage_.assign(num_ants_, 0);
-  kind_.assign(num_ants_, static_cast<std::uint8_t>(ActionKind::kIdle));
   counts_.assign(num_sites_, 0);
   counts_[nest_] = num_ants_;
-  outcomes_.resize(num_ants_);
+  if (lanes_ == WorldLanes::kFull) outcomes_.resize(num_ants_);
   // Motility lanes by index — no draws, so the syndrome split never
   // shifts the walk RNG stream.
   const auto fast = std::min<std::uint32_t>(
@@ -83,8 +84,6 @@ void LatticeBackend::reset(std::uint64_t seed) {
   std::fill(loc_.begin(), loc_.end(), nest_);
   std::fill(back_dir_.begin(), back_dir_.end(), kNoDir);
   std::fill(first_passage_.begin(), first_passage_.end(), 0u);
-  std::fill(kind_.begin(), kind_.end(),
-            static_cast<std::uint8_t>(ActionKind::kIdle));
   std::fill(counts_.begin(), counts_.end(), 0u);
   counts_[nest_] = num_ants_;
   // persist_ is a pure function of the config — identical after reset.
@@ -133,7 +132,7 @@ void LatticeBackend::run_round(const ActionAt& action_at) {
   const std::uint32_t r = round_ + 1;
   for (AntId a = 0; a < num_ants_; ++a) {
     const Action action = action_at(a);
-    kind_[a] = static_cast<std::uint8_t>(action.kind);
+    if constexpr (kLoud) outcomes_[a].kind = action.kind;
     switch (action.kind) {
       case ActionKind::kSearch:
         ++stats_.searches;
@@ -166,7 +165,6 @@ void LatticeBackend::run_round(const ActionAt& action_at) {
   if constexpr (kLoud) {
     for (AntId a = 0; a < num_ants_; ++a) {
       Outcome& out = outcomes_[a];
-      out.kind = static_cast<ActionKind>(kind_[a]);
       out.nest = loc_[a];
       out.quality = loc_[a] == target_ ? 1.0 : 0.0;
       out.count = counts_[loc_[a]];
@@ -179,6 +177,7 @@ void LatticeBackend::run_round(const ActionAt& action_at) {
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
 const std::vector<Outcome>& LatticeBackend::step(
     std::span<const Action> actions) {
+  HH_EXPECTS(lanes_ == WorldLanes::kFull);
   HH_EXPECTS(actions.size() == num_ants_);
   run_round<true>([&](AntId a) { return actions[a]; });
   return outcomes_;

@@ -74,8 +74,10 @@ class LatticeBackend final : public Backend {
   /// Edge labels of the 3-regular brick-wall honeycomb.
   enum Dir : std::uint8_t { kEast = 0, kWest = 1, kVertical = 2 };
 
+  /// `lanes` = kMasked builds no Outcome rows (the packed engine's
+  /// world): step() then fails HH_EXPECTS.
   LatticeBackend(std::uint32_t num_ants, const LatticeConfig& cfg,
-                 std::uint64_t seed);
+                 std::uint64_t seed, WorldLanes lanes = WorldLanes::kFull);
   ~LatticeBackend() override = default;
 
   // --- Backend contract ---------------------------------------------------
@@ -130,11 +132,12 @@ class LatticeBackend final : public Backend {
   /// yields ant a's Action. step() and the masked form are thin adapters
   /// over this one template, which is what makes them RNG-equivalent by
   /// construction (same draws, same order). The loud instantiation —
-  /// step()'s — also materializes per-ant Outcomes.
+  /// step()'s — also fills the per-ant Outcome rows.
   template <bool kLoud, typename ActionAt>
   void run_round(const ActionAt& action_at);
 
   LatticeConfig cfg_;
+  WorldLanes lanes_;
   std::uint32_t num_ants_;
   std::uint32_t width_;
   std::uint32_t height_;
@@ -143,15 +146,21 @@ class LatticeBackend final : public Backend {
   std::uint32_t target_;
   util::Rng rng_;
   std::uint32_t round_ = 0;
-  std::uint32_t reached_count_ = 0;
+  std::uint32_t reached_count_ = 0;  ///< ants with first_passage_ != 0
   RoundStats stats_;
+  // The lanes every round reads: a masked round touches these and no
+  // others.
   std::vector<NestId> loc_;                  ///< site per ant
-  std::vector<std::uint8_t> back_dir_;       ///< edge just walked, reversed
-  std::vector<double> persist_;              ///< motility lane per ant
+  std::vector<std::uint8_t> back_dir_;       ///< edge just walked, reversed;
+                                             ///< kNoDir before a first walk
+                                             ///< and after a go()
+  std::vector<double> persist_;              ///< motility lane per ant; a
+                                             ///< function of the config, so
+                                             ///< reset() keeps it
   std::vector<std::uint32_t> first_passage_; ///< 0 = target not yet reached
-  std::vector<std::uint8_t> kind_;           ///< this round's ActionKind per ant
   std::vector<std::uint32_t> counts_;        ///< population per site
-  std::vector<Outcome> outcomes_;            ///< step()'s returns
+  /// step()'s returns, indexed by ant; empty in a kMasked world.
+  std::vector<Outcome> outcomes_;
 };
 
 }  // namespace hh::env

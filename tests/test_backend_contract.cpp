@@ -11,6 +11,10 @@
 //     identical draws in identical order to step() with the
 //     corresponding Action vector, so trajectories coincide exactly.
 //
+// Each world is also built with WorldLanes::kMasked, the lane set the
+// packed engine's worlds hold: its masked rounds must match the full
+// world's under the same three terms, and step() must refuse to run.
+//
 // The home-nest cases run with enforce_model = false and allow_idle =
 // true: the contract rounds mix search/idle/go freely, which the strict
 // Section 2 preconditions would reject (knowledge gating is home-nest
@@ -20,9 +24,11 @@
 //
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,7 +44,12 @@ constexpr std::uint32_t kRounds = 24;
 
 struct BackendCase {
   std::string name;
-  std::function<std::unique_ptr<Backend>(std::uint64_t seed)> make;
+  std::function<std::unique_ptr<Backend>(std::uint64_t seed, WorldLanes lanes)>
+      build;
+  /// The world with every lane (the suite's default).
+  [[nodiscard]] std::unique_ptr<Backend> make(std::uint64_t seed) const {
+    return build(seed, WorldLanes::kFull);
+  }
 };
 
 EnvironmentConfig home_nest_config(std::uint64_t seed) {
@@ -53,20 +64,22 @@ EnvironmentConfig home_nest_config(std::uint64_t seed) {
 
 std::vector<BackendCase> backend_cases() {
   std::vector<BackendCase> cases;
-  cases.push_back({"home-nest", [](std::uint64_t seed) {
+  cases.push_back({"home-nest", [](std::uint64_t seed, WorldLanes lanes) {
                      return std::make_unique<HomeNestBackend>(
-                         home_nest_config(seed));
+                         home_nest_config(seed), nullptr, nullptr, lanes);
                    }});
-  cases.push_back({"home-nest-noisy", [](std::uint64_t seed) {
+  cases.push_back({"home-nest-noisy", [](std::uint64_t seed, WorldLanes lanes) {
                      return std::make_unique<HomeNestBackend>(
                          home_nest_config(seed), nullptr,
-                         std::make_unique<NoisyObservation>(0.3, 0.1, 0.05));
+                         std::make_unique<NoisyObservation>(0.3, 0.1, 0.05),
+                         lanes);
                    }});
-  cases.push_back({"lattice", [](std::uint64_t seed) {
+  cases.push_back({"lattice", [](std::uint64_t seed, WorldLanes lanes) {
                      LatticeConfig cfg;
                      cfg.width = 8;
                      cfg.height = 6;
-                     return std::make_unique<LatticeBackend>(kAnts, cfg, seed);
+                     return std::make_unique<LatticeBackend>(kAnts, cfg, seed,
+                                                             lanes);
                    }});
   return cases;
 }
@@ -186,6 +199,86 @@ TEST(BackendContract, StepEntryPointsAllocateNothing) {
     }
     backend->reset(0xA110C);
     EXPECT_EQ(hh::testing::allocation_count() - before, 0u);
+  }
+}
+
+TEST(BackendContract, MaskedLaneWorldsRoundLikeFullWorlds) {
+  for (const BackendCase& c : backend_cases()) {
+    SCOPED_TRACE(c.name);
+    const auto full = c.make(0x1A7E5);
+    const auto masked = c.build(0x1A7E5, WorldLanes::kMasked);
+    EXPECT_EQ(drive_masked(*full, kRounds), drive_masked(*masked, kRounds));
+    // reset == fresh holds for the lean world too.
+    masked->reset(0xF4E54);
+    EXPECT_EQ(snapshot(*masked),
+              snapshot(*c.build(0xF4E54, WorldLanes::kMasked)));
+    full->reset(0xF4E54);
+    EXPECT_EQ(drive_masked(*masked, kRounds), drive_masked(*full, kRounds));
+    // And its rounds allocate nothing.
+    std::vector<MaskedOp> op(kAnts);
+    const std::vector<NestId> targets(kAnts, NestId{1});
+    const std::uint64_t before = hh::testing::allocation_count();
+    for (std::uint32_t r = 1; r <= kRounds; ++r) {
+      for (AntId a = 0; a < kAnts; ++a) op[a] = op_for(r, a);
+      masked->step_masked_go_quiet(op, targets);
+    }
+    masked->reset(0xA110C);
+    EXPECT_EQ(hh::testing::allocation_count() - before, 0u);
+  }
+}
+
+TEST(BackendContract, MaskedLaneWorldsRefuseStep) {
+  // A kMasked world holds no Outcome rows: step() is a contract
+  // violation, not a lazy allocation.
+  for (const BackendCase& c : backend_cases()) {
+    SCOPED_TRACE(c.name);
+    const auto masked = c.build(7, WorldLanes::kMasked);
+    const std::vector<Action> actions(masked->num_ants(), Action::search());
+    EXPECT_THROW((void)masked->step(actions), hh::ContractViolation);
+    EXPECT_EQ(masked->round(), 0u);
+  }
+}
+
+TEST(BackendContract, MaskedHomeNestWorldKeepsNoKnowledge) {
+  HomeNestBackend masked(home_nest_config(3), nullptr, nullptr,
+                         WorldLanes::kMasked);
+  EXPECT_THROW((void)masked.knows(0, 1), hh::ContractViolation);
+  // Validation reads the knowledge table, so a validating world must keep
+  // it.
+  EnvironmentConfig strict = home_nest_config(3);
+  strict.enforce_model = true;
+  EXPECT_THROW(HomeNestBackend(strict, nullptr, nullptr, WorldLanes::kMasked),
+               hh::ContractViolation);
+
+  // Recruit rounds: the lean world resolves the same matching as the
+  // full one (the knowledge stores it skips feed nothing else).
+  HomeNestBackend full(home_nest_config(3));
+  std::vector<MaskedOp> op(kAnts, MaskedOp::kSearch);
+  std::vector<std::uint8_t> active(kAnts, 0);
+  std::vector<NestId> targets(kAnts, kHomeNest);
+  full.step_masked_go_quiet(op, targets);
+  masked.step_masked_go_quiet(op, targets);
+  for (std::uint32_t r = 2; r <= kRounds; ++r) {
+    for (AntId a = 0; a < kAnts; ++a) {
+      const bool recruit = (a + r) % 5 != 0;
+      op[a] = recruit ? MaskedOp::kRecruit : MaskedOp::kGo;
+      active[a] = recruit && (a * r) % 3 != 0 ? 1 : 0;
+      targets[a] = full.location(a) == kHomeNest ? NestId{1} : full.location(a);
+    }
+    full.step_masked_recruit_quiet(op, active, targets);
+    masked.step_masked_recruit_quiet(op, active, targets);
+    EXPECT_EQ(snapshot(full), snapshot(masked)) << "round " << r;
+    const std::span<const AntId> want = full.successful_recruiters();
+    const std::span<const AntId> got = masked.successful_recruiters();
+    EXPECT_TRUE(std::ranges::equal(want, got)) << "round " << r;
+    for (AntId a = 0; a < kAnts; ++a) {
+      if (op[a] == MaskedOp::kRecruit) {
+        EXPECT_EQ(full.recruit_results()[a], masked.recruit_results()[a]);
+      }
+      EXPECT_EQ(full.recruited_by_ant(a), masked.recruited_by_ant(a));
+    }
+    EXPECT_EQ(full.last_round_stats().successful_recruitments,
+              masked.last_round_stats().successful_recruitments);
   }
 }
 

@@ -354,9 +354,9 @@ TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
     EXPECT_EQ(want.round(), got.round()) << label;
   };
 
-  // What the ant-indexed matching views promise after a round without
-  // recruit calls, and after reset(): an empty matching — never the pairs
-  // of an older round.
+  // What the ant-indexed matching views promise before the first round,
+  // after a round without recruit calls, and after reset(): an empty
+  // matching — never the pairs of an older round.
   const auto expect_empty_matching = [&](const std::string& label) {
     for (const Environment* e :
          {&generic, &quiet, &noisy_generic, &noisy_quiet}) {
@@ -451,6 +451,8 @@ TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
     noisy_quiet.step_masked_recruit_quiet(op, active, targets);
     expect_match(noisy_out, noisy_generic, noisy_quiet, label + " (noisy)");
   };
+
+  expect_empty_matching("before round 1");
 
   // Rounds 1-3: the colony-uniform rounds of the Algorithm-3 family as
   // constant op lanes. Round 1: every ant searches (the recruit-free

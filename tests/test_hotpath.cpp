@@ -5,11 +5,22 @@
 // that forgets its scratch) fails loudly here rather than silently
 // costing a sweep 20% throughput.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include "core/simulation.hpp"
 #include "counting_alloc.hpp"
 #include "env/environment.hpp"
 #include "test_util.hpp"
+
+// ASan and TSan replace malloc with allocators that mallinfo2 does not
+// see, so the footprint gate below skips under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define HH_MALLINFO_BLIND 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define HH_MALLINFO_BLIND 1
+#endif
+#endif
 
 namespace hh {
 namespace {
@@ -119,6 +130,38 @@ TEST(HotPath, FaultedPackedRoundNeverAllocates) {
               0u)
         << core::algorithm_name(kind);
   }
+}
+
+// The set-up footprint: a packed build allocates only the lanes its round
+// reads — no Outcome rows, no knowledge table, no per-ant Action rows, no
+// settle streak for plain optimal. 110 B/ant leaves room for allocator
+// rounding above the ~98 B/ant these lanes take; the full lane set
+// measured 152.6 B/ant.
+TEST(HotPath, PackedOptimalBuildFootprint) {
+#ifdef HH_MALLINFO_BLIND
+  GTEST_SKIP() << "mallinfo2 does not see the sanitizer's allocator";
+#else
+  constexpr std::uint32_t n = 4096;
+  core::SimulationConfig cfg;
+  cfg.num_ants = n;
+  cfg.qualities = core::SimulationConfig::binary_qualities(8, 4);
+  cfg.pairing = env::PairingKind::kCounter;
+  cfg.engine = core::EngineKind::kPacked;
+  // A first build initialises the process-wide caches (algorithm specs,
+  // registry), which must not count against the colony.
+  { core::Simulation warm(cfg, core::AlgorithmKind::kOptimal); }
+  const auto in_use = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  const std::size_t before = in_use();
+  const core::Simulation sim(cfg, core::AlgorithmKind::kOptimal);
+  const std::size_t after = in_use();
+  ASSERT_TRUE(sim.packed());
+  const double bytes_per_ant =
+      static_cast<double>(after - before) / static_cast<double>(n);
+  EXPECT_LE(bytes_per_ant, 110.0);
+#endif
 }
 
 TEST(HotPath, PairIntoReusesScratch) {

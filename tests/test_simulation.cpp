@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
+
 #include "test_util.hpp"
 
 namespace hh::core {
@@ -93,6 +96,66 @@ TEST(Simulation, AutoMaxRoundsGrowsWithProblemSize) {
   Simulation s1(small, AlgorithmKind::kSimple);
   Simulation s2(large, AlgorithmKind::kSimple);
   EXPECT_GT(s2.max_rounds(), s1.max_rounds());
+}
+
+TEST(Simulation, AutoMaxRoundsSaturatesAtUint32Max) {
+  // The home-nest cap 200(k+2)(log2 n + 2) + 1000 for a 64-ant, k = 2
+  // colony: log2 64 = 6.
+  EXPECT_EQ(Simulation::auto_max_rounds(test::small_config(64, 2, 1)), 7400u);
+  // n = 2^32-1 and k = 631,621 push the bound past UINT32_MAX (from
+  // k = 631,611 on): the cap saturates instead of wrapping.
+  SimulationConfig huge;
+  huge.num_ants = std::numeric_limits<std::uint32_t>::max();
+  huge.qualities.assign(631'621, 1.0);
+  EXPECT_EQ(Simulation::auto_max_rounds(huge),
+            std::numeric_limits<std::uint32_t>::max());
+}
+
+// The packed engine's world holds only the lanes its masked rounds read:
+// no knowledge table, no Outcome rows. A scalar build of the same config
+// keeps both, so the reference path still tracks knowledge and validates.
+TEST(Simulation, PackedWorldKeepsNoKnowledgeScalarWorldValidates) {
+  auto cfg = test::small_config(256, 8, 4, 5);
+  cfg.pairing = env::PairingKind::kCounter;
+  cfg.engine = EngineKind::kPacked;
+  Simulation packed(cfg, AlgorithmKind::kOptimal);
+  ASSERT_TRUE(packed.packed());
+  packed.step();
+  EXPECT_THROW((void)packed.environment().knows(0, 1), ContractViolation);
+
+  cfg.engine = EngineKind::kScalar;
+  Simulation scalar(cfg, AlgorithmKind::kOptimal);
+  ASSERT_FALSE(scalar.packed());
+  scalar.step();  // round 1: every ant searches and learns its nest
+  for (env::AntId a = 0; a < cfg.num_ants; ++a) {
+    const env::NestId at = scalar.environment().location(a);
+    ASSERT_NE(at, env::kHomeNest);
+    EXPECT_TRUE(scalar.environment().knows(a, at)) << "ant " << a;
+  }
+  // Both engines ran the same round.
+  for (env::AntId a = 0; a < cfg.num_ants; ++a) {
+    EXPECT_EQ(packed.environment().location(a), scalar.environment().location(a));
+  }
+
+  // go(1) in round 1, before any ant knows nest 1: the scalar world's
+  // validation rejects it.
+  class BlindGoAnt final : public Ant {
+   public:
+    env::Action decide(std::uint32_t) override { return env::Action::go(1); }
+    void observe(const env::Outcome&) override {}
+    [[nodiscard]] env::NestId committed_nest() const override {
+      return env::kHomeNest;
+    }
+    [[nodiscard]] std::string_view name() const override { return "blind-go"; }
+  };
+  Colony colony;
+  colony.algorithm = "blind-go";
+  colony.faults = env::FaultPlan::none(cfg.num_ants);
+  for (env::AntId a = 0; a < cfg.num_ants; ++a) {
+    colony.ants.push_back(std::make_unique<BlindGoAnt>());
+  }
+  Simulation blind(cfg, std::move(colony));
+  EXPECT_THROW(blind.step(), ModelViolation);
 }
 
 TEST(Simulation, TrajectoriesRecordedWhenRequested) {
