@@ -319,19 +319,22 @@ BENCHMARK_CAPTURE(BM_LatticeEngineRound, packed, hh::core::EngineKind::kPacked)
 // simulations otherwise. The simple rows keep stepping past convergence,
 // which is exactly the steady state we want to time; packed_noisy is the
 // packed simple row under noisy observation (the masked round's
-// perception pass and the plain observe instead of the fused
-// observe+decide). The packed_optimal_counter row steps whole Algorithm-2
-// trials instead (counter-lottery pairing, n = 4096, k = 8), resetting to
-// the next seed at convergence, so its rounds span the active-heavy
-// opening, the mixed passive/final middle and the all-final tail — and
-// CI's zero-allocation gate covers every packed row.
+// perception pass, and the round kernel reading the perceived lanes), and
+// packed_psync the packed simple row under partial synchrony (skip 0.1:
+// the next round's awake-mask draw and the kernel's per-ant acting
+// lanes). The packed_optimal_counter row steps whole Algorithm-2 trials
+// instead (counter-lottery pairing, n = 4096, k = 8), resetting to the
+// next seed at convergence, so its rounds span the active-heavy opening,
+// the mixed passive/final middle and the all-final tail — and CI's
+// zero-allocation gate covers every packed row.
 
 void BM_EngineRound(benchmark::State& state, hh::core::EngineKind engine,
                     hh::core::AlgorithmKind algorithm =
                         hh::core::AlgorithmKind::kSimple,
                     hh::env::PairingKind pairing =
                         hh::env::PairingKind::kPermutation,
-                    hh::env::NoiseConfig noise = {}) {
+                    hh::env::NoiseConfig noise = {},
+                    double skip_probability = 0.0) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const bool whole_trials = algorithm != hh::core::AlgorithmKind::kSimple;
   const std::uint32_t k = whole_trials ? 8 : 4;
@@ -343,6 +346,7 @@ void BM_EngineRound(benchmark::State& state, hh::core::EngineKind engine,
   cfg.engine = engine;
   cfg.pairing = pairing;
   cfg.noise = noise;
+  cfg.skip_probability = skip_probability;
   hh::core::Simulation sim(cfg, algorithm);
   if (!whole_trials) {
     for (int warmup = 0; warmup < 8; ++warmup) sim.step();
@@ -376,6 +380,12 @@ BENCHMARK_CAPTURE(BM_EngineRound, packed_noisy, hh::core::EngineKind::kPacked,
                   hh::core::AlgorithmKind::kSimple,
                   hh::env::PairingKind::kPermutation,
                   hh::env::NoiseConfig{0.2, 0.02, 0.0})
+    ->RangeMultiplier(8)
+    ->Range(64, 1 << 16);
+BENCHMARK_CAPTURE(BM_EngineRound, packed_psync, hh::core::EngineKind::kPacked,
+                  hh::core::AlgorithmKind::kSimple,
+                  hh::env::PairingKind::kPermutation, hh::env::NoiseConfig{},
+                  0.1)
     ->RangeMultiplier(8)
     ->Range(64, 1 << 16);
 BENCHMARK_CAPTURE(BM_EngineRound, packed_optimal_counter,

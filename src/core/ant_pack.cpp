@@ -86,44 +86,22 @@ class SimpleFamilyPack final : public AntPack {
     return true;
   }
 
-  void decide_masked(std::uint32_t round, std::span<const std::uint8_t> act,
-                     std::span<env::MaskedOp> op,
-                     std::span<std::uint8_t> active,
-                     std::span<env::NestId> targets) override {
-    for (std::size_t a = 0; a < act.size(); ++a) {
-      if (!act[a]) continue;
-      decide_one(a, round, op, active, targets);
-    }
-  }
-
-  void observe_masked_quiet_acting(
-      std::span<const std::uint8_t> act, const env::Environment& env,
-      std::span<const env::MaskedOp> /*op*/,
-      std::span<const env::NestId> /*targets*/) override {
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+  void observe_decide(const env::Environment& env, Acting acting,
+                      std::span<env::MaskedOp> op,
+                      std::span<std::uint8_t> active,
+                      std::span<env::NestId> targets) override {
+    // Observe ant a, then overwrite its lanes with its next-round call.
+    // observe_one reads no op/target row, so the overwrite is safe. An
+    // ant that does not act is frozen: crashed, sleeping, or Byzantine.
+    const std::uint32_t next_round = env.round() + 1;
     const std::span<const env::NestId> results = env.recruit_results();
-    with_seen(env, [&](const auto& seen) {
-      for (std::size_t a = 0; a < act.size(); ++a) {
-        if (!act[a]) continue;  // frozen: crashed, sleeping, or Byzantine
-        observe_one(a, env, seen, results);
+    with_views(env, acting, [&](const auto& seen, const auto& act) {
+      for (std::size_t a = 0; a < op.size(); ++a) {
+        if (act.acted(a)) observe_one(a, env, seen, results);
+        if (act.acts(a)) decide_one(a, next_round, op, active, targets);
       }
     });
-  }
-
-  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-  [[nodiscard]] bool fused_observe_decide(
-      const env::Environment& env, std::span<env::MaskedOp> op,
-      std::span<std::uint8_t> active,
-      std::span<env::NestId> targets) override {
-    // Observe ant a, then overwrite its lanes with its next-round call.
-    // observe_one reads no op/target row, so the overwrite is safe.
-    const std::uint32_t next_round = masked_round() + 1;
-    const ExactSeen seen = exact_seen(env);
-    const std::span<const env::NestId> results = env.recruit_results();
-    for (std::size_t a = 0; a < op.size(); ++a) {
-      observe_one(a, env, seen, results);
-      decide_one(a, next_round, op, active, targets);
-    }
-    return true;
   }
 
   [[nodiscard]] std::string_view name() const override {
@@ -135,7 +113,9 @@ class SimpleFamilyPack final : public AntPack {
 
   /// The ant's b this recruit round — drawing iff the scalar ant would
   /// (SimpleAnt::decide short-circuits the bernoulli for passive ants).
-  [[nodiscard]] bool decide_b(std::size_t a, std::uint32_t round) {
+  /// Forced inline for the same reason as decide_one.
+  [[nodiscard, gnu::always_inline]] bool decide_b(std::size_t a,
+                                                  std::uint32_t round) {
     return active_[a] != 0 && rng_[a].bernoulli(recruit_probability(a, round));
   }
 
@@ -176,10 +156,14 @@ class SimpleFamilyPack final : public AntPack {
         phase_[a] == Phase::kRecruit ? Phase::kAssess : Phase::kRecruit;
   }
 
-  /// One ant's call for `round` (SimpleAnt::decide).
-  void decide_one(std::size_t a, std::uint32_t round,
-                  std::span<env::MaskedOp> op, std::span<std::uint8_t> active,
-                  std::span<env::NestId> targets) {
+  /// One ant's call for `round` (SimpleAnt::decide). Forced inline, like
+  /// observe_one: GCC 12 keeps both out of line once observe_decide's loop
+  /// has its four instantiations, which turns every ant's observe and
+  /// decide into calls.
+  [[gnu::always_inline]] void decide_one(std::size_t a, std::uint32_t round,
+                                         std::span<env::MaskedOp> op,
+                                         std::span<std::uint8_t> active,
+                                         std::span<env::NestId> targets) {
     switch (phase_[a]) {
       case Phase::kInit:
         op[a] = env::MaskedOp::kSearch;  // line 2
@@ -201,8 +185,10 @@ class SimpleFamilyPack final : public AntPack {
   /// nest, or its own target nest_[a] when nobody recruited it — which
   /// apply_recruit treats as no change, since the ant advertised nest_[a].
   template <typename Seen>
-  void observe_one(std::size_t a, const env::Environment& env,
-                   const Seen& seen, std::span<const env::NestId> results) {
+  [[gnu::always_inline]] void observe_one(std::size_t a,
+                                          const env::Environment& env,
+                                          const Seen& seen,
+                                          std::span<const env::NestId> results) {
     switch (phase_[a]) {
       case Phase::kInit: {
         const env::NestId found = env.location(static_cast<env::AntId>(a));
@@ -307,43 +293,21 @@ class QuorumPack final : public AntPack {
     return true;
   }
 
-  void decide_masked(std::uint32_t /*round*/, std::span<const std::uint8_t> act,
-                     std::span<env::MaskedOp> op,
-                     std::span<std::uint8_t> active,
-                     std::span<env::NestId> targets) override {
-    for (std::size_t a = 0; a < act.size(); ++a) {
-      if (!act[a]) continue;
-      decide_one(a, op, active, targets);
-    }
-  }
-
-  void observe_masked_quiet_acting(
-      std::span<const std::uint8_t> act, const env::Environment& env,
-      std::span<const env::MaskedOp> /*op*/,
-      std::span<const env::NestId> /*targets*/) override {
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+  void observe_decide(const env::Environment& env, Acting acting,
+                      std::span<env::MaskedOp> op,
+                      std::span<std::uint8_t> active,
+                      std::span<env::NestId> targets) override {
+    // Observe ant a, then overwrite its lanes with its next-round call.
+    // observe_one reads no op/target row, so the overwrite is safe. An
+    // ant that does not act is frozen: crashed, sleeping, or Byzantine.
     const std::span<const env::NestId> results = env.recruit_results();
-    with_seen(env, [&](const auto& seen) {
-      for (std::size_t a = 0; a < act.size(); ++a) {
-        if (!act[a]) continue;  // frozen: crashed, sleeping, or Byzantine
-        observe_one(a, env, seen, results);
+    with_views(env, acting, [&](const auto& seen, const auto& act) {
+      for (std::size_t a = 0; a < op.size(); ++a) {
+        if (act.acted(a)) observe_one(a, env, seen, results);
+        if (act.acts(a)) decide_one(a, op, active, targets);
       }
     });
-  }
-
-  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-  [[nodiscard]] bool fused_observe_decide(
-      const env::Environment& env, std::span<env::MaskedOp> op,
-      std::span<std::uint8_t> active,
-      std::span<env::NestId> targets) override {
-    // Observe ant a, then overwrite its lanes with its next-round call.
-    // observe_one reads no op/target row, so the overwrite is safe.
-    const ExactSeen seen = exact_seen(env);
-    const std::span<const env::NestId> results = env.recruit_results();
-    for (std::size_t a = 0; a < op.size(); ++a) {
-      observe_one(a, env, seen, results);
-      decide_one(a, op, active, targets);
-    }
-    return true;
   }
 
   [[nodiscard]] bool finalized(env::AntId a) const override {
@@ -391,10 +355,12 @@ class QuorumPack final : public AntPack {
     phase_[a] = Phase::kRecruit;
   }
 
-  /// One ant's call (QuorumAnt::decide).
-  void decide_one(std::size_t a, std::span<env::MaskedOp> op,
-                  std::span<std::uint8_t> active,
-                  std::span<env::NestId> targets) {
+  /// One ant's call (QuorumAnt::decide). Forced inline, like observe_one
+  /// (see SimpleFamilyPack::decide_one).
+  [[gnu::always_inline]] void decide_one(std::size_t a,
+                                         std::span<env::MaskedOp> op,
+                                         std::span<std::uint8_t> active,
+                                         std::span<env::NestId> targets) {
     switch (phase_[a]) {
       case Phase::kInit:
         op[a] = env::MaskedOp::kSearch;
@@ -418,8 +384,10 @@ class QuorumPack final : public AntPack {
   /// nest, or its own target nest_[a] when nobody recruited it — which
   /// apply_recruit treats as no change, since the ant advertised nest_[a].
   template <typename Seen>
-  void observe_one(std::size_t a, const env::Environment& env,
-                   const Seen& seen, std::span<const env::NestId> results) {
+  [[gnu::always_inline]] void observe_one(std::size_t a,
+                                          const env::Environment& env,
+                                          const Seen& seen,
+                                          std::span<const env::NestId> results) {
     // Quorum-met ants recruit forever but their return value is ignored
     // (commitment locked) and their phase stays parked at kRecruit.
     if (static_cast<Stage>(stage_[a]) == Stage::kQuorumMet) return;
@@ -481,7 +449,6 @@ class QuorumPack final : public AntPack {
 AntPack::AntPack(std::uint32_t num_ants, std::uint32_t num_nests)
     : num_ants_(num_ants) {
   HH_EXPECTS(num_ants >= 1);
-  awake_.assign(num_ants, 1);  // all-awake until begin_round says not
   nest_.assign(num_ants, env::kHomeNest);
   census_.assign(num_nests + 1, 0);
   census_[env::kHomeNest] = num_ants;  // re-derived by reset_commitments
@@ -505,7 +472,8 @@ void AntPack::install_fault_plan(const env::FaultPlan& plan) {
   HH_EXPECTS(plan.crash_round.size() == num_ants_);
   correct_count_ = 0;
   byz_count_ = 0;
-  act_.resize(num_ants_);  // rewritten every round by overlay_faults
+  act_.resize(num_ants_);  // both rewritten every round by acting_lane
+  next_act_.resize(num_ants_);
   fault_type_.resize(num_ants_);
   crash_round_.resize(num_ants_);
   byz_target_.assign(num_ants_, env::kHomeNest);
@@ -519,21 +487,11 @@ void AntPack::install_fault_plan(const env::FaultPlan& plan) {
   }
   byz_scouting_ = byz_count_;
   // A plan whose victim counts floored to zero is behaviorally fault-free:
-  // keep the fault-free fast paths (the fused observe+decide).
+  // keep the fault-free fast paths (no acting lanes).
   has_faults_ = correct_count_ != num_ants_;
 }
 
-void AntPack::begin_round(std::span<const std::uint8_t> awake) {
-  HH_EXPECTS(awake.size() == num_ants_);
-  std::copy(awake.begin(), awake.end(), awake_.begin());
-  any_asleep_ =
-      std::find(awake.begin(), awake.end(), std::uint8_t{0}) != awake.end();
-}
-
 bool AntPack::reset(std::uint64_t colony_seed) {
-  std::fill(awake_.begin(), awake_.end(), std::uint8_t{1});
-  any_asleep_ = false;
-  masked_round_ = 0;  // round 1's lanes are not planned yet
   if (!do_reset(colony_seed)) return false;
   if (has_faults_) {
     // Re-derive the Byzantine scout state; the installed plan (types,
@@ -548,78 +506,85 @@ bool AntPack::reset(std::uint64_t colony_seed) {
   return true;
 }
 
-void AntPack::overlay_faults(std::uint32_t round, std::span<env::MaskedOp> op,
-                             std::span<std::uint8_t> active,
-                             std::span<env::NestId> targets) {
+void AntPack::acting_lane(std::uint32_t round,
+                          std::span<const std::uint8_t> awake,
+                          std::span<std::uint8_t> lane) const {
   for (env::AntId a = 0; a < num_ants_; ++a) {
-    switch (static_cast<env::FaultType>(fault_type_[a])) {
-      case env::FaultType::kNone:
-        act_[a] = 1;
-        break;
-      case env::FaultType::kCrash:
-        // CrashProneAnt: idles (and stops observing) from its crash round.
-        if (round < crash_round_[a]) {
-          act_[a] = 1;
-        } else {
-          act_[a] = 0;
-          op[a] = env::MaskedOp::kIdle;
-        }
-        break;
-      case env::FaultType::kByzantine:
-        // ByzantineAnt: scout for the worst nest, then recruit toward it
-        // every round, forever, ignoring all feedback.
-        act_[a] = 0;
-        if (byz_scouted_[a] < kByzantineScoutRounds) {
-          op[a] = env::MaskedOp::kSearch;
-        } else {
-          op[a] = env::MaskedOp::kRecruit;
-          active[a] = 1;
-          targets[a] = byz_target_[a];
-        }
-        break;
-    }
+    // CrashProneAnt idles (and stops observing) from its crash round;
+    // ByzantineAnt never runs the algorithm.
+    const auto type = static_cast<env::FaultType>(fault_type_[a]);
+    const bool runs = type == env::FaultType::kNone ||
+                      (type == env::FaultType::kCrash && round < crash_round_[a]);
+    lane[a] = runs && (awake.empty() || awake[a] != 0) ? 1 : 0;
   }
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-void AntPack::fill_masked(std::uint32_t round, std::span<env::MaskedOp> op,
-                          std::span<std::uint8_t> active,
-                          std::span<env::NestId> targets) {
+void AntPack::plan_inactive(std::span<const std::uint8_t> awake,
+                            std::span<env::MaskedOp> op,
+                            std::span<std::uint8_t> active,
+                            std::span<env::NestId> targets) {
+  if (!has_faults_) {
+    for (std::size_t a = 0; a < awake.size(); ++a) {
+      if (awake[a] == 0) op[a] = env::MaskedOp::kIdle;
+    }
+    return;
+  }
+  for (env::AntId a = 0; a < num_ants_; ++a) {
+    if (act_[a] != 0) continue;  // the kernel planned this row
+    // A sleeping ant idles whatever its fault lane would do (the scalar
+    // loop consults the scheduler before the fault wrapper's decide), and
+    // a crashed one idles too. An awake ByzantineAnt scouts for the worst
+    // nest, then recruits toward it every round, forever, ignoring all
+    // feedback.
+    if (!byzantine(a) || (!awake.empty() && awake[a] == 0)) {
+      op[a] = env::MaskedOp::kIdle;
+    } else if (byz_scouted_[a] < kByzantineScoutRounds) {
+      op[a] = env::MaskedOp::kSearch;
+    } else {
+      op[a] = env::MaskedOp::kRecruit;
+      active[a] = 1;
+      targets[a] = byz_target_[a];
+    }
+  }
+}
+
+void AntPack::plan_first_round(std::span<const std::uint8_t> awake,
+                               std::span<env::MaskedOp> op,
+                               std::span<std::uint8_t> active,
+                               std::span<env::NestId> targets) {
   HH_EXPECTS(op.size() == num_ants_);
   HH_EXPECTS(active.size() == num_ants_);
   HH_EXPECTS(targets.size() == num_ants_);
-  // Planned already: only the fused observe+decide plans ahead.
-  if (masked_round_ == round) return;
-  masked_round_ = round;
-  if (has_faults_) overlay_faults(round, op, active, targets);
-  if (any_asleep_) {
-    // Sleep overlays AFTER faults: a sleeping ant idles no matter what its
-    // fault lane planned (the scalar loop consults the scheduler before
-    // the fault wrapper's decide). Stale active/target rows are unread
-    // under kIdle. A fault-free pack's acting lane is the awake lane
-    // itself; only a faulted pack's act_ needs its sleepers cleared.
-    for (env::AntId a = 0; a < num_ants_; ++a) {
-      if (awake_[a]) continue;
-      op[a] = env::MaskedOp::kIdle;
-      if (has_faults_) act_[a] = 0;
-    }
-  }
-  decide_masked(round, act(), op, active, targets);
+  HH_EXPECTS(awake.empty() || awake.size() == num_ants_);
+  // Every built-in algorithm opens with search() and draws nothing to
+  // decide it; so does a Byzantine scout.
+  std::fill(op.begin(), op.end(), env::MaskedOp::kSearch);
+  if (has_faults_) acting_lane(1, awake, act_);
+  plan_inactive(awake, op, active, targets);
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-void AntPack::observe_masked_quiet(const env::Environment& env,
-                                   std::span<const env::MaskedOp> op,
-                                   std::span<const env::NestId> targets) {
+void AntPack::observe_and_plan(const env::Environment& env,
+                               std::span<const std::uint8_t> awake,
+                               std::span<const std::uint8_t> awake_next,
+                               std::span<env::MaskedOp> op,
+                               std::span<std::uint8_t> active,
+                               std::span<env::NestId> targets) {
+  HH_EXPECTS(op.size() == num_ants_);
+  HH_EXPECTS(active.size() == num_ants_);
+  HH_EXPECTS(targets.size() == num_ants_);
+  HH_EXPECTS(awake.size() == awake_next.size());
+  HH_EXPECTS(awake.empty() || awake.size() == num_ants_);
   // Byzantine scouts learn only while some scout window is still open —
   // skip the O(n) scan for the rest of the run.
   if (byz_scouting_ > 0) {
     with_seen(env, [&](const auto& seen) {
       for (env::AntId a = 0; a < num_ants_; ++a) {
-        // op is this round's decide output: a scouting adversary holds
-        // kSearch, a sleeping one was overlaid to kIdle (no search, no
-        // learning, scout window stretched — like the scalar ant, whose
-        // rounds_scouted_ only advances on a search outcome).
+        // op is this round's plan: a scouting adversary holds kSearch, a
+        // sleeping one kIdle (no search, no learning, scout window
+        // stretched — like the scalar ant, whose rounds_scouted_ only
+        // advances on a search outcome).
         if (!byzantine(a) || op[a] != env::MaskedOp::kSearch) continue;
         scout_round_done(a);
         // Track the worst nest seen (as perceived); ties broken toward the
@@ -634,28 +599,16 @@ void AntPack::observe_masked_quiet(const env::Environment& env,
       }
     });
   }
-  observe_masked_quiet_acting(act(), env, op, targets);
-}
-
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-void AntPack::observe_masked_quiet_then_decide(std::uint32_t round,
-                                               const env::Environment& env,
-                                               std::span<env::MaskedOp> op,
-                                               std::span<std::uint8_t> active,
-                                               std::span<env::NestId> targets) {
-  // The fused kernels read true counts: exact observation only.
-  HH_EXPECTS(env.perceived_counts().empty());
-  // The gates mirror fill_masked's special cases: either live means the
-  // next round needs the overlay machinery, so the fused pass is not
-  // applicable and the round tail stays split. The hook contract lets
-  // this short-circuit safely: a false return had no side effects.
-  HH_EXPECTS(round == masked_round_);
-  if (!has_faults_ && !any_asleep_ &&
-      fused_observe_decide(env, op, active, targets)) {
-    masked_round_ = round + 1;  // the next fill_masked returns at once
-    return;
+  Acting acting;  // null lanes: every ant acts in both rounds
+  if (has_faults_) {
+    acting_lane(env.round() + 1, awake_next, next_act_);
+    acting = {act_.data(), next_act_.data()};
+  } else if (!awake.empty()) {
+    acting = {awake.data(), awake_next.data()};  // fault-free: awake = acts
   }
-  observe_masked_quiet(env, op, targets);
+  observe_decide(env, acting, op, active, targets);
+  if (has_faults_) act_.swap(next_act_);
+  plan_inactive(awake_next, op, active, targets);
 }
 
 std::uint32_t AntPack::agreement_census(ConvergenceMode mode,
@@ -666,27 +619,6 @@ std::uint32_t AntPack::agreement_census(ConvergenceMode mode,
   HH_EXPECTS(mode == ConvergenceMode::kCommitment);
   committed_census(census);
   return correct_count();
-}
-
-// The base kernels below are never reached by a built-in home-nest pack
-// (each overrides both); the lattice's WalkerPack shell, whose driver
-// bypasses the kernels, is the one pack that keeps them.
-
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-void AntPack::decide_masked(std::uint32_t /*round*/,
-                            std::span<const std::uint8_t> /*act*/,
-                            std::span<env::MaskedOp> /*op*/,
-                            std::span<std::uint8_t> /*active*/,
-                            std::span<env::NestId> /*targets*/) {
-  HH_ASSERT(false);
-}
-
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-void AntPack::observe_masked_quiet_acting(
-    std::span<const std::uint8_t> /*act*/, const env::Environment& /*env*/,
-    std::span<const env::MaskedOp> /*op*/,
-    std::span<const env::NestId> /*targets*/) {
-  HH_ASSERT(false);
 }
 
 bool AntPack::finalized(env::AntId /*a*/) const { return false; }

@@ -18,37 +18,36 @@
 // 1/2/8 runner threads.
 //
 // Layering (the phase-aware decision-kernel split):
-//   * DERIVED packs implement the algorithm's correct-ant kernels:
-//     decide_masked() produces the acting ants' calls and the observe
-//     kernels absorb results — always drawing per-ant RNG in ant order,
-//     exactly as the scalar ants would.
-//   * The BASE class owns the generic fault lanes (crash rounds,
-//     Byzantine scout/recruit machines mirrored from the core fault
-//     wrappers, driven by env::FaultPlan): it overlays faulty ants onto
-//     each round's op/active/target lanes and gates the derived kernels
-//     to the acting correct ants, so every algorithm gains packed fault
+//   * DERIVED packs implement the algorithm's correct-ant kernel: one
+//     round kernel, observe_decide(), absorbs each ant's results of round
+//     r and writes its call for round r + 1 in the same pass — always
+//     drawing per-ant RNG in ant order, exactly as the scalar ants would.
+//   * The BASE class owns the round-1 plan (every acting ant searches,
+//     the first call of every built-in algorithm) and the generic fault
+//     lanes (crash rounds, Byzantine scout/recruit machines mirrored from
+//     the core fault wrappers, driven by env::FaultPlan): it tells the
+//     kernel which ants act in each of the two rounds and writes the rows
+//     of the ants that do not, so every algorithm gains packed fault
 //     support without fault code of its own.
 //   * Every round is one masked round, whatever the observation model:
-//     the driver fills the op/active/target lanes and runs
-//     Environment::step_masked_recruit_quiet. A colony-uniform round
-//     (every ant searches, recruits, or goes) is one whose op lane
-//     happens to be constant. The observe kernels read each call's
-//     returned count and quality through a view picked once per round
-//     (with_seen): the true values of the ant's nest under exact
-//     observation, the environment's per-ant perception lanes under
-//     noise. In fault-free, fully awake, exact steady state the observe
-//     also writes the next round's lanes (observe_masked_quiet_then_decide),
-//     so no separate decide sweep runs.
+//     the driver runs Environment::step_masked_recruit_quiet over the
+//     op/active/target lanes, then one observe_and_plan() pass turns them
+//     into the next round's. A colony-uniform round (every ant searches,
+//     recruits, or goes) is one whose op lane happens to be constant. The
+//     kernel reads each call's returned count and quality through a view
+//     picked once per round (with_seen): the true values of the ant's
+//     nest under exact observation, the environment's per-ant perception
+//     lanes under noise.
 //
 // Packs exist for every built-in algorithm: the Algorithm-3 family
 // (simple, rate-boosted, quality-aware, uniform-recruit), the quorum
 // baseline, and Algorithm 2 (optimal, with and without the Section 4.2
 // settle fix; see optimal_pack.cpp). Partial synchrony runs packed too:
-// the driver pre-draws the round's awake mask (same scheduler stream and
-// ant order as the scalar loop) and hands it to begin_round(); the base
-// overlays sleeping ants as MaskedOp::kIdle rows exactly as it overlays
-// crashed ants, and each pack keeps per-ant phase lanes so a slept ant's
-// state machine freezes and resumes like its scalar counterpart.
+// the driver draws each round's awake mask (same scheduler stream and
+// ant order as the scalar loop) before the pass that plans the round;
+// a sleeping ant's row is MaskedOp::kIdle, exactly as a crashed ant's
+// is, and each pack keeps per-ant phase lanes so a slept ant's state
+// machine freezes and resumes like its scalar counterpart.
 #ifndef HH_CORE_ANT_PACK_HPP
 #define HH_CORE_ANT_PACK_HPP
 
@@ -79,47 +78,32 @@ class AntPack {
 
   // --- driver interface (core::Simulation) --------------------------------
 
-  /// Partial synchrony: install the round's awake mask before the round's
-  /// fill_masked. awake[a] == 0 freezes ant a for the round: its row
-  /// becomes MaskedOp::kIdle, its decide kernel draws nothing, and its
-  /// observe kernel is skipped — exactly the scalar scheduler-gated loop.
-  /// The driver draws the mask (scheduler stream, ant order) so the pack
-  /// consumes no scheduler randomness itself. The mask is copied; it does
-  /// not need to outlive the call. Omitting the call means all-awake.
-  void begin_round(std::span<const std::uint8_t> awake);
+  /// Plan round 1 into the op/active/target lanes: every acting ant
+  /// searches (every pack's state machine opens with a search() it draws
+  /// nothing to decide, as every built-in algorithm's does), and the base
+  /// writes the fault and sleep rows. `awake` is
+  /// round 1's awake mask (awake[a] == 0 idles ant a; empty = every ant
+  /// awake, the fully synchronous model). Call before round 1, after
+  /// construction or reset().
+  void plan_first_round(std::span<const std::uint8_t> awake,
+                        std::span<env::MaskedOp> op,
+                        std::span<std::uint8_t> active,
+                        std::span<env::NestId> targets);
 
-  /// Fill every ant's op/active/target lanes for `round` — fault and
-  /// sleep rows written by the base class, acting correct ants by the
-  /// derived decide kernel (drawing the same RNG sequence the scalar
-  /// colony would). Returns at once when the lanes of `round` are already
-  /// planned: the previous round's observe_masked_quiet_then_decide wrote
-  /// them.
-  void fill_masked(std::uint32_t round, std::span<env::MaskedOp> op,
-                   std::span<std::uint8_t> active,
-                   std::span<env::NestId> targets);
-
-  /// Absorb a masked round: results are read straight off the environment
-  /// (counts, locations, the recruit() return lane, and under a noisy
-  /// observation model the perception lanes). `op` and `targets` must be
-  /// the lanes fill_masked produced for this round — each ant's result
-  /// kind resolves through them.
-  void observe_masked_quiet(const env::Environment& env,
-                            std::span<const env::MaskedOp> op,
-                            std::span<const env::NestId> targets);
-
-  /// The fused tail of a fault-free, fully-awake round under exact
-  /// observation (ContractViolation under a noisy model): absorb round
-  /// `round` AND overwrite the same lanes with every ant's round
-  /// `round + 1` decision, so the next fill_masked returns at once. Falls
-  /// back to the plain observe_masked_quiet (the next fill_masked then
-  /// plans as usual) when fault or sleep lanes are live, or when the pack
-  /// does not implement the fusion hook. Must not be called under partial
-  /// synchrony — the sleep overlay belongs to fill_masked.
-  void observe_masked_quiet_then_decide(std::uint32_t round,
-                                        const env::Environment& env,
-                                        std::span<env::MaskedOp> op,
-                                        std::span<std::uint8_t> active,
-                                        std::span<env::NestId> targets);
+  /// The round tail: absorb round r, which `env` has just run over the
+  /// lanes the previous call (or plan_first_round) planned, and overwrite
+  /// the same lanes with round r + 1's calls in one pass. Results are
+  /// read straight off the environment (counts, locations, the recruit()
+  /// return lane, and under a noisy observation model the perception
+  /// lanes). `awake` is round r's awake mask and `awake_next` round
+  /// r + 1's (both empty under full synchrony); the driver draws the
+  /// masks, so the pack consumes no scheduler randomness itself.
+  void observe_and_plan(const env::Environment& env,
+                        std::span<const std::uint8_t> awake,
+                        std::span<const std::uint8_t> awake_next,
+                        std::span<env::MaskedOp> op,
+                        std::span<std::uint8_t> active,
+                        std::span<env::NestId> targets);
 
   /// Overwrite `census` (size k+1, indexed by nest) with the number of
   /// CORRECT ants committed to each nest (faulty ants are exempt from
@@ -193,48 +177,41 @@ class AntPack {
   /// byzantine(a). Return false if in-place reset is unsupported.
   [[nodiscard]] virtual bool do_reset(std::uint64_t colony_seed) = 0;
 
-  /// Masked decide kernel: for every ant with act[a] != 0 write op[a]
-  /// (+ active/targets as the op requires), drawing per-ant RNG exactly
-  /// as the scalar ant's decide() would. Rows with act[a] == 0 are the
-  /// base class's (faulty ants) — leave them untouched.
-  virtual void decide_masked(std::uint32_t round,
-                             std::span<const std::uint8_t> act,
-                             std::span<env::MaskedOp> op,
-                             std::span<std::uint8_t> active,
-                             std::span<env::NestId> targets);
+  /// Which ants run the round kernel: `acted_lane` for the round being
+  /// absorbed, `acts_lane` for the round being planned (1 = correct, not
+  /// crashed, awake). Null lanes mean every ant in both rounds — the
+  /// fault-free, fully synchronous colony; with_views() turns that case
+  /// into EveryAnt, so no per-ant test remains.
+  struct Acting {
+    const std::uint8_t* acted_lane = nullptr;
+    const std::uint8_t* acts_lane = nullptr;
+    [[nodiscard]] bool acted(std::size_t a) const { return acted_lane[a] != 0; }
+    [[nodiscard]] bool acts(std::size_t a) const { return acts_lane[a] != 0; }
+  };
 
-  /// Masked observe kernel: derive each acting ant's results from the
-  /// environment (location(), recruit_results(), and the returned counts
-  /// and qualities through with_seen()) and the round's op/target lanes
-  /// — op[a] is the single source of truth for whether ant a's result is
-  /// a recruit return or a visit count (no kernel re-derives its decide
-  /// table).
-  virtual void observe_masked_quiet_acting(std::span<const std::uint8_t> act,
-                                           const env::Environment& env,
-                                           std::span<const env::MaskedOp> op,
-                                           std::span<const env::NestId> targets);
+  /// Acting with null lanes, as a type.
+  struct EveryAnt {
+    [[nodiscard]] static bool acted(std::size_t /*a*/) { return true; }
+    [[nodiscard]] static bool acts(std::size_t /*a*/) { return true; }
+  };
 
-  /// Fusion hook behind observe_masked_quiet_then_decide. The caller's
-  /// gates guarantee every lane acts (no faults, no sleepers) and that
-  /// observation is exact, so implementations read true counts directly.
-  /// Implementations observe every ant quietly and immediately rewrite
-  /// its op/active/target lanes with the NEXT round's decision — round
-  /// masked_round() + 1 — in one pass over the state lanes instead of an
-  /// observe sweep plus a decide sweep, then return true. The lanes come
-  /// in holding this round's decisions, so a row whose decision does not
-  /// change may be left as it is. The default opts out: return false with
-  /// NO side effects (the caller then runs the plain quiet observe).
-  [[nodiscard]] virtual bool fused_observe_decide(
-      const env::Environment& /*env*/, std::span<env::MaskedOp> /*op*/,
-      std::span<std::uint8_t> /*active*/, std::span<env::NestId> /*targets*/) {
-    return false;
-  }
+  /// The round kernel: for each ant, absorb round r's results if it acted
+  /// in round r (env.round()), then write its op row (+ active/target as
+  /// the op requires) for round r + 1 if it acts then, drawing per-ant
+  /// RNG exactly as the scalar ant's observe() and decide() would. An
+  /// ant's own op/target rows still hold its round-r call when its
+  /// observe runs; rows of ants that do not act in round r + 1 are the
+  /// base class's, written after the kernel.
+  virtual void observe_decide(const env::Environment& env, Acting acting,
+                              std::span<env::MaskedOp> op,
+                              std::span<std::uint8_t> active,
+                              std::span<env::NestId> targets) = 0;
 
-  // --- what a call returned, as the observe kernels read it ---------------
+  // --- what a call returned, as the round kernels read it -----------------
   // A search or go call returns the count (and quality) of the nest the
-  // ant stands in, a recruit call the home nest's count. The observe
-  // kernels read them through one of two views, which with_seen() picks
-  // once per round — never per ant.
+  // ant stands in, a recruit call the home nest's count. The kernels read
+  // them through one of two views, which with_seen() picks once per round
+  // — never per ant.
 
   /// Exact observation: the true values of the nest the ant stands in.
   struct ExactSeen {
@@ -263,29 +240,36 @@ class AntPack {
     }
   };
 
-  /// The exact view of `env`'s last round.
-  [[nodiscard]] static ExactSeen exact_seen(const env::Environment& env) {
-    return {env.counts().data(), env.qualities().data()};
-  }
-
   /// Run body(view) with the view `env`'s observation model calls for
   /// (only a noisy model fills the perception lanes).
   template <typename Body>
   static void with_seen(const env::Environment& env, Body&& body) {
     if (env.perceived_counts().empty()) {
-      body(exact_seen(env));
+      body(ExactSeen{env.counts().data(), env.qualities().data()});
     } else {
       body(NoisySeen{env.perceived_counts().data(),
                      env.perceived_qualities().data()});
     }
   }
 
+  /// Run body(view, acting) with with_seen()'s view and `acting`, or
+  /// EveryAnt when its lanes are null: a kernel's per-ant loop then
+  /// compiles four times (exact or noisy, every ant or laned) and tests
+  /// neither mode per ant.
+  template <typename Body>
+  static void with_views(const env::Environment& env, Acting acting,
+                         Body&& body) {
+    with_seen(env, [&](const auto& seen) {
+      if (acting.acted_lane == nullptr) {
+        body(seen, EveryAnt{});
+      } else {
+        body(seen, acting);
+      }
+    });
+  }
+
   // --- fault-lane helpers for derived kernels ------------------------------
 
-  [[nodiscard]] bool has_faults() const { return has_faults_; }
-  /// The round whose lanes were last planned (by fill_masked() or the
-  /// fused observe+decide) — for kernels that need the round number back.
-  [[nodiscard]] std::uint32_t masked_round() const { return masked_round_; }
   /// True iff ant a is Byzantine (its lane never runs the derived kernel).
   [[nodiscard]] bool byzantine(env::AntId a) const {
     return has_faults_ && fault_type_[a] ==
@@ -325,18 +309,18 @@ class AntPack {
   std::vector<std::uint32_t> census_;  ///< committed census, correct ants
 
  private:
-  /// The acting lane: 1 = run the derived kernels this round. A
-  /// fault-free pack's acting lane IS its awake lane; a faulted pack's is
-  /// act_, which fill_masked rewrites every round.
-  [[nodiscard]] std::span<const std::uint8_t> act() const {
-    return has_faults_ ? std::span<const std::uint8_t>(act_) : awake_;
-  }
+  /// Faulted packs: write `lane` — which ants run the kernel in `round`
+  /// (correct, or crash-scheduled and not yet crashed; awake).
+  void acting_lane(std::uint32_t round, std::span<const std::uint8_t> awake,
+                   std::span<std::uint8_t> lane) const;
 
-  /// Recompute act_ for `round` and write the faulty ants'
-  /// op/active/target rows.
-  void overlay_faults(std::uint32_t round, std::span<env::MaskedOp> op,
-                      std::span<std::uint8_t> active,
-                      std::span<env::NestId> targets);
+  /// Write the rows of the ants that do not run the kernel in the round
+  /// just planned: sleepers and crashed ants idle; awake Byzantine ants
+  /// scout, then recruit toward the worst nest they found.
+  void plan_inactive(std::span<const std::uint8_t> awake,
+                     std::span<env::MaskedOp> op,
+                     std::span<std::uint8_t> active,
+                     std::span<env::NestId> targets);
 
   /// Burn one scout round for Byzantine ant a (it searched this round).
   void scout_round_done(env::AntId a) {
@@ -347,10 +331,10 @@ class AntPack {
   bool has_faults_ = false;
   std::uint32_t correct_count_ = 0;
   std::uint32_t byz_count_ = 0;
-  std::uint32_t masked_round_ = 0;  ///< see masked_round()
-  bool any_asleep_ = false;         ///< current round's mask has a sleeper
-  std::vector<std::uint8_t> act_;   ///< faulted packs: see act()
-  std::vector<std::uint8_t> awake_;  ///< partial synchrony: 1 = acts
+  // Faulted packs' acting lanes (see acting_lane) for the planned round
+  // and the one being planned; observe_and_plan swaps them.
+  std::vector<std::uint8_t> act_;
+  std::vector<std::uint8_t> next_act_;
   std::vector<std::uint8_t> fault_type_;     ///< env::FaultType per ant
   std::vector<std::uint32_t> crash_round_;   ///< round >= which the ant idles
   std::vector<env::NestId> byz_target_;      ///< worst nest found so far

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <type_traits>
 
 #include "util/contracts.hpp"
 
@@ -33,8 +34,8 @@ class OptimalPack final : public AntPack {
     if (settle_) full_house_streak_.resize(n);
     fin_census_.resize(num_nests + 1);
     // Each ant moves its commitment or finalizes at most once per round,
-    // and sits on at most one of the fused pass's ant lists. Left
-    // uninitialised: the fused pass writes before it reads, so building a
+    // and sits on at most one of the listed pass's ant lists. Left
+    // uninitialised: the listed pass writes before it reads, so building a
     // colony touches none of their pages.
     deferred_ = std::make_unique_for_overwrite<CensusUpdate[]>(n);
     passive_ants_ = std::make_unique_for_overwrite<env::AntId[]>(n);
@@ -66,8 +67,7 @@ class OptimalPack final : public AntPack {
     return true;
   }
 
-  /// One ant's masked decision — decide_masked's per-ant body, shared
-  /// with the fused observe+decide pass.
+  /// One ant's masked decision (OptimalAnt::decide).
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
   void decide_one(std::size_t a, std::span<env::MaskedOp> op,
                   std::span<std::uint8_t> active,
@@ -103,91 +103,47 @@ class OptimalPack final : public AntPack {
     }
   }
 
+  /// One acting ant's observe on the per-ant path. op[a] is the ant's
+  /// round-r call — the one copy of the R1-R4 recruit/go classification.
+  /// Only a search reads the quality.
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-  void decide_masked(std::uint32_t /*round*/, std::span<const std::uint8_t> act,
-                     std::span<env::MaskedOp> op,
-                     std::span<std::uint8_t> active,
-                     std::span<env::NestId> targets) override {
-    for (std::size_t a = 0; a < act.size(); ++a) {
-      if (!act[a]) continue;
-      decide_one(a, op, active, targets);
+  template <typename Seen>
+  void observe_one(std::size_t a, const env::Environment& env, const Seen seen,
+                   std::span<const env::NestId> results,
+                   std::span<const env::MaskedOp> op,
+                   std::span<const env::NestId> targets) {
+    if (static_cast<State>(state_[a]) == State::kSearch) {
+      const env::NestId found = env.location(static_cast<env::AntId>(a));
+      apply_search(a, found, seen.count(a, found), seen.quality(a, found));
+    } else if (op[a] == env::MaskedOp::kRecruit) {
+      // j plus the home-nest population (read by finals for settling).
+      apply(a, results[a], seen.count(a, env::kHomeNest), 0.0);
+    } else {
+      // go(targets[a]): the visited nest's end-of-round count.
+      apply(a, targets[a], seen.count(a, targets[a]), 0.0);
     }
   }
 
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-  void observe_masked_quiet_acting(
-      std::span<const std::uint8_t> act, const env::Environment& env,
-      std::span<const env::MaskedOp> op,
-      std::span<const env::NestId> targets) override {
-    // The recruit() return values j, ant-indexed — the env fills the lane
-    // in its matching-bookkeeping walk, so a recruit ant's observation is
-    // one sequential load.
-    const std::span<const env::NestId> results = env.recruit_results();
-    with_seen(env, [&](const auto& seen) {
-      for (std::size_t a = 0; a < act.size(); ++a) {
-        if (!act[a]) continue;
-        if (static_cast<State>(state_[a]) == State::kSearch) {
-          const env::NestId found = env.location(static_cast<env::AntId>(a));
-          apply_search(a, found, seen.count(a, found), seen.quality(a, found));
-          continue;
-        }
-        // op[a] is what decide_masked emitted this round — the one copy of
-        // the R1-R4 recruit/go classification. Only a search reads the
-        // quality.
-        if (op[a] == env::MaskedOp::kRecruit) {
-          // j plus the home-nest population (read by finals for settling).
-          apply(a, results[a], seen.count(a, env::kHomeNest), 0.0);
-        } else {
-          // go(targets[a]): the visited nest's end-of-round count.
-          apply(a, targets[a], seen.count(a, targets[a]), 0.0);
+  void observe_decide(const env::Environment& env, Acting acting,
+                      std::span<env::MaskedOp> op,
+                      std::span<std::uint8_t> active,
+                      std::span<env::NestId> targets) override {
+    with_views(env, acting, [&](const auto seen, const auto& act) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(act)>, EveryAnt>) {
+        observe_decide_listed(env, seen, listed_lanes(env, op, active, targets));
+      } else {
+        // Faulted and partially synchronous colonies: an ant that does
+        // not act freezes its block, so the steps drift apart and each
+        // ant takes the general path. Its own op/target rows still hold
+        // its round-r call when it observes.
+        const std::span<const env::NestId> results = env.recruit_results();
+        for (std::size_t a = 0; a < op.size(); ++a) {
+          if (act.acted(a)) observe_one(a, env, seen, results, op, targets);
+          if (act.acts(a)) decide_one(a, op, active, targets);
         }
       }
     });
-  }
-
-  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-  [[nodiscard]] bool fused_observe_decide(
-      const env::Environment& env, std::span<env::MaskedOp> op,
-      std::span<std::uint8_t> active,
-      std::span<env::NestId> targets) override {
-    // One pass instead of observe + decide: absorb ant a's result while
-    // its state words are hot, then immediately rewrite its lanes with
-    // the next round's decision. The in-place lane overwrite is safe
-    // because the observe side reads only ant a's own op/target rows
-    // (recruit returns come from the env's ant-indexed results lane, not
-    // from targets[recruiter]), and the caller's gates guarantee every
-    // lane acts.
-    //
-    // Those gates also make the block step colony-global: every ant
-    // observes every round, apply_search puts the whole colony at step 0
-    // after round 1, and active and passive ants both advance one step
-    // per round. So the round's step is derived once, here, and the
-    // per-ant switch on it becomes four specialised loops.
-    //
-    // The ant's state stays out of the per-ant branches too: the states
-    // interleave at random by ant index, so a branch on it mispredicts
-    // whenever they mix. Final ants (most of a trial's ant-rounds) get a
-    // store-free scan; passive ants and the rest (active, search, settled
-    // and optimal+settle final ants) each run from their own list, so
-    // each list loop sees one state.
-    const FusedLanes lanes = fused_lanes(env, op, active, targets);
-    if (!listed_) list_ants();
-    if (!settle_ && finalized_count_ > 0) observe_finals(lanes);
-    switch ((masked_round() + 2) & 3u) {
-      case 0:
-        observe_decide_listed<0>(lanes, env);
-        break;
-      case 1:
-        observe_decide_listed<1>(lanes, env);
-        break;
-      case 2:
-        observe_decide_listed<2>(lanes, env);
-        break;
-      default:
-        observe_decide_listed<3>(lanes, env);
-        break;
-    }
-    return true;
   }
 
   [[nodiscard]] std::uint32_t agreement_census(
@@ -304,10 +260,10 @@ class OptimalPack final : public AntPack {
     env::NestId to;
   };
 
-  /// Raw lane pointers for the fused pass. Its byte stores may alias any
+  /// Raw lane pointers for the listed pass. Its byte stores may alias any
   /// object, the member vectors' own data pointers included, so indexing
   /// the vectors would reload every base pointer for every ant.
-  struct FusedLanes {
+  struct ListedLanes {
     std::uint8_t* state;
     std::uint8_t* step;
     std::uint8_t* pending_final;
@@ -322,26 +278,68 @@ class OptimalPack final : public AntPack {
     std::uint8_t* active;
     env::NestId* targets;
     const env::NestId* results;
-    const std::uint32_t* counts;
     std::size_t n;
   };
 
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-  [[nodiscard]] FusedLanes fused_lanes(const env::Environment& env,
-                                       std::span<env::MaskedOp> op,
-                                       std::span<std::uint8_t> active,
-                                       std::span<env::NestId> targets) {
-    return FusedLanes{state_.data(),         step_.data(),
-                      pending_final_.data(), pending_passive_.data(),
-                      case_.data(),          nest_.data(),
-                      nest_t_.data(),        count_.data(),
-                      count_t_.data(),       deferred_.get(),
-                      op.data(),             active.data(),
-                      targets.data(),        env.recruit_results().data(),
-                      env.counts().data(),   op.size()};
+  [[nodiscard]] ListedLanes listed_lanes(const env::Environment& env,
+                                         std::span<env::MaskedOp> op,
+                                         std::span<std::uint8_t> active,
+                                         std::span<env::NestId> targets) {
+    return ListedLanes{state_.data(),         step_.data(),
+                       pending_final_.data(), pending_passive_.data(),
+                       case_.data(),          nest_.data(),
+                       nest_t_.data(),        count_.data(),
+                       count_t_.data(),       deferred_.get(),
+                       op.data(),             active.data(),
+                       targets.data(),        env.recruit_results().data(),
+                       op.size()};
   }
 
-  /// The fused pass's final ants: line 21's recruit(1, nest) every round.
+  /// The listed pass: the round kernel of a fault-free, fully synchronous
+  /// colony, under exact and noisy observation alike (`seen`). One pass
+  /// instead of observe + decide: absorb ant a's result while its state
+  /// words are hot, then immediately rewrite its lanes with the next
+  /// round's decision. The in-place lane overwrite is safe because the
+  /// observe side reads only ant a's own op/target rows (recruit returns
+  /// come from the env's ant-indexed results lane, not from
+  /// targets[recruiter]).
+  ///
+  /// Every ant acts every round here, so the block step is colony-global:
+  /// apply_search puts the whole colony at step 0 after round 1, and
+  /// active and passive ants both advance one step per round. So the
+  /// round's step is derived once, here, and the per-ant switch on it
+  /// becomes four specialised loops.
+  ///
+  /// The ant's state stays out of the per-ant branches too: the states
+  /// interleave at random by ant index, so a branch on it mispredicts
+  /// whenever they mix. Final ants (most of a trial's ant-rounds) get a
+  /// store-free scan; passive ants and the rest (active, search, settled
+  /// and optimal+settle final ants) each run from their own list, so each
+  /// list loop sees one state.
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+  template <typename Seen>
+  void observe_decide_listed(const env::Environment& env, const Seen seen,
+                             const ListedLanes lanes) {
+    if (!listed_) list_ants();
+    if (!settle_ && finalized_count_ > 0) observe_finals(lanes);
+    switch ((env.round() + 2) & 3u) {
+      case 0:
+        observe_decide_step<0>(lanes, seen, env);
+        break;
+      case 1:
+        observe_decide_step<1>(lanes, seen, env);
+        break;
+      case 2:
+        observe_decide_step<2>(lanes, seen, env);
+        break;
+      default:
+        observe_decide_step<3>(lanes, seen, env);
+        break;
+    }
+  }
+
+  /// The listed pass's final ants: line 21's recruit(1, nest) every round.
   /// A final ant's call never changes, so its op/active/target rows
   /// still hold this round's recruit(1, nest) and need no rewrite — only
   /// a poached final ant (j != nest) has anything to do: adopt j and
@@ -349,7 +347,7 @@ class OptimalPack final : public AntPack {
   /// first (a fixed-length loop the compiler vectorizes) and walks the
   /// block ant by ant only when that is nonzero.
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-  void observe_finals(const FusedLanes lanes) {
+  void observe_finals(const ListedLanes lanes) {
     constexpr std::size_t kBlock = 64;
     for (std::size_t first = 0; first < lanes.n; first += kBlock) {
       const std::size_t last = std::min(first + kBlock, lanes.n);
@@ -375,7 +373,7 @@ class OptimalPack final : public AntPack {
   /// a && (or an & of two bools), which GCC splits back into a branch on
   /// the state alone.
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-  [[nodiscard]] static std::uint32_t poached_word(const FusedLanes& lanes,
+  [[nodiscard]] static std::uint32_t poached_word(const ListedLanes& lanes,
                                                   std::size_t a) {
     const std::uint32_t final_mask =
         0u - static_cast<std::uint32_t>(
@@ -395,22 +393,21 @@ class OptimalPack final : public AntPack {
     nest_[a] = j;
   }
 
-  /// The fused pass over the two ant lists at block step S (the step
+  /// The listed pass over the two ant lists at block step S (the step
   /// every active and passive ant observes this round). Passive and
   /// active ants update with integer arithmetic and put their census
   /// updates on the deferred list (unconditional store, predicated
   /// advance): commitment moves at step 1, finalizations at step 3, the
-  /// only steps that have them. The fused pass runs only for fault-free
+  /// only steps that have them. The listed pass runs only for fault-free
   /// colonies, so every ant counts in both censuses (here and in
   /// move_final). Ants change state only at the end of a block, so step
   /// 3 also keeps the lists: new final ants leave (except
   /// optimal+settle's), and the other list's new passive ants join the
   /// end of the passive list, which runs first.
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-  template <unsigned S>
-  void observe_decide_listed(const FusedLanes lanes,
-                             const env::Environment& env) {
-    const std::uint32_t home_count = lanes.counts[env::kHomeNest];
+  template <unsigned S, typename Seen>
+  void observe_decide_step(const ListedLanes lanes, const Seen seen,
+                           const env::Environment& env) {
     env::AntId* const passive_ants = passive_ants_.get();
     std::uint32_t passive_end = 0;
     std::uint32_t deferred = 0;
@@ -420,7 +417,7 @@ class OptimalPack final : public AntPack {
       std::uint32_t kept = 0;
       for (std::uint32_t i = 0; i < count; ++i) {
         const env::AntId a = ants[i];
-        const Relist relist = observe_decide_one<S>(lanes, env, a, home_count,
+        const Relist relist = observe_decide_one<S>(lanes, seen, env, a,
                                                     deferred);
         if constexpr (S == 3) {
           if (other) {
@@ -455,8 +452,8 @@ class OptimalPack final : public AntPack {
     }
   }
 
-  /// Build the fused pass's ant lists from the state lane (in the first
-  /// fused pass after a reset — round 1's, where every ant searches).
+  /// Build the listed pass's ant lists from the state lane (in the first
+  /// listed pass after a reset — round 1's, where every ant searches).
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
   void list_ants() {
     passive_count_ = 0;
@@ -482,13 +479,13 @@ class OptimalPack final : public AntPack {
   };
 
   /// One listed ant's observe+decide at block step S. A listed final ant
-  /// (not optimal+settle's) was finalized outside the fused pass and has
+  /// (not optimal+settle's) was finalized outside the list loops and has
   /// had its round in observe_finals.
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-  template <unsigned S>
-  Relist observe_decide_one(const FusedLanes& lanes,
+  template <unsigned S, typename Seen>
+  Relist observe_decide_one(const ListedLanes& lanes, const Seen seen,
                             const env::Environment& env, env::AntId a,
-                            std::uint32_t home_count, std::uint32_t& deferred) {
+                            std::uint32_t& deferred) {
     // settle_ finals watch the home-nest streak: they stay listed and take
     // the general path.
     const std::uint32_t final_leaves = settle_ ? 0u : 1u;
@@ -501,7 +498,7 @@ class OptimalPack final : public AntPack {
     }
     if (st == static_cast<std::uint8_t>(State::kActive)) {
       HH_ASSERT(lanes.step[a] == S);
-      const Relist relist = observe_decide_active<S>(lanes, a, home_count,
+      const Relist relist = observe_decide_active<S>(lanes, seen, a,
                                                      final_leaves, deferred);
       lanes.step[a] = static_cast<std::uint8_t>((S + 1) & 3u);
       return relist;
@@ -509,7 +506,7 @@ class OptimalPack final : public AntPack {
     if (st == static_cast<std::uint8_t>(State::kFinal) && final_leaves != 0) {
       return {0u, 0u};
     }
-    fused_general(a, lanes, env, home_count);
+    observe_decide_general(a, lanes, seen, env);
     const bool passive = static_cast<State>(state_[a]) == State::kPassive;
     return {passive ? 0u : 1u, passive ? 1u : 0u};
   }
@@ -518,7 +515,7 @@ class OptimalPack final : public AntPack {
   /// Returns 1 iff the ant turned final.
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
   template <unsigned S>
-  static std::uint32_t observe_decide_passive(const FusedLanes& lanes,
+  static std::uint32_t observe_decide_passive(const ListedLanes& lanes,
                                               env::AntId a,
                                               std::uint32_t& deferred) {
     constexpr std::uint32_t kGo = static_cast<std::uint8_t>(env::MaskedOp::kGo);
@@ -562,9 +559,9 @@ class OptimalPack final : public AntPack {
   /// Returns where step 3 puts the ant (see Relist); `final_leaves` is 0
   /// when final ants stay listed (optimal+settle).
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-  template <unsigned S>
-  static Relist observe_decide_active(const FusedLanes& lanes, env::AntId a,
-                                      std::uint32_t home_count,
+  template <unsigned S, typename Seen>
+  static Relist observe_decide_active(const ListedLanes& lanes,
+                                      const Seen seen, env::AntId a,
                                       std::uint32_t final_leaves,
                                       std::uint32_t& deferred) {
     constexpr std::uint32_t kGo = static_cast<std::uint8_t>(env::MaskedOp::kGo);
@@ -583,7 +580,7 @@ class OptimalPack final : public AntPack {
       // population held up, case 2 if it fell. Case 3 adopts nest_t
       // (line 38), cases 1/2 already hold it, so nest := nest_t.
       const env::NestId nest_t = lanes.nest_t[a];
-      const std::uint32_t count_t = lanes.counts[nest_t];
+      const std::uint32_t count_t = seen.count(a, nest_t);
       const std::uint32_t count = lanes.count[a];
       const std::uint32_t moved = nest_t != nest ? 1u : 0u;
       const std::uint32_t fell = count_t < count ? 1u : 0u;
@@ -605,7 +602,7 @@ class OptimalPack final : public AntPack {
       // Lines 39-41 (case 3): count_n := go(nest) decides between
       // dropping out and adopting count_n as the reference.
       const std::uint8_t c = lanes.active_case[a];
-      const std::uint32_t count_n = lanes.counts[nest];
+      const std::uint32_t count_n = seen.count(a, nest);
       const std::uint32_t case3 = c == kCase3 ? 1u : 0u;
       const std::uint32_t fell = count_n < lanes.count_t[a] ? 1u : 0u;
       const std::uint32_t keep = case3 & (fell ^ 1u);
@@ -626,7 +623,8 @@ class OptimalPack final : public AntPack {
       // never holds one. kActive + 1 == kPassive, kActive + 2 == kFinal.
       const std::uint32_t case1 = lanes.active_case[a] == kCase1 ? 1u : 0u;
       const std::uint32_t fin =
-          case1 & (home_count == lanes.count[a] ? 1u : 0u);
+          case1 &
+          (seen.count(a, env::kHomeNest) == lanes.count[a] ? 1u : 0u);
       const std::uint32_t to_passive = lanes.pending_passive[a];
       lanes.state[a] = static_cast<std::uint8_t>(
           static_cast<std::uint8_t>(State::kActive) + to_passive + 2u * fin);
@@ -644,20 +642,21 @@ class OptimalPack final : public AntPack {
     return {1u, 0u};
   }
 
-  /// The general observe+decide of the fused pass: round 1's searches,
+  /// The general observe+decide of the listed pass: round 1's searches,
   /// settled ants, and optimal+settle's final ants. The observation
   /// follows from the state alone.
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-  void fused_general(std::size_t a, const FusedLanes& lanes,
-                     const env::Environment& env, std::uint32_t home_count) {
+  template <typename Seen>
+  void observe_decide_general(std::size_t a, const ListedLanes& lanes,
+                              const Seen seen, const env::Environment& env) {
     switch (static_cast<State>(state_[a])) {
       case State::kSearch: {
         const env::NestId found = env.location(static_cast<env::AntId>(a));
-        apply_search(a, found, lanes.counts[found], env.qualities()[found - 1]);
+        apply_search(a, found, seen.count(a, found), seen.quality(a, found));
         break;
       }
       case State::kFinal:  // recruit(1, nest): j and the home count
-        apply(a, lanes.results[a], home_count, 0.0);
+        apply(a, lanes.results[a], seen.count(a, env::kHomeNest), 0.0);
         break;
       default:  // settled: go(nest) forever, nothing to learn
         HH_ASSERT(static_cast<State>(state_[a]) == State::kSettled);
@@ -833,14 +832,14 @@ class OptimalPack final : public AntPack {
   std::vector<std::uint32_t> full_house_streak_;  ///< empty unless settle_
   std::vector<std::uint32_t> fin_census_;  ///< committed census of correct
                                            ///< finalized ants
-  // The fused pass's lists (see observe_decide_listed). The census
+  // The listed pass's lists (see observe_decide_step). The census
   // updates are deferred until the pass is over: the censuses are sums,
   // and nothing reads them before agreement_census() runs after the pass.
   std::unique_ptr<CensusUpdate[]> deferred_;
   /// Passive ants, and the other ants that are not known final: together
-  /// a superset of the non-final ants (only the fused pass drops ants,
+  /// a superset of the non-final ants (only the listed pass drops ants,
   /// and only final ones; final is absorbing outside optimal+settle,
-  /// whose finals stay listed). Built by the first fused pass after a
+  /// whose finals stay listed). Built by the first listed pass after a
   /// reset (listed_).
   std::unique_ptr<env::AntId[]> passive_ants_;
   std::unique_ptr<env::AntId[]> other_ants_;

@@ -227,16 +227,16 @@ Simulation::Simulation(const SimulationConfig& config, EngineParts engine,
     home_ = static_cast<env::HomeNestBackend*>(world_.get());
   }
   engine_fallback_ = std::move(engine.fallback);
-  // The fused observe+decide reads true counts and leaves the sleep
-  // overlay to fill_masked: exact, fully synchronous configs only.
-  fused_tail_ = !config.noise.any() && config.skip_probability == 0.0;
   if (pack_) {
     HH_EXPECTS(pack_->size() == config.num_ants);
     census_.resize(config.qualities.size() + 1);
     recruit_active_.resize(config.num_ants);
     masked_op_.resize(config.num_ants);
     masked_targets_.resize(config.num_ants);
-    if (config.skip_probability > 0.0) awake_u8_.resize(config.num_ants);
+    if (config.skip_probability > 0.0) {
+      awake_mask_.resize(config.num_ants);
+      next_awake_mask_.resize(config.num_ants);
+    }
   } else {
     HH_EXPECTS(colony_.size() == config.num_ants);
     actions_.resize(config.num_ants);
@@ -380,26 +380,28 @@ bool Simulation::update_lattice_convergence() {
 }
 
 bool Simulation::step_packed() {
-  const std::uint32_t round = home_->round() + 1;  // 1-based, as in the paper
-  // Partial synchrony: pre-draw the round's awake mask exactly as
-  // step_scalar does — same scheduler stream, same ant order, consulted
-  // before any decide — and hand it to the pack, which idles the sleepers
-  // (their per-ant lanes freeze for the round). Fully synchronous configs
-  // construct a draw-free SynchronousScheduler, so the consultation is
-  // skipped entirely.
-  if (config_.skip_probability > 0.0) {
-    for (env::AntId a = 0; a < config_.num_ants; ++a) {
-      awake_u8_[a] =
-          scheduler_->awake(a, home_->round(), scheduler_rng_) ? 1 : 0;
+  // Partial synchrony: each round's awake mask is drawn exactly as
+  // step_scalar draws it — same scheduler stream, same ant order, the same
+  // awake(a, r) arguments at round r + 1. Fully synchronous configs keep
+  // both masks empty (every ant awake): their draw-free
+  // SynchronousScheduler is never consulted.
+  const auto draw_awake = [this](std::vector<std::uint8_t>& mask) {
+    for (std::size_t a = 0; a < mask.size(); ++a) {
+      mask[a] = scheduler_->awake(static_cast<env::AntId>(a), home_->round(),
+                                  scheduler_rng_)
+                    ? 1
+                    : 0;
     }
-    pack_->begin_round(awake_u8_);
+  };
+  // Round 1's lanes: every acting ant searches. Every later round's lanes
+  // were planned by the previous round's observe_and_plan.
+  if (home_->round() == 0) {
+    draw_awake(awake_mask_);
+    pack_->plan_first_round(awake_mask_, masked_op_, recruit_active_,
+                            masked_targets_);
   }
-
-  // One batch decide over the state arrays into the op/active/target
-  // lanes (a no-op when the previous round's fused observe already
-  // planned them), then one masked round under every observation model.
-  // A colony-uniform round is a masked round with a constant op lane.
-  pack_->fill_masked(round, masked_op_, recruit_active_, masked_targets_);
+  // One masked round under every observation model. A colony-uniform
+  // round is a masked round with a constant op lane.
   home_->step_masked_recruit_quiet(masked_op_, recruit_active_,
                                    masked_targets_);
 
@@ -414,13 +416,14 @@ bool Simulation::step_packed() {
   if (pack_->any_finalized()) {
     transport = pack_->count_finalized(home_->successful_recruiters());
   }
-  if (fused_tail_) {
-    // Fuse next round's decide into this observe when eligible.
-    pack_->observe_masked_quiet_then_decide(round, *home_, masked_op_,
-                                            recruit_active_, masked_targets_);
-  } else {
-    pack_->observe_masked_quiet(*home_, masked_op_, masked_targets_);
-  }
+  // Absorb this round and plan the next in one pass. Round r + 1's mask
+  // is drawn before that pass rather than at the start of round r + 1:
+  // nothing else draws from the scheduler stream in between, so the draws
+  // are the same ones.
+  draw_awake(next_awake_mask_);
+  pack_->observe_and_plan(*home_, awake_mask_, next_awake_mask_, masked_op_,
+                          recruit_active_, masked_targets_);
+  awake_mask_.swap(next_awake_mask_);
   const std::uint32_t tandem =
       home_->last_round_stats().successful_recruitments - transport;
   record_round(tandem, transport);

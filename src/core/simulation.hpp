@@ -298,11 +298,11 @@ class Simulation {
   std::uint64_t total_tandem_runs_ = 0;
   std::uint64_t total_transports_ = 0;
   Trajectories trajectories_;
-  bool fused_tail_ = false;            // exact + synchronous: fused observe
   std::string engine_fallback_;        // why kAuto fell back ("" = packed)
   std::vector<env::Action> actions_;   // reused per round (scalar engine)
   std::vector<bool> awake_;            // reused per round (scalar engine)
-  std::vector<std::uint8_t> awake_u8_;  // reused per round (packed psync)
+  std::vector<std::uint8_t> awake_mask_;       // this round's (packed psync)
+  std::vector<std::uint8_t> next_awake_mask_;  // next round's (packed psync)
   std::vector<std::uint32_t> census_;  // reused per round (packed engine)
   std::vector<std::uint8_t> recruit_active_;   // reused per round (packed)
   std::vector<env::MaskedOp> masked_op_;       // reused per round (packed)

@@ -58,8 +58,8 @@ class WalkerAnt final : public Ant {
 };
 
 /// The packed walker colony: a stateless AntPack shell (no per-ant lanes
-/// beyond the base's commitment bookkeeping, no decide/observe kernels —
-/// the lattice driver reads the backend's reached lanes directly). It
+/// beyond the base's commitment bookkeeping, no round kernel — the
+/// lattice driver reads the backend's reached lanes directly). It
 /// exists so packed()/reset()/engine selection work through the standard
 /// spec machinery.
 class WalkerPack final : public AntPack {
@@ -73,6 +73,13 @@ class WalkerPack final : public AntPack {
   [[nodiscard]] bool do_reset(std::uint64_t /*colony_seed*/) override {
     reset_commitments();
     return true;
+  }
+  /// Never called: the lattice driver bypasses the home-nest kernel.
+  void observe_decide(const env::Environment& /*env*/, Acting /*acting*/,
+                      std::span<env::MaskedOp> /*op*/,
+                      std::span<std::uint8_t> /*active*/,
+                      std::span<env::NestId> /*targets*/) override {
+    HH_ASSERT(false);
   }
   [[nodiscard]] std::string_view name() const override {
     return "lattice-walker";

@@ -197,6 +197,8 @@ TEST(AntPack, BitIdenticalUnderFaultsWithNoise) {
   // nest as bad, so the worst nest it settles on depends on its perceived
   // qualities, not the true ones — and the kidnapping it then does moves
   // the per-round census. Round-by-round pins, not just the aggregate.
+  // Under partial synchrony Byzantine ants sleep too: a sleeping scout
+  // neither searches nor learns, and a sleeping recruiter recruits no one.
   auto byz = base_config(0);
   byz.faults.byzantine_fraction = 0.1;
   byz.noise.quality_flip_prob = 0.3;
@@ -204,17 +206,22 @@ TEST(AntPack, BitIdenticalUnderFaultsWithNoise) {
   byz.stability_rounds = 4;
   byz.max_rounds = 400;
   byz.record_trajectories = true;
-  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    byz.seed = seed;
-    for (const AlgorithmKind kind :
-         {AlgorithmKind::kSimple, AlgorithmKind::kOptimal}) {
-      const std::string label = std::string(algorithm_name(kind)) +
-                                "/byzantine-heavy/seed=" + std::to_string(seed);
-      const auto scalar = run_with_engine(byz, kind, EngineKind::kScalar);
-      const auto packed = run_with_engine(byz, kind, EngineKind::kPacked);
-      expect_identical(scalar, packed, label);
-      EXPECT_EQ(scalar.trajectories.committed, packed.trajectories.committed)
-          << label;
+  for (const double skip : {0.0, 0.2}) {
+    byz.skip_probability = skip;
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+      byz.seed = seed;
+      for (const AlgorithmKind kind :
+           {AlgorithmKind::kSimple, AlgorithmKind::kOptimal}) {
+        const std::string label =
+            std::string(algorithm_name(kind)) + "/byzantine-heavy/skip=" +
+            std::to_string(skip) + "/seed=" + std::to_string(seed);
+        const auto scalar = run_with_engine(byz, kind, EngineKind::kScalar);
+        const auto packed = run_with_engine(byz, kind, EngineKind::kPacked);
+        expect_identical(scalar, packed, label);
+        EXPECT_EQ(scalar.trajectories.committed,
+                  packed.trajectories.committed)
+            << label;
+      }
     }
   }
 }

@@ -81,28 +81,33 @@ TEST(HotPath, PackedSimulationRoundNeverAllocates) {
   // interleaves recruit and go calls across per-ant states. All three
   // pairing models must honor the contract (the counter model's ticket
   // lane is reserved up front like every other scratch lane), exact
-  // observation (the fused observe+decide) and noisy observation (the
-  // perception pass and the plain observe) alike.
-  for (const bool noisy : {false, true}) {
-    cfg.noise.count_sigma = noisy ? 0.2 : 0.0;
-    cfg.noise.quality_flip_prob = noisy ? 0.02 : 0.0;
-    for (const env::PairingKind pairing :
-         {env::PairingKind::kPermutation, env::PairingKind::kUniformProposal,
-          env::PairingKind::kCounter}) {
-      cfg.pairing = pairing;
-      for (const core::AlgorithmKind kind :
-           {core::AlgorithmKind::kSimple, core::AlgorithmKind::kQuorum,
-            core::AlgorithmKind::kOptimal,
-            core::AlgorithmKind::kOptimalSettle}) {
-        core::Simulation sim(cfg, kind);
-        ASSERT_TRUE(sim.packed());
-        sim.step();  // settle any lazy first-round setup
-        EXPECT_EQ(allocations_during([&] {
-                    for (int round = 0; round < 100; ++round) sim.step();
-                  }),
-                  0u)
-            << core::algorithm_name(kind) << " / "
-            << env::pairing_name(pairing) << (noisy ? " / noisy" : " / exact");
+  // observation and noisy observation (the perception pass) alike, and
+  // so must partial synchrony (the next round's awake-mask draw in the
+  // round tail, the per-ant acting lanes, and the sleep rows).
+  for (const double skip : {0.0, 0.1}) {
+    cfg.skip_probability = skip;
+    for (const bool noisy : {false, true}) {
+      cfg.noise.count_sigma = noisy ? 0.2 : 0.0;
+      cfg.noise.quality_flip_prob = noisy ? 0.02 : 0.0;
+      for (const env::PairingKind pairing :
+           {env::PairingKind::kPermutation,
+            env::PairingKind::kUniformProposal, env::PairingKind::kCounter}) {
+        cfg.pairing = pairing;
+        for (const core::AlgorithmKind kind :
+             {core::AlgorithmKind::kSimple, core::AlgorithmKind::kQuorum,
+              core::AlgorithmKind::kOptimal,
+              core::AlgorithmKind::kOptimalSettle}) {
+          core::Simulation sim(cfg, kind);
+          ASSERT_TRUE(sim.packed());
+          sim.step();  // settle any lazy first-round setup
+          EXPECT_EQ(allocations_during([&] {
+                      for (int round = 0; round < 100; ++round) sim.step();
+                    }),
+                    0u)
+              << core::algorithm_name(kind) << " / "
+              << env::pairing_name(pairing) << (noisy ? " / noisy" : " / exact")
+              << " / skip " << skip;
+        }
       }
     }
   }

@@ -233,30 +233,46 @@ TEST(ArenaReuse, ResetMatchesFreshUnderFaultPlans) {
   // resample it (new crash rounds, new Byzantine positions) exactly as a
   // fresh construction would. A reset right after round 1 must also
   // re-plan round 1: the lanes the pack planned for the old trial's
-  // round 1 hold the old plan's fault rows.
-  core::SimulationConfig cfg = test::small_config(96, 4, 2, /*seed=*/21);
-  cfg.faults.crash_fraction = 0.1;
-  cfg.faults.byzantine_fraction = 0.05;
-  cfg.convergence_tolerance = 0.25;
-  cfg.stability_rounds = 2;
-  cfg.max_rounds = 400;
-  for (const core::AlgorithmKind kind :
-       {core::AlgorithmKind::kSimple, core::AlgorithmKind::kQuorum,
-        core::AlgorithmKind::kOptimal, core::AlgorithmKind::kOptimalSettle}) {
-    for (const bool after_one_round : {false, true}) {
-      core::Simulation reused(cfg, kind);
-      ASSERT_TRUE(reused.packed());
-      if (after_one_round) {
-        (void)reused.step();
-      } else {
-        (void)reused.run();
+  // round 2 hold the old plan's fault rows. Partial synchrony, with and
+  // without the fault plan, adds the sleep rows and the acting lanes the
+  // old trial left behind.
+  struct Case {
+    bool faulted;
+    double skip;
+  };
+  for (const Case c : {Case{true, 0.0}, Case{true, 0.2}, Case{false, 0.2}}) {
+    core::SimulationConfig cfg = test::small_config(96, 4, 2, /*seed=*/21);
+    if (c.faulted) {
+      cfg.faults.crash_fraction = 0.1;
+      cfg.faults.byzantine_fraction = 0.05;
+    }
+    cfg.skip_probability = c.skip;
+    cfg.convergence_tolerance = 0.25;
+    cfg.stability_rounds = 2;
+    cfg.max_rounds = 400;
+    for (const core::AlgorithmKind kind :
+         {core::AlgorithmKind::kSimple, core::AlgorithmKind::kQuorum,
+          core::AlgorithmKind::kOptimal,
+          core::AlgorithmKind::kOptimalSettle}) {
+      for (const bool after_one_round : {false, true}) {
+        SCOPED_TRACE(std::string(core::algorithm_name(kind)) +
+                     (c.faulted ? " faulted" : " fault-free") + " skip " +
+                     std::to_string(c.skip) +
+                     (after_one_round ? " after one round" : " after a run"));
+        core::Simulation reused(cfg, kind);
+        ASSERT_TRUE(reused.packed());
+        if (after_one_round) {
+          (void)reused.step();
+        } else {
+          (void)reused.run();
+        }
+        ASSERT_TRUE(reused.reset(77));
+        const core::RunResult warm = reused.run();
+        core::SimulationConfig fresh_cfg = cfg;
+        fresh_cfg.seed = 77;
+        core::Simulation fresh(fresh_cfg, kind);
+        expect_same_run(fresh.run(), warm);
       }
-      ASSERT_TRUE(reused.reset(77));
-      const core::RunResult warm = reused.run();
-      core::SimulationConfig fresh_cfg = cfg;
-      fresh_cfg.seed = 77;
-      core::Simulation fresh(fresh_cfg, kind);
-      expect_same_run(fresh.run(), warm);
     }
   }
 }
