@@ -75,14 +75,12 @@ BENCHMARK_CAPTURE(BM_Pairing, counter_lottery, hh::env::PairingKind::kCounter)
 // per-round cost the packed optimal engine pays from round 2 on, isolated
 // from the rest of the environment. allocs_per_round must be 0 for ALL
 // models — tools/bench_diff --require-zero-allocs gates these rows.
-void BM_PairingRound(benchmark::State& state, hh::env::PairingKind kind) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint8_t> active(m);
-  for (std::size_t i = 0; i < m; ++i) active[i] = i % 2 == 0 ? 1 : 0;
+void pairing_rounds(benchmark::State& state, hh::env::PairingKind kind,
+                    const std::vector<std::uint8_t>& active) {
   const auto model = hh::env::make_pairing_model(kind);
   hh::util::Rng rng(1);
   hh::env::PairingScratch scratch;
-  scratch.reserve(m);
+  scratch.reserve(active.size());
   std::uint32_t round = 0;
   model->pair_active(active, hh::env::PairingCtx{rng, 0xABCD, ++round},
                      scratch);  // warm the workspace
@@ -95,9 +93,16 @@ void BM_PairingRound(benchmark::State& state, hh::env::PairingKind kind) {
     benchmark::DoNotOptimize(scratch.recruited_by.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(m));
+                          static_cast<std::int64_t>(active.size()));
   state.counters["allocs_per_round"] = benchmark::Counter(
       static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+}
+
+void BM_PairingRound(benchmark::State& state, hh::env::PairingKind kind) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint8_t> active(m);
+  for (std::size_t i = 0; i < m; ++i) active[i] = i % 2 == 0 ? 1 : 0;
+  pairing_rounds(state, kind, active);
 }
 BENCHMARK_CAPTURE(BM_PairingRound, permutation,
                   hh::env::PairingKind::kPermutation)
@@ -114,6 +119,27 @@ BENCHMARK_CAPTURE(BM_PairingRound, counter_lottery,
     ->Arg(1024)
     ->Arg(4096)
     ->Arg(16384);
+
+// The same round over random active flags at a fixed share (second arg,
+// percent). BM_PairingRound's alternating flags are the easiest pattern
+// for a branch predictor; a real round's flags are irregular, and the
+// share moves the cost of both models' compaction and of Algorithm 1's
+// draw count.
+void BM_PairingRoundDensity(benchmark::State& state,
+                            hh::env::PairingKind kind) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto percent = static_cast<std::uint64_t>(state.range(1));
+  hh::util::Rng shape(m + percent);
+  std::vector<std::uint8_t> active(m);
+  for (auto& b : active) b = shape.uniform_u64(100) < percent ? 1 : 0;
+  pairing_rounds(state, kind, active);
+}
+BENCHMARK_CAPTURE(BM_PairingRoundDensity, permutation,
+                  hh::env::PairingKind::kPermutation)
+    ->ArgsProduct({{1024, 4096}, {10, 50, 90, 100}});
+BENCHMARK_CAPTURE(BM_PairingRoundDensity, counter_lottery,
+                  hh::env::PairingKind::kCounter)
+    ->ArgsProduct({{1024, 4096}, {10, 50, 90, 100}});
 
 void BM_RandomPermutationInto(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -35,16 +35,29 @@ void parallel_for_chunks(
                              std::size_t end)>& body) {
   if (count == 0) return;
   HH_EXPECTS(chunk >= 1);
-  const std::size_t chunks = (count + chunk - 1) / chunk;
-  const std::size_t workers =
-      std::min<std::size_t>(resolve_threads(threads), chunks);
-  const auto block = [&](std::size_t worker, std::size_t c) {
-    body(worker, c * chunk, std::min(count, (c + 1) * chunk));
+  // Blocks shrink as the range drains: the block starting at `begin`
+  // takes a 1/(2 * threads) share of the indices left, at most `chunk`
+  // and at least one. Early blocks keep claim traffic low; the last ones
+  // are single indices, so no worker is left holding a full chunk while
+  // the others idle. The partition is a function of (count, threads,
+  // chunk) alone, whichever worker claims a block.
+  const std::size_t pool_size = resolve_threads(threads);
+  const auto block_end = [&](std::size_t begin) {
+    return begin +
+           std::clamp<std::size_t>((count - begin) / (2 * pool_size), 1, chunk);
   };
+  // No block exceeds a 1/(2 * threads) share (or 1), so there are at
+  // least min(threads, count) blocks: no worker starts without one.
+  const std::size_t workers = std::min(pool_size, count);
   if (workers <= 1) {
-    for (std::size_t c = 0; c < chunks; ++c) block(0, c);
+    for (std::size_t b = 0, e = 0; b < count; b = e) {
+      e = block_end(b);
+      body(0, b, e);
+    }
     return;
   }
+  // `next` is the first unclaimed index; a claim moves it to the end of
+  // the block that starts there.
   std::atomic<std::size_t> next{0};
   std::atomic<bool> stop{false};
   std::mutex error_mutex;
@@ -54,10 +67,15 @@ void parallel_for_chunks(
     // (a sweep-wide error like an unknown algorithm name would otherwise
     // pay the full trials x scenarios cost before reporting).
     while (!stop.load(std::memory_order_relaxed)) {
-      const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= chunks) return;
+      std::size_t begin = next.load(std::memory_order_relaxed);
+      std::size_t end = 0;
+      do {
+        if (begin >= count) return;
+        end = block_end(begin);
+      } while (!next.compare_exchange_weak(begin, end,
+                                           std::memory_order_relaxed));
       try {
-        block(worker, c);
+        body(worker, begin, end);
       } catch (...) {
         stop.store(true, std::memory_order_relaxed);
         const std::lock_guard<std::mutex> lock(error_mutex);
@@ -162,11 +180,12 @@ BatchResult Runner::run_cells(const std::vector<Scenario>& scenarios,
   std::mutex progress_mutex;
   if (progress && todo.empty() && cell_count > 0) progress(snapshot);
 
-  // Small-n trial batching: claim a block of cells per atomic increment so
-  // short trials aren't dominated by claim traffic, but keep blocks small
-  // enough that the tail stays balanced across workers. Each worker owns a
-  // TrialArena (simulation reuse) and, when persisting, a private store
-  // shard it flushes after every block — the post-kill recovery point.
+  // Small-n trial batching: claim up to `chunk` cells per block so short
+  // trials aren't dominated by claim traffic; parallel_for_chunks shrinks
+  // the blocks as the sweep drains, so the tail stays balanced across
+  // workers. Each worker owns a TrialArena (simulation reuse) and, when
+  // persisting, a private store shard it flushes after every block — the
+  // post-kill recovery point.
   const std::size_t chunk = std::clamp<std::size_t>(
       todo.size() / (static_cast<std::size_t>(threads_) * 8), 1, 64);
   std::vector<TrialArena> arenas(threads_);

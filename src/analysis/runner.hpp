@@ -52,8 +52,11 @@ struct RunnerOptions {
 void parallel_for_index(std::size_t count, unsigned threads,
                         const std::function<void(std::size_t)>& body);
 
-/// Chunked, worker-aware variant: workers claim `chunk`-sized index blocks
-/// from an atomic counter and invoke body(worker, begin, end) per block.
+/// Chunked, worker-aware variant: workers claim index blocks from an
+/// atomic counter and invoke body(worker, begin, end) per block. A block
+/// takes a 1/(2 * threads) share of the indices not yet claimed, at most
+/// `chunk` and at least one, so blocks shrink toward single indices as the
+/// range drains; the partition depends on (count, threads, chunk) only.
 /// `worker` is a dense id in [0, workers) — the hook for per-worker state
 /// (arenas, shard writers) that must never be shared across threads.
 /// Work-claiming order is nondeterministic; deterministic programs must

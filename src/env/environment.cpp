@@ -44,7 +44,7 @@ HomeNestBackend::HomeNestBackend(EnvironmentConfig cfg,
   // Every per-round buffer is sized for the worst case up front so that
   // step() never allocates (see the invariant in the header).
   requests_.reserve(cfg_.num_ants);
-  pairing_scratch_.reserve(cfg_.num_ants);
+  pairing_->reserve(pairing_scratch_, cfg_.num_ants);
   success_ants_.reserve(cfg_.num_ants);
   recruit_result_.assign(cfg_.num_ants, kHomeNest);
   if (!observe_exact_) {

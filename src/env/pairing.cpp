@@ -7,14 +7,24 @@
 namespace hh::env {
 
 void PairingScratch::reserve(std::size_t max_requests) {
-  recruited_by.reserve(max_requests);
-  recruit_succeeded.reserve(max_requests);
+  reserve_matching(max_requests);
   perm.reserve(max_requests);
-  active.reserve(max_requests);
   proposal.reserve(max_requests);
   winner.reserve(max_requests);
   proposer_count.reserve(max_requests);
   ticket.reserve(max_requests);
+}
+
+void PairingScratch::reserve_matching(std::size_t max_requests) {
+  recruited_by.reserve(max_requests);
+  recruit_succeeded.reserve(max_requests);
+  active.reserve(max_requests);
+}
+
+void PermutationPairing::reserve(PairingScratch& scratch,
+                                 std::size_t max_requests) const {
+  scratch.reserve_matching(max_requests);
+  scratch.perm.reserve(max_requests);
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
@@ -30,6 +40,19 @@ void PermutationPairing::pair_active(std::span<const std::uint8_t> active,
   // P: uniform random permutation of all ants in R (Algorithm 1, tie-breaker).
   util::random_permutation_into(scratch.perm, m, rng);
 
+  // Line 3's first test, "active", is fixed for the whole call, so P is
+  // compacted in place to its active entries first (unconditional store,
+  // predicated advance; P-order kept). The flags are irregular, so a skip
+  // inside the loop below would mispredict at every transition.
+  std::uint32_t* const order = scratch.perm.data();
+  const std::uint8_t* const flags = active.data();
+  std::size_t n_active = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::uint32_t x = order[i];
+    order[n_active] = x;
+    n_active += flags[x] != 0 ? 1u : 0u;
+  }
+
   // The draw count of the loop below is data-dependent (an active ant
   // visited after being recruited draws nothing), so BatchedDraws needs a
   // running LOWER bound on the draws still to come. Track u = active ants
@@ -38,31 +61,45 @@ void PermutationPairing::pair_active(std::span<const std::uint8_t> active,
   // draw can recruit one too, so u <= 2*future + 1, i.e. at least
   // 1 + floor((u - 1) / 2) draws (including the current one) remain.
   // Re-decrementing u for a chosen ant that already drew only tightens
-  // the bound, so no visited bookkeeping is needed.
-  std::size_t u = 0;
-  for (const std::uint8_t b : active) u += b ? 1u : 0u;
+  // the bound, so no visited bookkeeping is needed. u may thereby go
+  // negative; it only ever decreases, so max(0, u) is the counter clamped
+  // at 0 after every step, and the bound reads it that way.
+  auto u = static_cast<std::ptrdiff_t>(n_active);
   util::BatchedDraws draws(rng);
 
-  // First loop of Algorithm 1: build M in permutation order.
-  for (std::uint32_t x : scratch.perm) {
-    // Line 3: a_P(i) ∈ S (active) and not already recruited. An ant can
-    // appear as recruiter at most once because each x is visited once.
-    if (!active[x] || scratch.recruited_by[x] != kNotRecruited) continue;
-    // x leaves the pool by drawing now. u may already have been spent on
-    // x's behalf (a recruitment decrement can land on an ant that had
-    // drawn), so clamp at 0 — an undercount only tightens the bound.
-    if (u > 0) --u;
-    const std::size_t remaining = 1 + (u > 0 ? (u - 1) / 2 : 0);
+  // First loop of Algorithm 1: build M in permutation order, deciding and
+  // storing without a branch on the data. An entry is `eligible` (line
+  // 3's second test) iff it has not been recruited; only an eligible
+  // entry draws, through the predicated uniform_if, which advances the
+  // stream by `eligible`. A non-drawing entry still computes a candidate,
+  // and line 5's test then fails on `eligible` alone. Line 5 is two loads
+  // for the same reason as the counter model's acceptance: recruit_
+  // succeeded[x] is still 0 (only x's own visit writes it), and the two
+  // tests on a' fold into integer arithmetic (kNotRecruited is the only
+  // negative recruited_by value). Both stores are unconditional: a
+  // rejected or non-drawing entry rewrites the values the cells hold.
+  // (Raw lane pointers: the byte stores may alias anything.)
+  std::uint8_t* const succeeded = scratch.recruit_succeeded.data();
+  std::int32_t* const recruited_by = scratch.recruited_by.data();
+  for (std::size_t i = 0; i < n_active; ++i) {
+    const std::uint32_t x = order[i];
+    const std::uint32_t eligible =
+        static_cast<std::uint32_t>(recruited_by[x]) >> 31;
+    u -= eligible;  // x leaves the pool by drawing now
+    const std::size_t remaining =
+        1 + (u > 0 ? static_cast<std::size_t>(u - 1) / 2 : 0);
     // Line 4: a' drawn uniformly from ALL of R — self-recruitment possible.
-    const auto chosen = static_cast<std::uint32_t>(draws.uniform(m, remaining));
-    // Line 5: a' must not already be a recruiter nor recruited.
-    if (scratch.recruit_succeeded[chosen] != 0 ||
-        scratch.recruited_by[chosen] != kNotRecruited) {
-      continue;  // no retry: the recruiter simply fails this round
-    }
-    scratch.recruit_succeeded[x] = 1;
-    scratch.recruited_by[chosen] = static_cast<std::int32_t>(x);
-    if (active[chosen] && chosen != x && u > 0) --u;  // chosen will not draw
+    const auto chosen =
+        static_cast<std::size_t>(draws.uniform_if(eligible, m, remaining));
+    // Line 5: a' must not already be a recruiter nor recruited; no retry,
+    // a recruiter that fails simply fails this round.
+    const std::int32_t held = recruited_by[chosen];
+    const std::uint32_t ok = eligible & (succeeded[chosen] ^ 1u) &
+                             (static_cast<std::uint32_t>(held) >> 31);
+    succeeded[x] = static_cast<std::uint8_t>(ok);
+    recruited_by[chosen] = ok != 0 ? static_cast<std::int32_t>(x) : held;
+    // A recruited active ant other than x will not draw.
+    u -= ok & (flags[chosen] != 0 ? 1u : 0u) & (chosen != x ? 1u : 0u);
   }
 }
 
@@ -133,6 +170,14 @@ void UniformProposalPairing::pair_active(std::span<const std::uint8_t> active,
       scratch.recruited_by[t] = static_cast<std::int32_t>(w);
     }
   }
+}
+
+void CounterLotteryPairing::reserve(PairingScratch& scratch,
+                                    std::size_t max_requests) const {
+  scratch.reserve_matching(max_requests);
+  scratch.proposal.reserve(max_requests);  // compaction arena
+  scratch.winner.reserve(max_requests);    // proposed-to targets
+  scratch.ticket.reserve(max_requests);    // lottery cells
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)

@@ -49,7 +49,8 @@ struct PairingCtx {
 /// Caller-owned buffers for the pairing process: the matching itself plus
 /// every model's workspace. Held by the Environment (one per execution) and
 /// reused across rounds, so pairing performs zero heap allocations after
-/// reserve() — the hot-path contract Environment::step() is built on.
+/// the model's PairingModel::reserve() — the hot-path contract
+/// Environment::step() is built on.
 /// All vectors are indexed by position in the request span (NOT by AntId).
 struct PairingScratch {
   /// recruited_by[x] = index of the request whose ant recruited x
@@ -66,7 +67,9 @@ struct PairingScratch {
   std::vector<std::uint8_t> active;           ///< the environment's packed
                                               ///< active flags (its
                                               ///< pair_active() input)
-  std::vector<std::int32_t> proposal;         ///< uniform-proposal only
+  std::vector<std::int32_t> proposal;         ///< uniform-proposal, and
+                                              ///< the counter model's
+                                              ///< compaction arena
   std::vector<std::int32_t> winner;           ///< uniform-proposal + counter
   std::vector<std::uint32_t> proposer_count;  ///< uniform-proposal only
   /// Counter-lottery tickets, doubling as the uniform-proposal batched
@@ -74,8 +77,12 @@ struct PairingScratch {
   /// the same time).
   std::vector<std::uint64_t> ticket;
 
-  /// Pre-size every buffer for up to `max_requests` requests.
+  /// Pre-size every buffer for up to `max_requests` requests: the lanes
+  /// of every model, for ad-hoc callers that pair under several.
   void reserve(std::size_t max_requests);
+  /// Pre-size the lanes every model touches: the matching and the packed
+  /// active flags. PairingModel::reserve adds the model's workspace.
+  void reserve_matching(std::size_t max_requests);
 
   /// Number of pairs in M.
   [[nodiscard]] std::size_t pair_count() const {
@@ -104,6 +111,15 @@ class PairingModel {
                            const PairingCtx& ctx,
                            PairingScratch& scratch) const = 0;
 
+  /// Pre-size the scratch lanes this model touches for up to
+  /// `max_requests` requests, so pair_active() allocates nothing after
+  /// it. The default reserves every lane, which serves any model; the
+  /// built-in models that leave lanes untouched reserve only their own.
+  virtual void reserve(PairingScratch& scratch,
+                       std::size_t max_requests) const {
+    scratch.reserve(max_requests);
+  }
+
   /// Rng-only form: an unkeyed ad-hoc call (PairingCtx::round == 0).
   void pair_active(std::span<const std::uint8_t> active, util::Rng& rng,
                    PairingScratch& scratch) const {
@@ -124,6 +140,8 @@ class PermutationPairing final : public PairingModel {
   using PairingModel::pair_active;
   void pair_active(std::span<const std::uint8_t> active, const PairingCtx& ctx,
                    PairingScratch& scratch) const override;
+  void reserve(PairingScratch& scratch,
+               std::size_t max_requests) const override;
   [[nodiscard]] std::string_view name() const override { return "permutation"; }
 };
 
@@ -158,6 +176,8 @@ class CounterLotteryPairing final : public PairingModel {
   using PairingModel::pair_active;
   void pair_active(std::span<const std::uint8_t> active, const PairingCtx& ctx,
                    PairingScratch& scratch) const override;
+  void reserve(PairingScratch& scratch,
+               std::size_t max_requests) const override;
   [[nodiscard]] std::string_view name() const override { return "counter-lottery"; }
 };
 

@@ -203,8 +203,8 @@ class Rng {
 /// bounds vary per draw (Fisher–Yates) or whose draw count is data-
 /// dependent (the Algorithm 1 pairing loop) — the cases uniform_u64_into
 /// cannot serve. Raw words are prefetched with Rng::fill_u64 in blocks
-/// sized by a caller-supplied LOWER bound on the number of uniform()
-/// calls still to come; since every call consumes at least one word, a
+/// sized by a caller-supplied LOWER bound on the number of drawing calls
+/// still to come; since every such call consumes at least one word, a
 /// block never outlives the promised draws, so the words consumed — and
 /// therefore the generator state at every point — are exactly those of
 /// the equivalent sequential uniform_u64 calls. Over-promising the floor
@@ -212,43 +212,62 @@ class Rng {
 /// callers must pass a genuine lower bound (1 is always safe).
 class BatchedDraws {
  public:
-  explicit BatchedDraws(Rng& rng) noexcept : rng_(rng) {}
+  explicit BatchedDraws(Rng& rng) noexcept : rng_(rng) { buf_[0] = kPastEnd; }
 
   /// The same value, and the same stream advance, as rng.uniform_u64(
-  /// bound). `remaining` is a lower bound on the uniform() calls still to
+  /// bound). `remaining` is a lower bound on the drawing calls still to
   /// come, INCLUDING this one (so >= 1). Requires bound > 0.
   std::uint64_t uniform(std::uint64_t bound, std::size_t remaining) {
-    std::uint64_t x = raw(remaining);
-    __uint128_t m = static_cast<__uint128_t>(x) * bound;
-    auto lo = static_cast<std::uint64_t>(m);
-    if (lo < bound) {
+    return uniform_if(1, bound, remaining);
+  }
+
+  /// uniform() behind a data-dependent predicate, without a branch on it.
+  /// take == 1 is a drawing call: exactly uniform(bound, remaining).
+  /// take == 0 consumes nothing and returns a value in [0, bound) the
+  /// caller must discard (the candidate of the next buffered word, or of
+  /// kPastEnd once the block is spent). The buffer position advances by
+  /// `take` instead of behind a branch on it; only a drawing call may
+  /// refill the buffer or take Lemire's exact rejection path, and both
+  /// stay branches that are almost never taken, so the words consumed
+  /// are those of the sequential calls. Requires take <= 1 and
+  /// bound > 0; `remaining` counts drawing calls only.
+  std::uint64_t uniform_if(std::uint32_t take, std::uint64_t bound,
+                           std::size_t remaining) {
+    if (pos_ == len_ && take != 0) [[unlikely]] refill(remaining);
+    __uint128_t m = static_cast<__uint128_t>(buf_[pos_]) * bound;
+    if (static_cast<std::uint64_t>(m) < bound && take != 0) [[unlikely]] {
       const std::uint64_t threshold = (0 - bound) % bound;
-      while (lo < threshold) {
-        x = raw(remaining);
-        m = static_cast<__uint128_t>(x) * bound;
-        lo = static_cast<std::uint64_t>(m);
+      while (static_cast<std::uint64_t>(m) < threshold) {
+        ++pos_;  // the rejected word
+        if (pos_ == len_) refill(remaining);
+        m = static_cast<__uint128_t>(buf_[pos_]) * bound;
       }
     }
+    pos_ += take;
     return static_cast<std::uint64_t>(m >> 64);
   }
 
  private:
   static constexpr std::size_t kBlock = 128;
+  /// What a non-drawing call peeks past the last buffered word: its
+  /// Lemire low half, 2^64 - bound, never signals a rejection check for
+  /// bound <= 2^63, and its candidate, bound - 1, is in range.
+  static constexpr std::uint64_t kPastEnd = ~std::uint64_t{0};
 
-  std::uint64_t raw(std::size_t remaining) {
-    if (pos_ == len_) {
-      HH_EXPECTS(remaining >= 1);
-      len_ = remaining < kBlock ? remaining : kBlock;
-      rng_.fill_u64(std::span<std::uint64_t>(buf_, len_));
-      pos_ = 0;
-    }
-    return buf_[pos_++];
+  void refill(std::size_t remaining) {
+    HH_EXPECTS(remaining >= 1);
+    len_ = remaining < kBlock ? remaining : kBlock;
+    rng_.fill_u64(std::span<std::uint64_t>(buf_, len_));
+    buf_[len_] = kPastEnd;
+    pos_ = 0;
   }
 
   Rng& rng_;
   std::size_t pos_ = 0;
   std::size_t len_ = 0;
-  std::uint64_t buf_[kBlock];
+  /// Words [0, len_) of the current block, then kPastEnd at buf_[len_]:
+  /// every word a call can read (pos_ <= len_) has been written.
+  std::uint64_t buf_[kBlock + 1];
 };
 
 /// Fisher–Yates shuffle of v using rng (reproducible across platforms,

@@ -295,6 +295,36 @@ TEST(RngBatch, BatchedDrawsMatchSequentialWithLowerBoundRemaining) {
   }
 }
 
+TEST(RngBatch, PredicatedDrawsConsumeOnlyWhenTaken) {
+  // uniform_if(take, ...) must reproduce the sequential stream over the
+  // taken calls alone, with skipped calls in between consuming nothing
+  // and still returning a value in range — also right after a block is
+  // spent, and through Lemire's rejection loop, which a bound just above
+  // 2^63 enters for about half its draws.
+  for (const std::uint64_t bound :
+       {std::uint64_t{1}, std::uint64_t{7}, std::uint64_t{1000},
+        (std::uint64_t{1} << 63) + 1}) {
+    Rng batched(0x55);
+    Rng looped(0x55);
+    Rng pattern(0x66);
+    std::vector<std::uint32_t> takes(700);
+    for (auto& t : takes) t = pattern.bernoulli(0.4) ? 1u : 0u;
+    std::size_t taken_left = 0;
+    for (const std::uint32_t t : takes) taken_left += t;
+    BatchedDraws draws(batched);
+    for (const std::uint32_t take : takes) {
+      const std::uint64_t got =
+          draws.uniform_if(take, bound, take != 0 ? taken_left : 1);
+      EXPECT_LT(got, bound);
+      if (take != 0) {
+        EXPECT_EQ(got, looped.uniform_u64(bound)) << "bound " << bound;
+        --taken_left;
+      }
+    }
+    EXPECT_EQ(batched(), looped()) << "bound " << bound;
+  }
+}
+
 TEST(RngBatch, RandomPermutationUnchangedByBatching) {
   // random_permutation_into() switched to block-refilled draws; the
   // permutation and the post-call generator state must match the

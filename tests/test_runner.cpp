@@ -7,7 +7,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "analysis/result_store.hpp"
 #include "test_util.hpp"
@@ -195,6 +198,40 @@ TEST(Runner, ParallelForPropagatesExceptions) {
                            if (i == 7) throw std::runtime_error("boom");
                          }),
       std::runtime_error);
+}
+
+TEST(Runner, ChunkBlocksShrinkAsTheRangeDrainsWhoeverClaimsThem) {
+  // A 360-cell sweep on 3 workers (chunk 15, as Runner::run_cells sizes
+  // it): the blocks tile the range, none exceeds the chunk, sizes never
+  // grow from one block to the next, the tail is single cells, and the
+  // partition repeats exactly from run to run.
+  const auto blocks_of = [] {
+    std::mutex mutex;
+    std::vector<std::pair<std::size_t, std::size_t>> blocks;
+    parallel_for_chunks(360, 3, 15,
+                        [&](std::size_t, std::size_t begin, std::size_t end) {
+                          const std::lock_guard<std::mutex> lock(mutex);
+                          blocks.emplace_back(begin, end);
+                        });
+    std::sort(blocks.begin(), blocks.end());
+    return blocks;
+  };
+  const auto blocks = blocks_of();
+  ASSERT_FALSE(blocks.empty());
+  std::size_t next = 0;
+  std::size_t previous = 15;
+  for (const auto& [begin, end] : blocks) {
+    EXPECT_EQ(begin, next);
+    ASSERT_LT(begin, end);
+    EXPECT_LE(end - begin, previous);
+    previous = end - begin;
+    next = end;
+  }
+  EXPECT_EQ(next, 360u);
+  EXPECT_EQ(blocks.front().second - blocks.front().first, 15u);
+  EXPECT_EQ(blocks.back().second - blocks.back().first, 1u);
+  EXPECT_EQ(blocks.size(), 42u);
+  EXPECT_EQ(blocks_of(), blocks);
 }
 
 TEST(Runner, ProgressSnapshotsCoverEveryFreshCell) {
