@@ -243,8 +243,34 @@ std::unique_ptr<ResultStore::ShardWriter> ResultStore::open_shard() {
   return std::unique_ptr<ShardWriter>(new ShardWriter(std::move(out)));
 }
 
+ResultStore::PooledWriter ResultStore::acquire_writer() {
+  {
+    const std::lock_guard<std::mutex> lock(shard_mutex_);
+    if (idle_writers_ != nullptr) {
+      std::unique_ptr<ShardWriter> writer = std::move(idle_writers_);
+      idle_writers_ = std::move(writer->next_idle_);
+      return PooledWriter(writer.release(), ReturnToPool{this});
+    }
+  }
+  return PooledWriter(open_shard().release(), ReturnToPool{this});
+}
+
+void ResultStore::ReturnToPool::operator()(ShardWriter* raw) const noexcept {
+  std::unique_ptr<ShardWriter> writer(raw);
+  writer->flush();
+  if (writer->write_failed()) return;
+  const std::lock_guard<std::mutex> lock(store->shard_mutex_);
+  writer->next_idle_ = std::move(store->idle_writers_);
+  store->idle_writers_ = std::move(writer);
+}
+
 ResultStore::CompactReport ResultStore::compact() {
   CompactReport report;
+  {
+    // The idle writers' shards are among the files removed below.
+    const std::lock_guard<std::mutex> lock(shard_mutex_);
+    idle_writers_.reset();
+  }
   // Snapshot what exists NOW; only these are removed afterwards (a writer
   // racing this call in the same process would be a coordinator bug — see
   // the header contract).

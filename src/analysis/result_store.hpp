@@ -4,8 +4,10 @@
 //
 // A store is a directory of shard files. Each worker thread of a resumable
 // run appends fixed-size binary records to its OWN shard (no lock on the
-// hot path); opening the store scans every shard and builds an in-memory
-// index keyed by (scenario fingerprint, trial index, trial seed). A cell
+// hot path); the store pools those writers between runs, so one store life
+// creates at most one shard per worker however many runs it serves.
+// Opening the store scans every shard and builds an in-memory index keyed
+// by (scenario fingerprint, trial index, trial seed). A cell
 // found in the index is never re-run — and because a trial's result is a
 // pure function of (scenario, seed), a batch reconstructed from any mix of
 // cached and fresh cells is bit-identical to a cold run at any thread
@@ -113,13 +115,14 @@ class ResultStore {
   };
 
   /// Merge every indexed record into one freshly written shard and delete
-  /// all other shard files. Safe against a crash at any point (the merged
-  /// shard is complete and checksummed before anything is removed;
-  /// duplicate records are idempotent). NOT safe under concurrent writers
-  /// in other processes — their open shards would be unlinked and their
-  /// records lost to future opens. Run it from the single coordinating
-  /// process while the directory is quiescent. On a failed write (disk
-  /// full) the store is left untouched.
+  /// all other shard files, closing the idle pooled writers first (a
+  /// writer kept open would append to an unlinked file). Safe against a
+  /// crash at any point (the merged shard is complete and checksummed
+  /// before anything is removed; duplicate records are idempotent). NOT
+  /// safe under concurrent writers in other processes — their open shards
+  /// would be unlinked and their records lost to future opens. Run it from
+  /// the single coordinating process while the directory is quiescent. On
+  /// a failed write (disk full) the store is left untouched.
   CompactReport compact();
 
   /// Indexed records / shard files scanned / invalid records dropped.
@@ -155,11 +158,28 @@ class ResultStore {
     std::ofstream out_;
     std::vector<std::uint8_t> buffer_;  // reused per record
     bool write_failed_ = false;
+    std::unique_ptr<ShardWriter> next_idle_;  // link in the store's pool
   };
 
   /// Create a new shard file for one worker. Thread-safe (file naming is
   /// serialized); the returned writer itself is single-threaded.
   [[nodiscard]] std::unique_ptr<ShardWriter> open_shard();
+
+  /// Deleter of a pooled writer: hands it back to its store, flushed, for
+  /// the next acquire_writer(); a writer whose write failed is closed
+  /// instead (its shard may end in a torn record, past which readers stop).
+  /// Allocates nothing and never throws, so it is safe while a run unwinds.
+  struct ReturnToPool {
+    ResultStore* store = nullptr;
+    void operator()(ShardWriter* writer) const noexcept;
+  };
+  using PooledWriter = std::unique_ptr<ShardWriter, ReturnToPool>;
+
+  /// A writer for one worker of a run: an idle one a finished run handed
+  /// back (appending to the shard it already has), else open_shard(). It
+  /// returns to the pool when the holder drops it; the store must outlive
+  /// it. Thread-safe.
+  [[nodiscard]] PooledWriter acquire_writer();
 
  private:
   /// Per-shard-file scan cursor (reload() resumes parsing here).
@@ -191,9 +211,12 @@ class ResultStore {
   std::size_t dropped_ = 0;
   std::size_t quarantined_ = 0;
 
-  std::mutex shard_mutex_;      // guards shard file creation only
+  std::mutex shard_mutex_;      // guards shard naming and idle_writers_
   std::uint64_t session_ = 0;   // per-open nonce, keeps shard names unique
   unsigned next_shard_ = 0;
+  /// Writers handed back by finished runs: a stack linked through
+  /// ShardWriter::next_idle_, so handing one back allocates nothing.
+  std::unique_ptr<ShardWriter> idle_writers_;
 };
 
 }  // namespace hh::analysis

@@ -185,11 +185,13 @@ BatchResult Runner::run_cells(const std::vector<Scenario>& scenarios,
   // the blocks as the sweep drains, so the tail stays balanced across
   // workers. Each worker owns a TrialArena (simulation reuse) and, when
   // persisting, a private store shard it flushes after every block — the
-  // post-kill recovery point.
+  // post-kill recovery point. Its shard writer comes from the store's pool
+  // and goes back there when `writers` is destroyed, on a cancel's unwind
+  // too, so the next run appends to the same shards.
   const std::size_t chunk = std::clamp<std::size_t>(
       todo.size() / (static_cast<std::size_t>(threads_) * 8), 1, 64);
   std::vector<TrialArena> arenas(threads_);
-  std::vector<std::unique_ptr<ResultStore::ShardWriter>> writers(threads_);
+  std::vector<ResultStore::PooledWriter> writers(threads_);
   parallel_for_chunks(
       todo.size(), threads_, chunk,
       [&](std::size_t worker, std::size_t begin, std::size_t end) {
@@ -202,7 +204,7 @@ BatchResult Runner::run_cells(const std::vector<Scenario>& scenarios,
           const std::uint64_t seed = trial_seed(base_seed, s, t);
           cells[cell] = arena.run(scenarios[s], seed);
           if (store != nullptr) {
-            if (writer == nullptr) writer = store->open_shard();
+            if (writer == nullptr) writer = store->acquire_writer();
             writer->append(TrialKey{fingerprints[s], seed,
                                     static_cast<std::uint32_t>(t)},
                            cells[cell]);

@@ -1,5 +1,8 @@
 #include "core/convergence.hpp"
 
+#include <algorithm>
+#include <vector>
+
 #include "util/contracts.hpp"
 
 namespace hh::core {
@@ -44,9 +47,17 @@ std::optional<env::NestId> current_agreement(const Colony& colony,
                                              const env::Environment& environment,
                                              ConvergenceMode mode,
                                              double tolerance) {
+  std::vector<std::uint32_t> census(environment.num_nests() + 1);
+  return current_agreement(colony, environment, mode, tolerance, census);
+}
+
+std::optional<env::NestId> current_agreement(
+    const Colony& colony, const env::Environment& environment,
+    ConvergenceMode mode, double tolerance, std::span<std::uint32_t> census) {
   HH_EXPECTS(tolerance >= 0.0 && tolerance < 1.0);
+  HH_EXPECTS(census.size() == environment.num_nests() + 1);
   // Census of correct ants per nest under the mode's notion of "position".
-  std::vector<std::uint32_t> census(environment.num_nests() + 1, 0);
+  std::fill(census.begin(), census.end(), 0u);
   std::uint32_t correct_total = 0;
   for (env::AntId a = 0; a < colony.size(); ++a) {
     if (!colony.correct(a)) continue;  // faulty ants are exempt
@@ -64,10 +75,11 @@ std::optional<env::NestId> current_agreement(const Colony& colony,
 }
 
 bool ConvergenceDetector::update(const Colony& colony,
-                                 const env::Environment& environment) {
+                                 const env::Environment& environment,
+                                 std::span<std::uint32_t> census) {
   if (converged_) return true;
   return observe_agreement(
-      current_agreement(colony, environment, mode_, tolerance_),
+      current_agreement(colony, environment, mode_, tolerance_, census),
       environment.round());
 }
 

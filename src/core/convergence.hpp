@@ -48,6 +48,12 @@ enum class ConvergenceMode : std::uint8_t {
     const Colony& colony, const env::Environment& environment,
     ConvergenceMode mode, double tolerance = 0.0);
 
+/// Allocation-free form: takes the census into `census` (size k+1,
+/// caller-owned scratch; its contents on entry do not matter).
+[[nodiscard]] std::optional<env::NestId> current_agreement(
+    const Colony& colony, const env::Environment& environment,
+    ConvergenceMode mode, double tolerance, std::span<std::uint32_t> census);
+
 /// Census-form agreement check shared by the per-object and packed
 /// engines: `census[i]` counts the agreeing ants per nest (size k+1) and
 /// `correct_total` is the number of correct ants the census was taken
@@ -68,7 +74,10 @@ class ConvergenceDetector {
         tolerance_(tolerance) {}
 
   /// Evaluate after a round; returns true once converged (sticky).
-  bool update(const Colony& colony, const env::Environment& environment);
+  /// `census` is the per-object census's scratch (size k+1), so a round
+  /// allocates nothing.
+  bool update(const Colony& colony, const env::Environment& environment,
+              std::span<std::uint32_t> census);
 
   /// Census-form update for the packed engine (kCommitment semantics: the
   /// census is the commitment census over all `correct_total` ants).

@@ -225,11 +225,11 @@ Simulation::Simulation(const SimulationConfig& config, EngineParts engine,
     HH_EXPECTS(config.qualities.size() == 1 && config.qualities[0] > 0.0);
   } else {
     home_ = static_cast<env::HomeNestBackend*>(world_.get());
+    census_.resize(config.qualities.size() + 1);
   }
   engine_fallback_ = std::move(engine.fallback);
   if (pack_) {
     HH_EXPECTS(pack_->size() == config.num_ants);
-    census_.resize(config.qualities.size() + 1);
     recruit_active_.resize(config.num_ants);
     masked_op_.resize(config.num_ants);
     masked_targets_.resize(config.num_ants);
@@ -331,7 +331,7 @@ bool Simulation::step_scalar() {
   }
   record_round(tandem, transport);
   if (lattice_) return update_lattice_convergence();
-  return detector_.update(colony_, *home_);
+  return detector_.update(colony_, *home_, census_);
 }
 
 bool Simulation::step_lattice_packed() {

@@ -303,7 +303,7 @@ class Simulation {
   std::vector<bool> awake_;            // reused per round (scalar engine)
   std::vector<std::uint8_t> awake_mask_;       // this round's (packed psync)
   std::vector<std::uint8_t> next_awake_mask_;  // next round's (packed psync)
-  std::vector<std::uint32_t> census_;  // reused per round (packed engine)
+  std::vector<std::uint32_t> census_;  // detector census, reused per round
   std::vector<std::uint8_t> recruit_active_;   // reused per round (packed)
   std::vector<env::MaskedOp> masked_op_;       // reused per round (packed)
   std::vector<env::NestId> masked_targets_;    // reused per round (packed)

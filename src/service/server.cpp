@@ -26,8 +26,8 @@ std::size_t spec_cells(const analysis::ExperimentSpec& spec) {
 
 /// Thrown from the scheduler's progress callback when a running job is
 /// canceled or the server drains; unwinds run_resumable at the next block
-/// boundary (per-worker shard writers flush in their destructors, so
-/// everything finished stays cached).
+/// boundary (per-worker shard writers flush as they go back to the store's
+/// pool, so everything finished stays cached).
 struct JobStopped {
   bool drain = false;  ///< true: server drain; false: client cancel
 };
@@ -72,8 +72,7 @@ Server::Server(ServerOptions options)
     throw std::runtime_error("cannot bind " + options_.host + ":" +
                              std::to_string(options_.port));
   }
-  store_records_.store(store_.size());
-  store_quarantined_.store(store_.quarantined_files());
+  publish_store_counts();
   scan_job_records();
   scheduler_ = std::thread([this] { scheduler_loop(); });
 }
@@ -161,8 +160,15 @@ util::Json Server::status_json() {
   body.set("store_records", static_cast<double>(store_records_.load()));
   body.set("store_quarantined",
            static_cast<double>(store_quarantined_.load()));
+  body.set("store_shards", static_cast<double>(store_shards_.load()));
   body.set("store_dir", options_.store_dir);
   return body;
+}
+
+void Server::publish_store_counts() {
+  store_records_.store(store_.size());
+  store_quarantined_.store(store_.quarantined_files());
+  store_shards_.store(store_.shard_files());
 }
 
 void Server::session_loop(const std::shared_ptr<Session>& session) {
@@ -172,6 +178,7 @@ void Server::session_loop(const std::shared_ptr<Session>& session) {
     hello.set("server", "anthill-serve");
     hello.set("store_dir", options_.store_dir);
     hello.set("store_records", static_cast<double>(store_records_.load()));
+    hello.set("store_shards", static_cast<double>(store_shards_.load()));
     send_line(session, encode_event("hello", hello));
   }
   util::net::LineReader reader(session->socket);
@@ -453,8 +460,7 @@ void Server::execute_job(Job& job) {
     // Pick up every cell persisted by earlier jobs and by other writers
     // (prior daemon lives, offline bench_spec runs) since the last job.
     store_.reload();
-    store_records_.store(store_.size());
-    store_quarantined_.store(store_.quarantined_files());
+    publish_store_counts();
 
     analysis::ResumeReport job_total;
     util::Json sweep_records{util::Json::Array{}};
@@ -523,11 +529,10 @@ void Server::execute_job(Job& job) {
       emit("sweep_done", std::move(done));
     }
 
-    // Index this job's fresh shards so status/hello counts stay current
+    // Index this job's fresh records so status/hello counts stay current
     // even if no further job runs.
     store_.reload();
-    store_records_.store(store_.size());
-    store_quarantined_.store(store_.quarantined_files());
+    publish_store_counts();
 
     const std::string record_path =
         write_job_record(job.id, job.spec, "done", &sweep_records, {});
@@ -543,8 +548,9 @@ void Server::execute_job(Job& job) {
     set_phase(job.id, JobPhase::kDone);
   } catch (const JobStopped& stop) {
     // Worker threads unwound at the block boundary; their shard writers
-    // flushed in destructors, so everything finished is durably cached
-    // and a reattach completes the job from where it stopped.
+    // flushed on the way back to the store's pool, so everything finished
+    // is durably cached and a reattach completes the job from where it
+    // stopped.
     const char* state = stop.drain ? "interrupted" : "canceled";
     const std::string message =
         stop.drain ? "server draining; finished cells are cached — "

@@ -161,6 +161,9 @@ class Server {
   [[nodiscard]] static EventSink session_sink(
       const std::shared_ptr<Session>& session);
   [[nodiscard]] util::Json status_json();
+  /// Copy the store's record, shard and quarantine counts into the
+  /// atomics status/hello read (the store itself is scheduler-owned).
+  void publish_store_counts();
 
   ServerOptions options_;
   util::net::Listener listener_;
@@ -188,6 +191,7 @@ class Server {
   std::atomic<bool> job_running_{false};
   std::atomic<std::size_t> store_records_{0};
   std::atomic<std::size_t> store_quarantined_{0};
+  std::atomic<std::size_t> store_shards_{0};
   std::atomic<unsigned> record_nonce_{0};
 };
 

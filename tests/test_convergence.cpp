@@ -32,7 +32,8 @@ struct Fixture {
   explicit Fixture(std::vector<env::NestId> commitments,
                    std::vector<double> qualities = {1.0, 0.0})
       : environment(make_env_config(
-            static_cast<std::uint32_t>(commitments.size()), qualities)) {
+            static_cast<std::uint32_t>(commitments.size()), qualities)),
+        census(qualities.size() + 1) {
     colony.faults = env::FaultPlan::none(
         static_cast<std::uint32_t>(commitments.size()));
     colony.algorithm = "fake";
@@ -61,6 +62,7 @@ struct Fixture {
   Colony colony;
   std::vector<FakeAnt*> fakes;
   env::Environment environment;
+  std::vector<std::uint32_t> census;  // the detector's per-round scratch
 };
 
 TEST(CurrentAgreement, UnanimousGoodNestDetected) {
@@ -133,7 +135,7 @@ TEST(CurrentAgreement, PhysicalModeUsesLocations) {
 TEST(ConvergenceDetector, FiresImmediatelyWithoutStabilityWindow) {
   Fixture f({1, 1});
   ConvergenceDetector det(ConvergenceMode::kCommitment, 0);
-  EXPECT_TRUE(det.update(f.colony, f.environment));
+  EXPECT_TRUE(det.update(f.colony, f.environment, f.census));
   EXPECT_TRUE(det.converged());
   EXPECT_EQ(det.winner(), 1u);
 }
@@ -141,11 +143,11 @@ TEST(ConvergenceDetector, FiresImmediatelyWithoutStabilityWindow) {
 TEST(ConvergenceDetector, StabilityWindowDelaysDecision) {
   Fixture f({1, 1});
   ConvergenceDetector det(ConvergenceMode::kCommitment, 2);
-  EXPECT_FALSE(det.update(f.colony, f.environment));
+  EXPECT_FALSE(det.update(f.colony, f.environment, f.census));
   f.tick();
-  EXPECT_FALSE(det.update(f.colony, f.environment));
+  EXPECT_FALSE(det.update(f.colony, f.environment, f.census));
   f.tick();
-  EXPECT_TRUE(det.update(f.colony, f.environment));
+  EXPECT_TRUE(det.update(f.colony, f.environment, f.census));
   // decision_round reports the start of the streak (round 0 here).
   EXPECT_EQ(det.decision_round(), 0u);
 }
@@ -153,23 +155,24 @@ TEST(ConvergenceDetector, StabilityWindowDelaysDecision) {
 TEST(ConvergenceDetector, BrokenStreakResets) {
   Fixture f({1, 1});
   ConvergenceDetector det(ConvergenceMode::kCommitment, 1);
-  EXPECT_FALSE(det.update(f.colony, f.environment));
+  EXPECT_FALSE(det.update(f.colony, f.environment, f.census));
   f.fakes[0]->set(env::kHomeNest, true);  // agreement breaks
   f.tick();
-  EXPECT_FALSE(det.update(f.colony, f.environment));
+  EXPECT_FALSE(det.update(f.colony, f.environment, f.census));
   f.fakes[0]->set(1, true);
   f.tick();
-  EXPECT_FALSE(det.update(f.colony, f.environment));  // streak restarted
+  // The streak restarted.
+  EXPECT_FALSE(det.update(f.colony, f.environment, f.census));
   f.tick();
-  EXPECT_TRUE(det.update(f.colony, f.environment));
+  EXPECT_TRUE(det.update(f.colony, f.environment, f.census));
 }
 
 TEST(ConvergenceDetector, StickyOnceConverged) {
   Fixture f({1, 1});
   ConvergenceDetector det(ConvergenceMode::kCommitment, 0);
-  ASSERT_TRUE(det.update(f.colony, f.environment));
+  ASSERT_TRUE(det.update(f.colony, f.environment, f.census));
   f.fakes[0]->set(2, true);  // later disagreement does not un-converge
-  EXPECT_TRUE(det.update(f.colony, f.environment));
+  EXPECT_TRUE(det.update(f.colony, f.environment, f.census));
   EXPECT_EQ(det.winner(), 1u);
 }
 

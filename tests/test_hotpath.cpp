@@ -113,6 +113,30 @@ TEST(HotPath, PackedSimulationRoundNeverAllocates) {
   }
 }
 
+TEST(HotPath, ScalarSimulationRoundNeverAllocates) {
+  // The per-object engine's detector takes its census into a buffer the
+  // Simulation owns, so its rounds allocate nothing before convergence
+  // either (after it, the detector no longer takes a census).
+  core::SimulationConfig cfg;
+  cfg.num_ants = 512;
+  cfg.qualities = core::SimulationConfig::binary_qualities(4, 2);
+  cfg.seed = 13;
+  cfg.engine = core::EngineKind::kScalar;
+  for (const core::AlgorithmKind kind :
+       {core::AlgorithmKind::kSimple, core::AlgorithmKind::kQuorum,
+        core::AlgorithmKind::kOptimal}) {
+    core::Simulation sim(cfg, kind);
+    ASSERT_FALSE(sim.packed());
+    sim.step();
+    EXPECT_EQ(allocations_during([&] {
+                for (int round = 0; round < 10; ++round) sim.step();
+              }),
+              0u)
+        << core::algorithm_name(kind);
+    EXPECT_FALSE(sim.converged()) << core::algorithm_name(kind);
+  }
+}
+
 TEST(HotPath, FaultedPackedRoundNeverAllocates) {
   // Crash + Byzantine lanes push every round through the masked SoA entry
   // points; the zero-allocation contract must survive the overlay.

@@ -9,8 +9,10 @@
 #include <filesystem>
 #include <fstream>
 
+#include "analysis/runner.hpp"
 #include "test_util.hpp"
 #include "util/binary_io.hpp"
+#include "util/fault_inject.hpp"
 
 namespace hh::analysis {
 namespace {
@@ -254,6 +256,59 @@ TEST(ResultStore, CompactMergesEveryShardIntoOne) {
   EXPECT_EQ(reopened.shard_files(), 1u);
   EXPECT_EQ(reopened.size(), 6u);
   EXPECT_EQ(reopened.dropped_records(), 0u);
+}
+
+TEST(ResultStore, CompactClosesPooledWritersBeforeRemovingTheirShards) {
+  // After a run the store holds its writers open for the next one. Once
+  // reload() has indexed their shards, compact() removes those files, so
+  // it must close the writers too: the next run's records would otherwise
+  // go to an unlinked file and be lost to every later open.
+  const TempDir dir("compact-pool");
+  const std::vector<Scenario> scenarios = {Scenario::of(
+      "a", core::AlgorithmKind::kSimple, test::small_config(32, 2, 1))};
+  const Runner runner(RunnerOptions{2});
+  {
+    ResultStore store(dir.path);
+    (void)runner.run_resumable(scenarios, 4, 0xA, store);
+    (void)store.reload();
+    EXPECT_GE(store.compact().removed_files, 1u);
+    (void)runner.run_resumable(scenarios, 4, 0xB, store);
+  }
+  ResultStore reopened(dir.path);
+  for (const std::uint64_t seed : {0xA, 0xB}) {
+    ResumeReport report;
+    (void)runner.run_resumable(scenarios, 4, seed, reopened, &report);
+    EXPECT_EQ(report.cells_cached, 4u) << "base seed " << seed;
+  }
+}
+
+TEST(ResultStore, WriterWhoseAppendTornIsClosedNotPooled) {
+  // A torn append ends its shard for readers, so that writer must never be
+  // handed out again; the next writer's records must survive a reopen.
+  struct FaultGuard {
+    ~FaultGuard() { util::fault::disarm(); }
+  } guard;
+  const TempDir dir("torn-pool");
+  {
+    ResultStore store(dir.path);
+    {
+      auto writer = store.acquire_writer();
+      writer->append(TrialKey{3, 3, 0}, sample_stats(0));
+      util::fault::arm("store.append.torn=fail@1");
+      writer->append(TrialKey{3, 3, 1}, sample_stats(1));
+      util::fault::disarm();
+      EXPECT_TRUE(writer->write_failed());
+    }
+    auto writer = store.acquire_writer();
+    EXPECT_FALSE(writer->write_failed());
+    writer->append(TrialKey{3, 3, 2}, sample_stats(2));
+  }
+  ResultStore reopened(dir.path);
+  EXPECT_EQ(reopened.shard_files(), 2u);
+  EXPECT_EQ(reopened.dropped_records(), 1u);
+  EXPECT_NE(reopened.find(TrialKey{3, 3, 0}), nullptr);
+  EXPECT_EQ(reopened.find(TrialKey{3, 3, 1}), nullptr);
+  EXPECT_NE(reopened.find(TrialKey{3, 3, 2}), nullptr);
 }
 
 TEST(ScenarioFingerprint, SensitiveToOutcomeAffectingFields) {

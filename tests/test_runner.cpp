@@ -259,6 +259,37 @@ TEST(Runner, ProgressSnapshotsCoverEveryFreshCell) {
   EXPECT_EQ(batch.results[0].aggregate.trials, 5u);
 }
 
+TEST(Runner, ResumableRunsOnOneStoreReuseOneShardPerWorker) {
+  // The store pools its shard writers between runs: twelve cold runs at
+  // four threads leave at most four shards, and a fresh store on the
+  // directory serves every cell they wrote, bit for bit.
+  const test::TempDir dir("runner-pool");
+  const auto scenarios = small_sweep().expand();
+  const Runner runner(RunnerOptions{4});
+  constexpr std::size_t kTrials = 6;
+  constexpr std::uint64_t kRuns = 12;
+  std::vector<BatchResult> cold;
+  {
+    ResultStore store(dir.path);
+    for (std::uint64_t run = 0; run < kRuns; ++run) {
+      cold.push_back(
+          runner.run_resumable(scenarios, kTrials, 0x900D + run, store));
+    }
+    (void)store.reload();
+    EXPECT_LE(store.shard_files(), 4u);
+  }
+  ResultStore reopened(dir.path);
+  EXPECT_EQ(reopened.size(), kRuns * scenarios.size() * kTrials);
+  for (std::uint64_t run = 0; run < kRuns; ++run) {
+    ResumeReport report;
+    const BatchResult warm = runner.run_resumable(
+        scenarios, kTrials, 0x900D + run, reopened, &report);
+    EXPECT_EQ(report.cells_cached, report.cells_total);
+    expect_identical(cold[run], warm);
+    EXPECT_EQ(warm.tidy_rows(), cold[run].tidy_rows());
+  }
+}
+
 TEST(Runner, ProgressOnFullyCachedRunReportsAllCellsUpFront) {
   // Warm run: nothing executes, but the sink still gets one snapshot
   // saying every cell was served from the store.

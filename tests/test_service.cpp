@@ -99,7 +99,28 @@ TEST(Service, HelloPingAndStatusRoundTrip) {
   ASSERT_TRUE(status.is_object()) << client.error();
   EXPECT_EQ(status.find("jobs_done")->as_number(), 0.0);
   EXPECT_EQ(status.find("store_records")->as_number(), 0.0);
+  EXPECT_EQ(status.find("store_shards")->as_number(), 0.0);
   EXPECT_FALSE(status.find("job_running")->as_bool());
+}
+
+TEST(Service, StoreShardsStayWithinTheWorkerCountAcrossColdJobs) {
+  // Jobs reuse the store's shard writers, so the daemon's shard count (and
+  // with it the cost of the per-job reload) does not grow with its history.
+  ServeFixture serve;
+  Client client = serve.connect();
+  ASSERT_TRUE(client.connected()) << client.error();
+  for (std::uint64_t job = 0; job < 10; ++job) {
+    analysis::ExperimentSpec spec = tiny_spec();
+    spec.sweeps[0].base_seed = 0x5EED + job;
+    const JobOutcome outcome = client.submit(spec);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    EXPECT_EQ(outcome.run, 12u);
+  }
+  const util::Json status = client.status();
+  ASSERT_TRUE(status.is_object()) << client.error();
+  EXPECT_EQ(status.find("store_records")->as_number(), 120.0);
+  EXPECT_GE(status.find("store_shards")->as_number(), 1.0);
+  EXPECT_LE(status.find("store_shards")->as_number(), 2.0);  // 2 workers
 }
 
 TEST(Service, ColdJobMatchesOfflineRunByteForByte) {
