@@ -351,7 +351,11 @@ BENCHMARK_CAPTURE(BM_LatticeEngineRound, packed, hh::core::EngineKind::kPacked)
 // lanes). The packed_optimal_counter row steps whole Algorithm-2 trials
 // instead (counter-lottery pairing, n = 4096, k = 8), resetting to the
 // next seed at convergence, so its rounds span the active-heavy opening,
-// the mixed passive/final middle and the all-final tail — and CI's
+// the mixed passive/final middle and the all-final tail.
+// packed_optimal_psync is the same row under partial synchrony (skip
+// 0.1), where sleeping ants freeze their blocks and the kernel runs per
+// ant at each ant's own block step; such a colony rarely converges at
+// this size, so the row mostly times its long mixed middle. CI's
 // zero-allocation gate covers every packed row.
 
 void BM_EngineRound(benchmark::State& state, hh::core::EngineKind engine,
@@ -419,16 +423,24 @@ BENCHMARK_CAPTURE(BM_EngineRound, packed_optimal_counter,
                   hh::core::AlgorithmKind::kOptimal,
                   hh::env::PairingKind::kCounter)
     ->Arg(4096);
+BENCHMARK_CAPTURE(BM_EngineRound, packed_optimal_psync,
+                  hh::core::EngineKind::kPacked,
+                  hh::core::AlgorithmKind::kOptimal,
+                  hh::env::PairingKind::kCounter, hh::env::NoiseConfig{}, 0.1)
+    ->Arg(4096);
 
 // ---------------------------------------------------------------------------
 // One FAULT-INJECTED engine round, steady state: crash + Byzantine lanes
 // force every round through the masked SoA path (packed) vs the wrapper
 // chain (scalar). allocs_per_round must stay 0 on the packed rows — the
 // masked entry points extend the zero-allocation invariant to mixed
-// rounds.
+// rounds. The packed_optimal row is Algorithm 2's laned kernel: crashed
+// ants freeze their blocks, so each ant runs at its own block step.
 
 void BM_FaultedEngineRound(benchmark::State& state,
-                           hh::core::EngineKind engine) {
+                           hh::core::EngineKind engine,
+                           hh::core::AlgorithmKind algorithm =
+                               hh::core::AlgorithmKind::kSimple) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   hh::core::SimulationConfig cfg;
   cfg.num_ants = n;
@@ -439,7 +451,7 @@ void BM_FaultedEngineRound(benchmark::State& state,
   cfg.faults.crash_fraction = 0.1;
   cfg.faults.byzantine_fraction = 0.05;
   cfg.convergence_tolerance = 0.25;
-  hh::core::Simulation sim(cfg, hh::core::AlgorithmKind::kSimple);
+  hh::core::Simulation sim(cfg, algorithm);
   for (int warmup = 0; warmup < 16; ++warmup) sim.step();
 
   std::uint64_t allocs = 0;
@@ -457,6 +469,11 @@ BENCHMARK_CAPTURE(BM_FaultedEngineRound, scalar, hh::core::EngineKind::kScalar)
     ->RangeMultiplier(8)
     ->Range(64, 1 << 14);
 BENCHMARK_CAPTURE(BM_FaultedEngineRound, packed, hh::core::EngineKind::kPacked)
+    ->RangeMultiplier(8)
+    ->Range(64, 1 << 14);
+BENCHMARK_CAPTURE(BM_FaultedEngineRound, packed_optimal,
+                  hh::core::EngineKind::kPacked,
+                  hh::core::AlgorithmKind::kOptimal)
     ->RangeMultiplier(8)
     ->Range(64, 1 << 14);
 

@@ -632,28 +632,6 @@ std::uint32_t AntPack::count_finalized(std::span<const env::AntId> ants) const {
   return c;
 }
 
-bool packed_available(AlgorithmKind kind) {
-  switch (kind) {
-    case AlgorithmKind::kSimple:
-    case AlgorithmKind::kRateBoosted:
-    case AlgorithmKind::kQualityAware:
-    case AlgorithmKind::kUniformRecruit:
-    case AlgorithmKind::kQuorum:
-    case AlgorithmKind::kOptimal:
-    case AlgorithmKind::kOptimalSettle:
-      return true;
-  }
-  return false;
-}
-
-Capabilities packed_capabilities(AlgorithmKind kind) {
-  // One declaration covers every built-in: they all derive from the
-  // AntPack base, whose fault lanes, sleep overlay, exact/noisy observe
-  // views, and agreement censuses supply the whole matrix.
-  return packed_available(kind) ? Capabilities::standard_pack()
-                                : Capabilities{};
-}
-
 std::unique_ptr<AntPack> make_ant_pack(AlgorithmKind kind,
                                        std::uint32_t num_ants,
                                        std::uint32_t num_nests,

@@ -57,7 +57,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/capabilities.hpp"
 #include "core/colony.hpp"
 #include "core/convergence.hpp"
 #include "env/environment.hpp"
@@ -348,18 +347,7 @@ class AntPack {
   std::uint32_t byz_scouting_ = 0;
 };
 
-/// True iff `kind` has a packed implementation.
-[[nodiscard]] bool packed_available(AlgorithmKind kind);
-
-/// The declared capability matrix of `kind`'s packed engine — what
-/// configurations the pack may run, consumed by the data-driven engine
-/// selection (core/capabilities.hpp, core/registry.hpp). Every built-in
-/// pack rides the AntPack base's fault lanes and masked observation, so
-/// they all declare Capabilities::standard_pack(); tests/test_registry.cpp
-/// holds each declaration to what tests/test_ant_pack.cpp exercises.
-[[nodiscard]] Capabilities packed_capabilities(AlgorithmKind kind);
-
-/// Build the packed colony for `kind`, or nullptr if none exists.
+/// Build the packed colony for `kind` (every built-in kind has one).
 /// `colony_seed` is the same seed make_colony would receive; per-ant RNG
 /// streams are derived from it identically to the per-object path.
 /// `num_nests` is k (packs keep an incrementally-maintained commitment

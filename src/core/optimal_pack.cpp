@@ -14,7 +14,11 @@ namespace {
 /// core/optimal_ant.{hpp,cpp}; every transition here mirrors OptimalAnt
 /// observation for observation (the algorithm draws no per-ant
 /// randomness, so equivalence is purely a matter of identical
-/// count/nest comparisons in identical order).
+/// count/nest comparisons in identical order). Each transition is coded
+/// once: the block steps in observe_decide_passive/_active, a final
+/// ant's observe in observe_final, the rest in observe_decide_general.
+/// The listed pass (fault-free, fully synchronous colonies) and the laned
+/// pass (faulted or partially synchronous ones) both run them.
 class OptimalPack final : public AntPack {
  public:
   OptimalPack(std::uint32_t num_ants, std::uint32_t num_nests,
@@ -67,7 +71,9 @@ class OptimalPack final : public AntPack {
     return true;
   }
 
-  /// One ant's masked decision (OptimalAnt::decide).
+  /// One ant's masked decision (OptimalAnt::decide), read off its state
+  /// and block step: the decide half of the general path, and the whole
+  /// round of an ant waking from a frozen block.
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
   void decide_one(std::size_t a, std::span<env::MaskedOp> op,
                   std::span<std::uint8_t> active,
@@ -103,44 +109,26 @@ class OptimalPack final : public AntPack {
     }
   }
 
-  /// One acting ant's observe on the per-ant path. op[a] is the ant's
-  /// round-r call — the one copy of the R1-R4 recruit/go classification.
-  /// Only a search reads the quality.
-  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-  template <typename Seen>
-  void observe_one(std::size_t a, const env::Environment& env, const Seen seen,
-                   std::span<const env::NestId> results,
-                   std::span<const env::MaskedOp> op,
-                   std::span<const env::NestId> targets) {
-    if (static_cast<State>(state_[a]) == State::kSearch) {
-      const env::NestId found = env.location(static_cast<env::AntId>(a));
-      apply_search(a, found, seen.count(a, found), seen.quality(a, found));
-    } else if (op[a] == env::MaskedOp::kRecruit) {
-      // j plus the home-nest population (read by finals for settling).
-      apply(a, results[a], seen.count(a, env::kHomeNest), 0.0);
-    } else {
-      // go(targets[a]): the visited nest's end-of-round count.
-      apply(a, targets[a], seen.count(a, targets[a]), 0.0);
-    }
-  }
-
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
   void observe_decide(const env::Environment& env, Acting acting,
                       std::span<env::MaskedOp> op,
                       std::span<std::uint8_t> active,
                       std::span<env::NestId> targets) override {
+    const Lanes lanes = kernel_lanes(env, op, active, targets);
     with_views(env, acting, [&](const auto seen, const auto& act) {
       if constexpr (std::is_same_v<std::decay_t<decltype(act)>, EveryAnt>) {
-        observe_decide_listed(env, seen, listed_lanes(env, op, active, targets));
+        observe_decide_listed(env, seen, lanes);
       } else {
         // Faulted and partially synchronous colonies: an ant that does
-        // not act freezes its block, so the steps drift apart and each
-        // ant takes the general path. Its own op/target rows still hold
-        // its round-r call when it observes.
-        const std::span<const env::NestId> results = env.recruit_results();
-        for (std::size_t a = 0; a < op.size(); ++a) {
-          if (act.acted(a)) observe_one(a, env, seen, results, op, targets);
-          if (act.acts(a)) decide_one(a, op, active, targets);
+        // not act freezes its block, so the block steps drift apart and
+        // each ant runs at its own. An ant waking from a frozen block
+        // observes nothing and only decides.
+        for (env::AntId a = 0; a < lanes.n; ++a) {
+          if (act.acted(a)) {
+            observe_decide_laned(lanes, seen, env, a);
+          } else if (act.acts(a)) {
+            decide_one(a, op, active, targets);
+          }
         }
       }
     });
@@ -253,17 +241,17 @@ class OptimalPack final : public AntPack {
     }
   }
 
-  /// One deferred census update: a commitment move from -> to (step 1),
-  /// or a finalization at `to` (step 3; `from` unused).
+  /// One census update of a block step: a commitment move from -> to
+  /// (step 1), or a finalization at `to` (step 3; `from` unused).
   struct CensusUpdate {
     env::NestId from;
     env::NestId to;
   };
 
-  /// Raw lane pointers for the listed pass. Its byte stores may alias any
-  /// object, the member vectors' own data pointers included, so indexing
-  /// the vectors would reload every base pointer for every ant.
-  struct ListedLanes {
+  /// Raw lane pointers for the round kernel. Its byte stores may alias
+  /// any object, the member vectors' own data pointers included, so
+  /// indexing the vectors would reload every base pointer for every ant.
+  struct Lanes {
     std::uint8_t* state;
     std::uint8_t* step;
     std::uint8_t* pending_final;
@@ -282,18 +270,18 @@ class OptimalPack final : public AntPack {
   };
 
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-  [[nodiscard]] ListedLanes listed_lanes(const env::Environment& env,
-                                         std::span<env::MaskedOp> op,
-                                         std::span<std::uint8_t> active,
-                                         std::span<env::NestId> targets) {
-    return ListedLanes{state_.data(),         step_.data(),
-                       pending_final_.data(), pending_passive_.data(),
-                       case_.data(),          nest_.data(),
-                       nest_t_.data(),        count_.data(),
-                       count_t_.data(),       deferred_.get(),
-                       op.data(),             active.data(),
-                       targets.data(),        env.recruit_results().data(),
-                       op.size()};
+  [[nodiscard]] Lanes kernel_lanes(const env::Environment& env,
+                                   std::span<env::MaskedOp> op,
+                                   std::span<std::uint8_t> active,
+                                   std::span<env::NestId> targets) {
+    return Lanes{state_.data(),         step_.data(),
+                 pending_final_.data(), pending_passive_.data(),
+                 case_.data(),          nest_.data(),
+                 nest_t_.data(),        count_.data(),
+                 count_t_.data(),       deferred_.get(),
+                 op.data(),             active.data(),
+                 targets.data(),        env.recruit_results().data(),
+                 op.size()};
   }
 
   /// The listed pass: the round kernel of a fault-free, fully synchronous
@@ -320,9 +308,9 @@ class OptimalPack final : public AntPack {
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
   template <typename Seen>
   void observe_decide_listed(const env::Environment& env, const Seen seen,
-                             const ListedLanes lanes) {
+                             const Lanes lanes) {
     if (!listed_) list_ants();
-    if (!settle_ && finalized_count_ > 0) observe_finals(lanes);
+    if (!settle_ && finalized_count_ > 0) observe_finals(lanes, seen);
     switch ((env.round() + 2) & 3u) {
       case 0:
         observe_decide_step<0>(lanes, seen, env);
@@ -347,7 +335,8 @@ class OptimalPack final : public AntPack {
   /// first (a fixed-length loop the compiler vectorizes) and walks the
   /// block ant by ant only when that is nonzero.
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-  void observe_finals(const ListedLanes lanes) {
+  template <typename Seen>
+  void observe_finals(const Lanes lanes, const Seen seen) {
     constexpr std::size_t kBlock = 64;
     for (std::size_t first = 0; first < lanes.n; first += kBlock) {
       const std::size_t last = std::min(first + kBlock, lanes.n);
@@ -363,7 +352,7 @@ class OptimalPack final : public AntPack {
         if (poached_word(lanes, a) == 0) continue;
         HH_ASSERT(lanes.op[a] == env::MaskedOp::kRecruit &&
                   lanes.active[a] == 1);
-        move_final(a, lanes.results[a]);
+        observe_final(a, lanes.results[a], seen.count(a, env::kHomeNest));
         lanes.targets[a] = lanes.results[a];
       }
     }
@@ -373,7 +362,7 @@ class OptimalPack final : public AntPack {
   /// a && (or an & of two bools), which GCC splits back into a branch on
   /// the state alone.
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-  [[nodiscard]] static std::uint32_t poached_word(const ListedLanes& lanes,
+  [[nodiscard]] static std::uint32_t poached_word(const Lanes& lanes,
                                                   std::size_t a) {
     const std::uint32_t final_mask =
         0u - static_cast<std::uint32_t>(
@@ -381,16 +370,32 @@ class OptimalPack final : public AntPack {
     return (lanes.results[a] ^ lanes.nest[a]) & final_mask;
   }
 
-  /// A poached final ant adopts j (line 21's assignment): both censuses
-  /// move with it.
+  /// A final ant's observe: line 21's <nest, .> := recruit(1, nest). A
+  /// poached final ant (j != nest) adopts j, and both censuses move with
+  /// it (correct ants only). Under optimal+settle, `home_count`, the count
+  /// the recruit call returns, drives the settle streak.
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-  void move_final(std::size_t a, env::NestId j) {
-    const env::NestId from = nest_[a];
-    --fin_census_[from];
-    ++fin_census_[j];
-    --census_[from];
-    ++census_[j];
-    nest_[a] = j;
+  void observe_final(std::size_t a, env::NestId j, std::uint32_t home_count) {
+    if (j != nest_[a]) {
+      if (counts_in_census(static_cast<env::AntId>(a))) {
+        --fin_census_[nest_[a]];
+        ++fin_census_[j];
+      }
+      adopt(a, j);
+    }
+    if (settle_) {
+      // Section 4.2 termination fix: two consecutive rounds with every
+      // ant at the home nest are only possible once all ants are final
+      // (a passive ant is home at most one round in four), so all finals
+      // observe the same streak and settle simultaneously.
+      if (home_count == size()) {
+        if (++full_house_streak_[a] >= 2) {
+          state_[a] = static_cast<std::uint8_t>(State::kSettled);
+        }
+      } else {
+        full_house_streak_[a] = 0;
+      }
+    }
   }
 
   /// The listed pass over the two ant lists at block step S (the step
@@ -399,14 +404,13 @@ class OptimalPack final : public AntPack {
   /// updates on the deferred list (unconditional store, predicated
   /// advance): commitment moves at step 1, finalizations at step 3, the
   /// only steps that have them. The listed pass runs only for fault-free
-  /// colonies, so every ant counts in both censuses (here and in
-  /// move_final). Ants change state only at the end of a block, so step
-  /// 3 also keeps the lists: new final ants leave (except
-  /// optimal+settle's), and the other list's new passive ants join the
-  /// end of the passive list, which runs first.
+  /// colonies, so every ant counts in both censuses. Ants change state
+  /// only at the end of a block, so step 3 also keeps the lists: new
+  /// final ants leave (except optimal+settle's), and the other list's new
+  /// passive ants join the end of the passive list, which runs first.
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
   template <unsigned S, typename Seen>
-  void observe_decide_step(const ListedLanes lanes, const Seen seen,
+  void observe_decide_step(const Lanes lanes, const Seen seen,
                            const env::Environment& env) {
     env::AntId* const passive_ants = passive_ants_.get();
     std::uint32_t passive_end = 0;
@@ -483,9 +487,9 @@ class OptimalPack final : public AntPack {
   /// had its round in observe_finals.
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
   template <unsigned S, typename Seen>
-  Relist observe_decide_one(const ListedLanes& lanes, const Seen seen,
-                            const env::Environment& env, env::AntId a,
-                            std::uint32_t& deferred) {
+  [[gnu::always_inline]] Relist observe_decide_one(
+      const Lanes& lanes, const Seen seen, const env::Environment& env,
+      env::AntId a, std::uint32_t& deferred) {
     // settle_ finals watch the home-nest streak: they stay listed and take
     // the general path.
     const std::uint32_t final_leaves = settle_ ? 0u : 1u;
@@ -511,13 +515,15 @@ class OptimalPack final : public AntPack {
     return {passive ? 0u : 1u, passive ? 1u : 0u};
   }
 
-  /// A passive ant at block step S: lines 13-19.
-  /// Returns 1 iff the ant turned final.
+  /// A passive ant at block step S: lines 13-19. Its census update, if
+  /// any, goes to lanes.deferred[deferred], and `deferred` advances past
+  /// it. Returns 1 iff the ant turned final. Both passes run the step
+  /// templates, and they are forced inline, so the listed pass's loops do
+  /// not hang on the compiler's inlining heuristics (CI checks with nm).
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
   template <unsigned S>
-  static std::uint32_t observe_decide_passive(const ListedLanes& lanes,
-                                              env::AntId a,
-                                              std::uint32_t& deferred) {
+  [[gnu::always_inline]] static std::uint32_t observe_decide_passive(
+      const Lanes& lanes, env::AntId a, std::uint32_t& deferred) {
     constexpr std::uint32_t kGo = static_cast<std::uint8_t>(env::MaskedOp::kGo);
     const env::NestId nest = lanes.nest[a];
     if constexpr (S == 0) {
@@ -555,15 +561,15 @@ class OptimalPack final : public AntPack {
     return 0;
   }
 
-  /// An active ant at block step S: lines 22-42.
-  /// Returns where step 3 puts the ant (see Relist); `final_leaves` is 0
-  /// when final ants stay listed (optimal+settle).
+  /// An active ant at block step S: lines 22-42. Its census update goes
+  /// where observe_decide_passive's does. Returns where step 3 puts the
+  /// ant (see Relist); `final_leaves` is 0 when final ants stay listed
+  /// (optimal+settle).
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
   template <unsigned S, typename Seen>
-  static Relist observe_decide_active(const ListedLanes& lanes,
-                                      const Seen seen, env::AntId a,
-                                      std::uint32_t final_leaves,
-                                      std::uint32_t& deferred) {
+  [[gnu::always_inline]] static Relist observe_decide_active(
+      const Lanes& lanes, const Seen seen, env::AntId a,
+      std::uint32_t final_leaves, std::uint32_t& deferred) {
     constexpr std::uint32_t kGo = static_cast<std::uint8_t>(env::MaskedOp::kGo);
     constexpr auto kCase1 = static_cast<std::uint8_t>(ActiveCase::kCase1);
     constexpr auto kCase3 = static_cast<std::uint8_t>(ActiveCase::kCase3);
@@ -642,12 +648,70 @@ class OptimalPack final : public AntPack {
     return {1u, 0u};
   }
 
-  /// The general observe+decide of the listed pass: round 1's searches,
-  /// settled ants, and optimal+settle's final ants. The observation
-  /// follows from the state alone.
+  /// The laned pass's observe+decide for an ant that acted in round r.
+  /// An active or passive ant runs the listed pass's step template at its
+  /// own block step and applies its census update at once; the others
+  /// take the general path.
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
   template <typename Seen>
-  void observe_decide_general(std::size_t a, const ListedLanes& lanes,
+  void observe_decide_laned(const Lanes& lanes, const Seen seen,
+                            const env::Environment& env, env::AntId a) {
+    const auto state = static_cast<State>(lanes.state[a]);
+    if (state != State::kActive && state != State::kPassive) {
+      observe_decide_general(a, lanes, seen, env);
+      return;
+    }
+    switch (lanes.step[a]) {
+      case 0:
+        observe_decide_block<0>(lanes, seen, a);
+        break;
+      case 1:
+        observe_decide_block<1>(lanes, seen, a);
+        break;
+      case 2:
+        observe_decide_block<2>(lanes, seen, a);
+        break;
+      default:
+        observe_decide_block<3>(lanes, seen, a);
+        break;
+    }
+  }
+
+  /// One laned active or passive ant at block step S. The template writes
+  /// the ant's call for round r + 1 even when the ant does not act then;
+  /// plan_inactive overwrites that row. Its census update (the commitment
+  /// move of step 1, the finalization of step 3) is applied here, and a
+  /// crash-scheduled ant stays out of both censuses.
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+  template <unsigned S, typename Seen>
+  void observe_decide_block(const Lanes& lanes, const Seen seen,
+                            env::AntId a) {
+    std::uint32_t moved = 0;
+    if (lanes.state[a] == static_cast<std::uint8_t>(State::kPassive)) {
+      observe_decide_passive<S>(lanes, a, moved);
+    } else {
+      observe_decide_active<S>(lanes, seen, a, /*final_leaves=*/1u, moved);
+    }
+    lanes.step[a] = static_cast<std::uint8_t>((S + 1) & 3u);
+    if (moved == 0) return;
+    const CensusUpdate update = lanes.deferred[0];
+    if constexpr (S == 3) ++finalized_count_;
+    if (!counts_in_census(a)) return;
+    if constexpr (S == 1) {
+      --census_[update.from];
+      ++census_[update.to];
+    } else if constexpr (S == 3) {
+      ++fin_census_[update.to];
+    }
+  }
+
+  /// The general observe+decide: round 1's searches, settled ants, and
+  /// the final ants that observe_finals does not cover (optimal+settle's,
+  /// and every final ant of a laned colony). The observation follows
+  /// from the state alone.
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+  template <typename Seen>
+  void observe_decide_general(std::size_t a, const Lanes& lanes,
                               const Seen seen, const env::Environment& env) {
     switch (static_cast<State>(state_[a])) {
       case State::kSearch: {
@@ -656,7 +720,7 @@ class OptimalPack final : public AntPack {
         break;
       }
       case State::kFinal:  // recruit(1, nest): j and the home count
-        apply(a, lanes.results[a], seen.count(a, env::kHomeNest), 0.0);
+        observe_final(a, lanes.results[a], seen.count(a, env::kHomeNest));
         break;
       default:  // settled: go(nest) forever, nothing to learn
         HH_ASSERT(static_cast<State>(state_[a]) == State::kSettled);
@@ -664,14 +728,6 @@ class OptimalPack final : public AntPack {
     }
     decide_one(a, {lanes.op, lanes.n}, {lanes.active, lanes.n},
                {lanes.targets, lanes.n});
-  }
-
-  void set_final(std::size_t a) {
-    state_[a] = static_cast<std::uint8_t>(State::kFinal);
-    ++finalized_count_;
-    if (counts_in_census(static_cast<env::AntId>(a))) {
-      ++fin_census_[nest_[a]];
-    }
   }
 
   /// Lines 7-11: commit to the found nest; bad quality => passive.
@@ -683,139 +739,6 @@ class OptimalPack final : public AntPack {
                                                         : State::kPassive);
     step_[a] = 0;
     case_[a] = static_cast<std::uint8_t>(ActiveCase::kUndecided);
-  }
-
-  /// One observation for ant a: `nest` is the returned nest (go target /
-  /// recruit return j / search landing), `count` the perceived count the
-  /// call returns. Mirrors OptimalAnt::observe branch for branch; the
-  /// ant's position in its 4-round block is the per-ant step_ lane
-  /// (advanced here, frozen while the ant sleeps or is crashed — exactly
-  /// the scalar ant's step_).
-  void apply(std::size_t a, env::NestId nest, std::uint32_t count,
-             double quality) {
-    switch (static_cast<State>(state_[a])) {
-      case State::kSearch:
-        apply_search(a, nest, count, quality);
-        break;
-      case State::kActive:
-        apply_active(a, step_[a], nest, count);
-        step_[a] = static_cast<std::uint8_t>((step_[a] + 1) % 4);
-        break;
-      case State::kPassive:
-        apply_passive(a, step_[a], nest);
-        step_[a] = static_cast<std::uint8_t>((step_[a] + 1) % 4);
-        break;
-      case State::kFinal:
-        // Line 21: <nest, .> := recruit(1, nest) — the assignment means a
-        // poached final ant switches its commitment to the recruiter's
-        // nest.
-        if (nest != nest_[a]) {
-          if (counts_in_census(static_cast<env::AntId>(a))) {
-            --fin_census_[nest_[a]];
-            ++fin_census_[nest];
-          }
-          adopt(a, nest);
-        }
-        if (settle_) {
-          // Section 4.2 termination fix: two consecutive rounds with every
-          // ant at the home nest are only possible once all ants are final
-          // (a passive ant is home at most one round in four), so all
-          // finals observe the same streak and settle simultaneously.
-          if (count == size()) {
-            if (++full_house_streak_[a] >= 2) {
-              state_[a] = static_cast<std::uint8_t>(State::kSettled);
-            }
-          } else {
-            full_house_streak_[a] = 0;
-          }
-        }
-        break;
-      case State::kSettled:
-        break;  // go(nest) forever; nothing to learn
-    }
-  }
-
-  void apply_active(std::size_t a, std::uint8_t step, env::NestId nest,
-                    std::uint32_t count) {
-    switch (step) {
-      case 0:
-        // Line 23: nest_t is the recruit() return value j.
-        nest_t_[a] = nest;
-        break;
-      case 1:
-        // Line 24: count_t := go(nest_t); then select the case
-        // (lines 25-42).
-        count_t_[a] = count;
-        if (nest_t_[a] == nest_[a]) {
-          if (count_t_[a] >= count_[a]) {
-            case_[a] = static_cast<std::uint8_t>(ActiveCase::kCase1);
-            count_[a] = count_t_[a];  // line 27
-          } else {
-            case_[a] = static_cast<std::uint8_t>(ActiveCase::kCase2);
-            pending_passive_[a] = 1;  // line 34 (takes effect after block)
-          }
-        } else {
-          case_[a] = static_cast<std::uint8_t>(ActiveCase::kCase3);
-          adopt(a, nest_t_[a]);  // line 38
-        }
-        break;
-      case 2:
-        if (static_cast<ActiveCase>(case_[a]) == ActiveCase::kCase3) {
-          // Lines 39-41: count_n distinguishes competing (case-1 ants are
-          // at the nest this round, so count_n == count_t) from dropping
-          // out (case-2 ants are at home, so count_n < count_t).
-          if (count < count_t_[a]) {
-            pending_passive_[a] = 1;  // line 41
-          } else {
-            // Adopt the new nest's population as the reference for the
-            // next block's comparison (see OptimalAnt and DESIGN.md §2).
-            count_[a] = count;
-          }
-        }
-        // Case 1: go(nest) — nothing to record. Case 2: recruit(0) return
-        // discarded (pseudocode line 35 has no assignment).
-        break;
-      case 3:
-        if (static_cast<ActiveCase>(case_[a]) == ActiveCase::kCase1 &&
-            count == count_[a]) {
-          // Lines 29-31: count_h == count means every active ant in the
-          // colony is committed to this nest — switch to final.
-          set_final(a);
-        }
-        if (static_cast<State>(state_[a]) != State::kFinal &&
-            pending_passive_[a] != 0) {
-          state_[a] = static_cast<std::uint8_t>(State::kPassive);
-        }
-        pending_passive_[a] = 0;
-        case_[a] = static_cast<std::uint8_t>(ActiveCase::kUndecided);
-        break;
-      default:
-        HH_ASSERT(false);
-    }
-  }
-
-  void apply_passive(std::size_t a, std::uint8_t step, env::NestId nest) {
-    switch (step) {
-      case 0:
-      case 2:
-        break;
-      case 1:
-        // Lines 14-17: recruited => adopt the new nest and become final
-        // after finishing the block's two go(nest) rounds.
-        if (nest != nest_[a]) {
-          adopt(a, nest);
-          pending_final_[a] = 1;
-        }
-        break;
-      case 3:
-        if (pending_final_[a] != 0) {
-          set_final(a);
-          pending_final_[a] = 0;
-        }
-        break;
-      default:
-        HH_ASSERT(false);
-    }
   }
 
   bool settle_;
@@ -835,6 +758,7 @@ class OptimalPack final : public AntPack {
   // The listed pass's lists (see observe_decide_step). The census
   // updates are deferred until the pass is over: the censuses are sums,
   // and nothing reads them before agreement_census() runs after the pass.
+  // The laned pass reads its one update of an ant back from entry 0.
   std::unique_ptr<CensusUpdate[]> deferred_;
   /// Passive ants, and the other ants that are not known final: together
   /// a superset of the non-final ants (only the listed pass drops ants,

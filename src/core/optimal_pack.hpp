@@ -7,14 +7,15 @@
 // 4-round blocks (R1..R4) while final ants recruit every round and settled
 // ants go every round, so within one round the colony mixes recruit() and
 // go() calls. The pack therefore keeps PER-ANT phase lanes (state, block
-// case, pending transitions) and plans every round >= 2 per ant. Its
-// round kernel has two forms (see optimal_pack.cpp). In a fault-free,
-// fully synchronous colony, exact or noisy, every active and passive ant
-// shares one block step, derived from the round number, and the kernel
-// runs the listed pass: one loop per state list, specialised on the
-// step. Under faults or partial synchrony a sleeping or crashed ant's
-// block freezes, so the block step is a per-ant lane and each acting ant
-// takes the general apply + decide_one path.
+// step and case, pending transitions) and plans every round >= 2 per
+// ant. Each transition is coded once (see optimal_pack.cpp), and two
+// passes run it. In a fault-free, fully synchronous colony, exact or
+// noisy, every active and passive ant shares one block step, derived
+// from the round number, and the kernel runs the listed pass: one loop
+// per state list, specialised on the step. Under faults or partial
+// synchrony a sleeping or crashed ant's block freezes, so the kernel
+// runs the laned pass: each acting ant runs the same step code at its
+// own block step.
 //
 // Bit-identical to the per-object OptimalAnt colony (which draws no
 // per-ant randomness at all): same observation-driven transitions, same

@@ -110,16 +110,18 @@ AlgorithmSpec builtin_algorithm_spec(AlgorithmKind kind) {
     return make_colony(config.num_ants, kind, std::move(plan), colony_seed,
                        params);
   };
-  if (packed_available(kind)) {
-    spec.capabilities = packed_capabilities(kind);
-    spec.pack = [kind](const SimulationConfig& config,
-                       std::uint64_t colony_seed, const AlgorithmParams& params,
-                       const env::FaultPlan* faults) {
-      return make_ant_pack(kind, config.num_ants,
-                           static_cast<std::uint32_t>(config.qualities.size()),
-                           colony_seed, params, faults);
-    };
-  }
+  // Every built-in pack rides the AntPack base, whose fault lanes, sleep
+  // overlay, exact/noisy observe views and agreement censuses supply the
+  // whole standard matrix; tests/test_registry.cpp holds the declaration
+  // to what tests/test_ant_pack.cpp exercises.
+  spec.capabilities = Capabilities::standard_pack();
+  spec.pack = [kind](const SimulationConfig& config, std::uint64_t colony_seed,
+                     const AlgorithmParams& params,
+                     const env::FaultPlan* faults) {
+    return make_ant_pack(kind, config.num_ants,
+                         static_cast<std::uint32_t>(config.qualities.size()),
+                         colony_seed, params, faults);
+  };
   return spec;
 }
 

@@ -150,8 +150,8 @@ class AlgorithmRegistry {
 /// Every built-in AlgorithmKind, in declaration order.
 [[nodiscard]] const std::vector<AlgorithmKind>& all_algorithm_kinds();
 
-/// The AlgorithmSpec registered for built-in `kind` (capability matrix
-/// from packed_capabilities(), factories over make_colony/make_ant_pack).
+/// The AlgorithmSpec registered for built-in `kind` (the standard pack
+/// capability matrix, factories over make_colony/make_ant_pack).
 [[nodiscard]] AlgorithmSpec builtin_algorithm_spec(AlgorithmKind kind);
 
 }  // namespace hh::core

@@ -210,7 +210,7 @@ Simulation::Simulation(const SimulationConfig& config, EngineParts engine,
       colony_(std::move(engine.colony)),
       pack_(std::move(engine.pack)),
       world_(make_world(config, pack_ != nullptr)),
-      scheduler_(env::make_scheduler(config.skip_probability)),
+      scheduler_(config.skip_probability),
       scheduler_rng_(util::mix_seed(config.seed, kSchedulerSeedTag)),
       detector_(mode, config.stability_rounds, config.convergence_tolerance),
       max_rounds_(config.max_rounds ? config.max_rounds
@@ -307,7 +307,7 @@ bool Simulation::step_scalar() {
   for (env::AntId a = 0; a < colony_.size(); ++a) {
     // The scheduler is consulted before the ant: a sleeping ant's state
     // machine is frozen for the round (partial-synchrony extension).
-    const bool awake = scheduler_->awake(a, world_->round(), scheduler_rng_);
+    const bool awake = scheduler_.awake(world_->round(), scheduler_rng_);
     awake_[a] = awake;
     actions_[a] = awake ? colony_.ants[a]->decide(round) : env::Action::idle();
   }
@@ -338,13 +338,10 @@ bool Simulation::step_lattice_packed() {
   // The walker workload has no per-ant kernel state: an ant searches
   // until the backend's reached lane flips, then idles. So the driver
   // fills the op lanes straight off that lane — scheduler consulted per
-  // ant in the same order as step_scalar (fully synchronous configs skip
-  // the consult; their scheduler draws nothing either way), which keeps
-  // the two engines RNG-identical.
-  const bool psync = config_.skip_probability > 0.0;
+  // ant in the same order as step_scalar, which keeps the two engines
+  // RNG-identical.
   for (env::AntId a = 0; a < config_.num_ants; ++a) {
-    const bool awake =
-        !psync || scheduler_->awake(a, world_->round(), scheduler_rng_);
+    const bool awake = scheduler_.awake(world_->round(), scheduler_rng_);
     masked_op_[a] = awake && !lattice_->reached(a) ? env::MaskedOp::kSearch
                                                    : env::MaskedOp::kIdle;
   }
@@ -382,15 +379,12 @@ bool Simulation::update_lattice_convergence() {
 bool Simulation::step_packed() {
   // Partial synchrony: each round's awake mask is drawn exactly as
   // step_scalar draws it — same scheduler stream, same ant order, the same
-  // awake(a, r) arguments at round r + 1. Fully synchronous configs keep
-  // both masks empty (every ant awake): their draw-free
-  // SynchronousScheduler is never consulted.
+  // awake(r) arguments at round r + 1. Fully synchronous configs keep
+  // both masks empty (every ant awake): their draw-free scheduler is
+  // never consulted.
   const auto draw_awake = [this](std::vector<std::uint8_t>& mask) {
     for (std::size_t a = 0; a < mask.size(); ++a) {
-      mask[a] = scheduler_->awake(static_cast<env::AntId>(a), home_->round(),
-                                  scheduler_rng_)
-                    ? 1
-                    : 0;
+      mask[a] = scheduler_.awake(home_->round(), scheduler_rng_) ? 1 : 0;
     }
   };
   // Round 1's lanes: every acting ant searches. Every later round's lanes

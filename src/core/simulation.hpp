@@ -290,7 +290,7 @@ class Simulation {
   std::unique_ptr<env::Backend> world_;
   env::HomeNestBackend* home_ = nullptr;   // == world_ iff home-nest
   env::LatticeBackend* lattice_ = nullptr; // == world_ iff lattice
-  std::unique_ptr<env::Scheduler> scheduler_;
+  env::Scheduler scheduler_;
   util::Rng scheduler_rng_;
   ConvergenceDetector detector_;
   std::uint32_t max_rounds_;

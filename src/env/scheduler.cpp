@@ -4,20 +4,9 @@
 
 namespace hh::env {
 
-PartialSynchronyScheduler::PartialSynchronyScheduler(double skip_probability)
+Scheduler::Scheduler(double skip_probability)
     : skip_probability_(skip_probability) {
-  HH_EXPECTS(skip_probability >= 0.0 && skip_probability < 1.0);
-}
-
-bool PartialSynchronyScheduler::awake(AntId, std::uint32_t round,
-                                      util::Rng& rng) {
-  if (round == 0) return true;  // never skip the initial search round
-  return !rng.bernoulli(skip_probability_);
-}
-
-std::unique_ptr<Scheduler> make_scheduler(double skip_probability) {
-  if (skip_probability <= 0.0) return std::make_unique<SynchronousScheduler>();
-  return std::make_unique<PartialSynchronyScheduler>(skip_probability);
+  HH_EXPECTS(skip_probability < 1.0);  // false for NaN as well
 }
 
 }  // namespace hh::env

@@ -1,4 +1,4 @@
-// Round schedulers (paper Section 6, "Asynchrony"): the base model is
+// Round scheduler (paper Section 6, "Asynchrony"): the base model is
 // fully synchronous; the partial-synchrony extension lets each ant
 // independently miss a round with some probability, modeling jitter in
 // when ants act. A sleeping ant idles in place and its own state machine
@@ -7,54 +7,32 @@
 #define HH_ENV_SCHEDULER_HPP
 
 #include <cstdint>
-#include <memory>
-#include <string_view>
 
-#include "env/nest.hpp"
 #include "util/rng.hpp"
 
 namespace hh::env {
 
-/// Decides, per ant and round, whether the ant gets to act.
+/// Decides, per ant and round, whether the ant gets to act. A skip
+/// probability <= 0 is the paper's base model: every ant acts every
+/// round and the scheduler draws nothing. A positive one is partial
+/// synchrony: each ant independently sleeps through a round with that
+/// probability, except round 0 (the global search), so every ant starts
+/// with one known nest.
 class Scheduler {
  public:
-  virtual ~Scheduler() = default;
+  /// Requires skip_probability < 1 (NaN is rejected too).
+  explicit Scheduler(double skip_probability);
 
-  /// True iff ant a executes its state machine in this round.
-  [[nodiscard]] virtual bool awake(AntId a, std::uint32_t round,
-                                   util::Rng& rng) = 0;
-
-  /// Short stable identifier for reports.
-  [[nodiscard]] virtual std::string_view name() const = 0;
-};
-
-/// The paper's base model: every ant acts every round.
-class SynchronousScheduler final : public Scheduler {
- public:
-  [[nodiscard]] bool awake(AntId, std::uint32_t, util::Rng&) override {
-    return true;
-  }
-  [[nodiscard]] std::string_view name() const override { return "synchronous"; }
-};
-
-/// Partial synchrony: each ant independently sleeps through a round with
-/// probability skip_probability. The first round (the global search) is
-/// never skipped so every ant starts with one known nest.
-class PartialSynchronyScheduler final : public Scheduler {
- public:
-  explicit PartialSynchronyScheduler(double skip_probability);
-
-  [[nodiscard]] bool awake(AntId a, std::uint32_t round, util::Rng& rng) override;
-  [[nodiscard]] std::string_view name() const override {
-    return "partial-synchrony";
+  /// True iff the ant being asked about executes its state machine in
+  /// `round`; one draw from `rng` under partial synchrony after round 0.
+  [[nodiscard]] bool awake(std::uint32_t round, util::Rng& rng) const {
+    if (skip_probability_ <= 0.0 || round == 0) return true;
+    return !rng.bernoulli(skip_probability_);
   }
 
  private:
   double skip_probability_;
 };
-
-/// Instantiate a scheduler for the given skip probability (0 = synchronous).
-[[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(double skip_probability);
 
 }  // namespace hh::env
 

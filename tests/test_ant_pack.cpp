@@ -61,7 +61,7 @@ RunResult run_with_engine(SimulationConfig cfg, AlgorithmKind kind,
 
 TEST(AntPack, AvailableForEveryBuiltInAlgorithm) {
   for (AlgorithmKind kind : all_algorithm_kinds()) {
-    EXPECT_TRUE(packed_available(kind)) << algorithm_name(kind);
+    EXPECT_TRUE(builtin_algorithm_spec(kind).pack) << algorithm_name(kind);
   }
 }
 
@@ -240,6 +240,23 @@ TEST(AntPack, TrajectoriesMatchBetweenEngines) {
   // rounds, where the fused optimal pass's per-state lists and deferred
   // census updates do most of their work; n = 1000 also leaves a short
   // tail block for its 64-ant poached-final scan.
+  const auto expect_same_trajectories = [](const SimulationConfig& cfg,
+                                           AlgorithmKind kind,
+                                           const std::string& label) {
+    const auto scalar = run_with_engine(cfg, kind, EngineKind::kScalar);
+    const auto packed = run_with_engine(cfg, kind, EngineKind::kPacked);
+    const Trajectories& want = scalar.trajectories;
+    const Trajectories& got = packed.trajectories;
+    ASSERT_EQ(want.counts, got.counts) << label;
+    ASSERT_EQ(want.committed, got.committed) << label;
+    ASSERT_EQ(want.tandem_successes, got.tandem_successes) << label;
+    ASSERT_EQ(want.transport_successes, got.transport_successes) << label;
+    ASSERT_EQ(want.round_stats.size(), got.round_stats.size()) << label;
+    for (std::size_t r = 0; r < want.round_stats.size(); ++r) {
+      ASSERT_EQ(stats_row(want.round_stats[r]), stats_row(got.round_stats[r]))
+          << label << " round " << r + 1;
+    }
+  };
   struct Case {
     std::uint32_t n;
     std::uint32_t k;
@@ -262,22 +279,44 @@ TEST(AntPack, TrajectoriesMatchBetweenEngines) {
       cfg.pairing = pairing;
       cfg.record_trajectories = true;
       for (const AlgorithmKind kind : c.kinds) {
-        const std::string label = std::string(algorithm_name(kind)) + "/" +
-                                  std::string(env::pairing_name(pairing)) +
-                                  "/n=" + std::to_string(c.n);
-        const auto scalar = run_with_engine(cfg, kind, EngineKind::kScalar);
-        const auto packed = run_with_engine(cfg, kind, EngineKind::kPacked);
-        const Trajectories& want = scalar.trajectories;
-        const Trajectories& got = packed.trajectories;
-        ASSERT_EQ(want.counts, got.counts) << label;
-        ASSERT_EQ(want.committed, got.committed) << label;
-        ASSERT_EQ(want.tandem_successes, got.tandem_successes) << label;
-        ASSERT_EQ(want.transport_successes, got.transport_successes) << label;
-        ASSERT_EQ(want.round_stats.size(), got.round_stats.size()) << label;
-        for (std::size_t r = 0; r < want.round_stats.size(); ++r) {
-          ASSERT_EQ(stats_row(want.round_stats[r]),
-                    stats_row(got.round_stats[r]))
-              << label << " round " << r + 1;
+        expect_same_trajectories(
+            cfg, kind,
+            std::string(algorithm_name(kind)) + "/" +
+                std::string(env::pairing_name(pairing)) +
+                "/n=" + std::to_string(c.n));
+      }
+    }
+  }
+
+  // Laned Algorithm-2 colonies: crashed and sleeping ants freeze their
+  // 4-round blocks, so every ant keeps its own block step and the kernel
+  // runs per ant. A crash-scheduled ant is exempt from the committed
+  // census from round 1 on, so the committed pins catch a commitment or
+  // finalization move that forgets the exemption.
+  struct Lane {
+    const char* name;
+    double crash_fraction;
+    double skip_probability;
+  };
+  for (const Lane& lane : {Lane{"crash", 0.15, 0.0}, Lane{"skip", 0.0, 0.2},
+                           Lane{"crash+skip", 0.15, 0.2}}) {
+    for (const env::PairingKind pairing :
+         {env::PairingKind::kPermutation, env::PairingKind::kCounter}) {
+      for (const std::uint64_t seed : {3ull, 7ull}) {
+        auto cfg = base_config(seed);
+        cfg.faults.crash_fraction = lane.crash_fraction;
+        cfg.faults.crash_horizon = 32;
+        cfg.skip_probability = lane.skip_probability;
+        cfg.pairing = pairing;
+        cfg.max_rounds = 600;
+        cfg.record_trajectories = true;
+        for (const AlgorithmKind kind :
+             {AlgorithmKind::kOptimal, AlgorithmKind::kOptimalSettle}) {
+          expect_same_trajectories(
+              cfg, kind,
+              std::string(algorithm_name(kind)) + "/" + lane.name + "/" +
+                  std::string(env::pairing_name(pairing)) +
+                  "/seed=" + std::to_string(seed));
         }
       }
     }

@@ -34,9 +34,9 @@ TEST(Registry, BuildsARunnableSimulationForEveryKind) {
     ASSERT_NE(sim, nullptr);
     EXPECT_EQ(sim->algorithm(), algorithm_name(kind));
     EXPECT_EQ(sim->num_ants(), 64u);
-    // With the default kAuto engine, packable algorithms land on the SoA
-    // fast path and the rest on the per-object reference path.
-    EXPECT_EQ(sim->packed(), packed_available(kind)) << algorithm_name(kind);
+    // With the default kAuto engine, every built-in algorithm lands on
+    // the SoA fast path.
+    EXPECT_TRUE(sim->packed()) << algorithm_name(kind);
   }
 }
 
@@ -104,16 +104,13 @@ TEST(RegistryV2, BuiltinSpecsDeclareTheStandardPackMatrix) {
     const AlgorithmSpec spec = builtin_algorithm_spec(kind);
     EXPECT_EQ(spec.name, algorithm_name(kind));
     EXPECT_EQ(spec.mode, default_mode(kind));
-    EXPECT_EQ(static_cast<bool>(spec.pack), packed_available(kind));
+    ASSERT_TRUE(static_cast<bool>(spec.pack)) << spec.name;
     ASSERT_TRUE(static_cast<bool>(spec.colony));
     // Every built-in pack rides the AntPack base, whose fault lanes,
     // exact/noisy observe views and awake mask supply the whole standard
     // matrix, partial synchrony included.
-    if (spec.pack) {
-      EXPECT_EQ(spec.capabilities, Capabilities::standard_pack())
-          << spec.name;
-      EXPECT_TRUE(spec.capabilities.partial_synchrony);
-    }
+    EXPECT_EQ(spec.capabilities, Capabilities::standard_pack()) << spec.name;
+    EXPECT_TRUE(spec.capabilities.partial_synchrony);
     // The declared param schema only names real table keys.
     for (const std::string& key : spec.params) {
       EXPECT_NE(find_param(key), nullptr) << spec.name << "." << key;
@@ -128,7 +125,7 @@ TEST(RegistryV2, DeclaredCapabilitiesPredictEngineSelection) {
   // is a pure function of the declaration (capability_gaps), so each
   // declared capability demanded via kPacked must build packed.
   for (AlgorithmKind kind : all_algorithm_kinds()) {
-    if (!packed_available(kind)) continue;
+    ASSERT_TRUE(builtin_algorithm_spec(kind).pack) << algorithm_name(kind);
     const auto demand_packed = [&](auto mutate) {
       auto cfg = test::small_config(32, 4, 2);
       cfg.engine = EngineKind::kPacked;
