@@ -221,7 +221,7 @@ void BM_FusedCounterRound(benchmark::State& state) {
   cfg.enforce_model = false;  // as the packed engine builds it (DESIGN.md §1)
   hh::env::Environment environment(
       std::move(cfg), hh::env::make_pairing_model(hh::env::PairingKind::kCounter),
-      nullptr, hh::env::WorldLanes::kMasked);
+      hh::env::NoiseConfig{}, hh::env::WorldLanes::kMasked);
   environment.step_masked_go_quiet(
       std::vector<hh::env::MaskedOp>(n, hh::env::MaskedOp::kSearch),
       std::vector<hh::env::NestId>(n, hh::env::kHomeNest));

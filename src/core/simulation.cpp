@@ -109,8 +109,7 @@ std::unique_ptr<env::Backend> make_world(const SimulationConfig& config,
   }
   return std::make_unique<env::HomeNestBackend>(
       make_env_config(config, trusted_engine),
-      env::make_pairing_model(config.pairing),
-      env::make_observation_model(config.noise), lanes);
+      env::make_pairing_model(config.pairing), config.noise, lanes);
 }
 
 /// The cached built-in AlgorithmSpec for `kind` (the kind constructor
@@ -217,6 +216,9 @@ Simulation::Simulation(const SimulationConfig& config, EngineParts engine,
                                     : auto_max_rounds(config)) {
   HH_EXPECTS(config.num_ants >= 1);
   HH_EXPECTS(!config.qualities.empty());
+  // The scheduler runs a skip probability <= 0 as full synchrony; a
+  // negative one is a config error, as the spec layer has it.
+  HH_EXPECTS(config.skip_probability >= 0.0);
   if (world_->kind() == env::BackendKind::kLattice) {
     lattice_ = static_cast<env::LatticeBackend*>(world_.get());
     // The lattice's convergence/winner bookkeeping runs over pseudo-nest

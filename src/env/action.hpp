@@ -47,7 +47,7 @@ struct Action {
 
 /// The environment's reply to an ant's call, delivered at end of round.
 /// All counts are end-of-round values c(i, r), possibly distorted by the
-/// ObservationModel (Section 6 noisy-estimation extension).
+/// env::Observation (Section 6 noisy-estimation extension).
 struct Outcome {
   ActionKind kind = ActionKind::kIdle;
   /// Search: the nest found. Go: the nest visited. Recruit: the return

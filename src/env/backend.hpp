@@ -22,10 +22,13 @@
 //     step() with the corresponding Action vector.
 //
 // The masked entry points are Outcome-free ("quiet"): callers read
-// counts() and the backend's own result lanes directly. step() is the one
-// round that materializes per-ant Outcomes — the reference the masked
-// rounds are held to, and the scalar engine's round. Its rows exist only
-// in worlds built with WorldLanes::kFull (the default).
+// counts() and the backend's own result lanes directly. step(), the
+// scalar engine's round, also materializes per-ant Outcomes; its rows
+// exist only in worlds built with WorldLanes::kFull (the default). Both
+// built-in worlds run one round core behind step() and their masked entry
+// points, so the equivalence holds by construction; the home-nest world
+// is also held to a literal four-phase reference round
+// (tests/reference_round.hpp).
 //
 // Identity rule: a backend is part of a scenario's identity. Scenarios on
 // the default HomeNestBackend serialize exactly as before the seam was
@@ -131,7 +134,7 @@ class Backend {
   [[nodiscard]] virtual const RoundStats& last_round_stats() const = 0;
 
   /// Execute one synchronous round from per-ant Actions — the generic
-  /// reference path every masked entry point must be RNG-equivalent to.
+  /// path every masked entry point must be RNG-equivalent to.
   /// actions.size() must equal num_ants(); the returned span is valid
   /// until the next step. Zero-alloc after construction. Worlds built
   /// with WorldLanes::kMasked hold no Outcome rows and fail HH_EXPECTS.

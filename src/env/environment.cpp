@@ -12,19 +12,27 @@ namespace {
 // streams independent of every draw the shared rng_ makes from the same
 // config seed. Mirrors the engine-layer seed tags in core/simulation.cpp.
 constexpr std::uint64_t kPairingSeedTag = 0x9A1217;
+
+/// The masked op of an Action's call.
+MaskedOp op_of(ActionKind kind) {
+  switch (kind) {
+    case ActionKind::kSearch: return MaskedOp::kSearch;
+    case ActionKind::kGo: return MaskedOp::kGo;
+    case ActionKind::kRecruit: return MaskedOp::kRecruit;
+    case ActionKind::kIdle: return MaskedOp::kIdle;
+  }
+  return MaskedOp::kIdle;
 }
+}  // namespace
 
 HomeNestBackend::HomeNestBackend(EnvironmentConfig cfg,
                                  std::unique_ptr<PairingModel> pairing,
-                                 std::unique_ptr<ObservationModel> observation,
-                                 WorldLanes lanes)
+                                 const NoiseConfig& noise, WorldLanes lanes)
     : cfg_(std::move(cfg)),
       lanes_(lanes),
       pairing_(pairing ? std::move(pairing)
                        : std::make_unique<PermutationPairing>()),
-      observation_(observation ? std::move(observation)
-                               : std::make_unique<ExactObservation>()),
-      observe_exact_(observation_->exact()),
+      observation_(noise),
       rng_(cfg_.seed),
       pairing_seed_(util::mix_seed(cfg_.seed, kPairingSeedTag)) {
   HH_EXPECTS(cfg_.num_ants >= 1);
@@ -40,6 +48,9 @@ HomeNestBackend::HomeNestBackend(EnvironmentConfig cfg,
     knowledge_.assign(
         static_cast<std::size_t>(cfg_.num_ants) * (num_nests() + 1), 0);
     outcomes_.resize(cfg_.num_ants);
+    call_op_.resize(cfg_.num_ants);
+    call_active_.resize(cfg_.num_ants);
+    call_target_.resize(cfg_.num_ants);
   }
   // Every per-round buffer is sized for the worst case up front so that
   // step() never allocates (see the invariant in the header).
@@ -47,7 +58,7 @@ HomeNestBackend::HomeNestBackend(EnvironmentConfig cfg,
   pairing_->reserve(pairing_scratch_, cfg_.num_ants);
   success_ants_.reserve(cfg_.num_ants);
   recruit_result_.assign(cfg_.num_ants, kHomeNest);
-  if (!observe_exact_) {
+  if (!observation_.exact()) {
     perceived_count_.assign(cfg_.num_ants, 0);
     perceived_quality_.assign(cfg_.num_ants, 0.0);
   }
@@ -176,136 +187,6 @@ void HomeNestBackend::validate(AntId a, const Action& action) const {
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-template <typename ActionAt>
-const std::vector<Outcome>& HomeNestBackend::step_rows(const ActionAt& action_at) {
-  const std::uint32_t k = num_nests();
-  stats_ = RoundStats{};
-  requests_.clear();
-  auto& flags = pairing_scratch_.active;
-  flags.clear();
-
-  // Phase 1: validate and apply all location updates simultaneously; the
-  // search landing draws are made here, in ant order, and each recruit
-  // call's active flag is packed in request order.
-  for (AntId a = 0; a < cfg_.num_ants; ++a) {
-    const Action action = action_at(a);
-    if (cfg_.enforce_model) validate(a, action);
-    switch (action.kind) {
-      case ActionKind::kSearch: {
-        // search(): i chosen uniformly at random from {1..k}.
-        const auto found = static_cast<NestId>(1 + rng_.uniform_u64(k));
-        location_[a] = found;
-        grant_knowledge(a, found);
-        outcomes_[a] =
-            Outcome{ActionKind::kSearch, found, 0.0, 0, false, false};
-        ++stats_.searches;
-        break;
-      }
-      case ActionKind::kGo:
-        location_[a] = action.target;
-        outcomes_[a] =
-            Outcome{ActionKind::kGo, action.target, 0.0, 0, false, false};
-        ++stats_.gos;
-        break;
-      case ActionKind::kRecruit:
-        location_[a] = kHomeNest;  // recruitment happens at the home nest
-        requests_.push_back(RecruitRequest{a, action.active, action.target});  // lint: capacity-reserved
-        flags.push_back(action.active ? 1 : 0);  // lint: capacity-reserved
-        outcomes_[a] = Outcome{ActionKind::kRecruit, action.target, 0.0, 0,
-                               false, false};
-        if (action.active) {
-          ++stats_.active_recruits;
-        } else {
-          ++stats_.passive_recruits;
-        }
-        break;
-      case ActionKind::kIdle:
-        outcomes_[a] =
-            Outcome{ActionKind::kIdle, location_[a], 0.0, 0, false, false};
-        ++stats_.idles;
-        break;
-    }
-  }
-
-  // Phase 2: the centralized pairing process (Algorithm 1 by default)
-  // over the packed flags, writing into the environment-owned scratch
-  // buffers — the same pair_active() call the masked round makes. The ctx
-  // keys counter-based models on (pairing_seed_, executing round);
-  // sequential models read only the rng.
-  pairing_->pair_active(flags, PairingCtx{rng_, pairing_seed_, round_ + 1},
-                        pairing_scratch_);
-  HH_ENSURES(pairing_scratch_.recruited_by.size() == requests_.size());
-  HH_ENSURES(pairing_scratch_.recruit_succeeded.size() == requests_.size());
-
-  // Phase 3: end-of-round counts c(i, r).
-  count_.assign(k + 1, 0);
-  for (AntId a = 0; a < cfg_.num_ants; ++a) ++count_[location_[a]];
-
-  // Phase 4: deliver return values and update knowledge. The exact
-  // observation model is the identity and draws no randomness, so the hot
-  // path skips its virtual calls entirely (observe_exact_). Phase 1 made
-  // the requests in ant order, so the recruit ants' rows are met in
-  // order: `idx` is the next one's position.
-  std::uint32_t idx = 0;
-  for (AntId a = 0; a < cfg_.num_ants; ++a) {
-    Outcome& out = outcomes_[a];
-    switch (out.kind) {
-      case ActionKind::kSearch: {
-        // (Knowledge of the found nest was granted in phase 1.)
-        const double q = quality(out.nest);
-        out.quality =
-            observe_exact_ ? q : observation_->perceive_quality(q, rng_);
-        out.count = observe_exact_
-                        ? count_[out.nest]
-                        : observation_->perceive_count(count_[out.nest], rng_);
-        break;
-      }
-      case ActionKind::kGo: {
-        out.count = observe_exact_
-                        ? count_[out.nest]
-                        : observation_->perceive_count(count_[out.nest], rng_);
-        // Extension beyond the paper's go() signature: a visiting ant can
-        // re-assess the nest it is standing in. The paper's algorithms
-        // ignore this field; the Section 6 quality-aware variant uses it.
-        const double q = quality(out.nest);
-        out.quality =
-            observe_exact_ ? q : observation_->perceive_quality(q, rng_);
-        break;
-      }
-      case ActionKind::kRecruit: {
-        const std::int32_t recruiter = pairing_scratch_.recruited_by[idx];
-        if (recruiter != kNotRecruited) {
-          // Return value j is the recruiter's advertised nest (Algorithm 1
-          // lines 8-10); the ant learns that nest's location (tandem run).
-          out.nest = requests_[static_cast<std::size_t>(recruiter)].target;
-          out.recruited = true;
-          ++stats_.successful_recruitments;
-          if (requests_[static_cast<std::size_t>(recruiter)].ant == a) {
-            ++stats_.self_recruitments;
-          }
-          // requests_[idx].target is the ant's own advertised nest.
-          if (out.nest != requests_[idx].target) {
-            ++stats_.cross_nest_recruitments;
-          }
-          if (out.nest != kHomeNest) grant_knowledge(a, out.nest);
-        }
-        out.recruit_succeeded = pairing_scratch_.recruit_succeeded[idx] != 0;
-        out.count = observe_exact_
-                        ? count_[kHomeNest]
-                        : observation_->perceive_count(count_[kHomeNest], rng_);
-        ++idx;
-        break;
-      }
-      case ActionKind::kIdle:
-        break;
-    }
-  }
-
-  ++round_;
-  return outcomes_;
-}
-
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
 void HomeNestBackend::record_matching() {
   // The first pass already stored every recruit ant's own target in
   // recruit_result_ (the return value when nobody recruits it), so only
@@ -355,32 +236,55 @@ void HomeNestBackend::record_matching() {
 const std::vector<Outcome>& HomeNestBackend::step(std::span<const Action> actions) {
   HH_EXPECTS(full_lanes());
   HH_EXPECTS(actions.size() == cfg_.num_ants);
-  return step_rows([&](AntId a) { return actions[a]; });
+  const AntId n = cfg_.num_ants;
+  for (AntId a = 0; a < n; ++a) {
+    const Action& action = actions[a];
+    call_op_[a] = op_of(action.kind);
+    call_active_[a] = action.active ? 1 : 0;
+    call_target_[a] = action.target;
+  }
+  quiet_round(call_op_, call_active_, call_target_);
+
+  // The return values, in ant order: a searcher or a go-er reports the
+  // nest it stands in, a recruit its return value j, an idle ant where it
+  // stays. The recruit ants' request rows are met in order (the round
+  // packs them in ant order), so `idx` is the next one's position.
+  const bool exact = observation_.exact();
+  const std::int32_t* const recruited_by = pairing_scratch_.recruited_by.data();
+  const std::uint8_t* const succeeded =
+      pairing_scratch_.recruit_succeeded.data();
+  std::uint32_t idx = 0;
+  for (AntId a = 0; a < n; ++a) {
+    const NestId at = location_[a];
+    Outcome& out = outcomes_[a];
+    switch (call_op_[a]) {
+      case MaskedOp::kSearch:
+      case MaskedOp::kGo:
+        // Extension beyond the paper's go() signature: a visiting ant can
+        // re-assess the nest it is standing in. The paper's algorithms
+        // ignore this field; the Section 6 quality-aware variant uses it.
+        out = Outcome{actions[a].kind, at,
+                      exact ? quality(at) : perceived_quality_[a],
+                      exact ? count_[at] : perceived_count_[a], false, false};
+        break;
+      case MaskedOp::kRecruit:
+        out = Outcome{ActionKind::kRecruit, recruit_result_[a], 0.0,
+                      exact ? count_[kHomeNest] : perceived_count_[a],
+                      recruited_by[idx] != kNotRecruited, succeeded[idx] != 0};
+        ++idx;
+        break;
+      case MaskedOp::kIdle:
+        out = Outcome{ActionKind::kIdle, at, 0.0, 0, false, false};
+        break;
+    }
+  }
+  return outcomes_;
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
 void HomeNestBackend::quiet_round(std::span<const MaskedOp> op,
                                   std::span<const std::uint8_t> active,
                                   std::span<const NestId> targets) {
-  // Observably identical to step_rows() over the same rows, minus the
-  // Outcome array — same RNG consumption, locations, counts, knowledge
-  // (which only a full world tracks), stats, matching, ant-indexed views,
-  // and (noisy models) perceived values — but in two passes plus the
-  // perception pass instead of four.
-  // The reordering is legal under EVERY pairing and observation model:
-  //   * the search landings are the only shared-stream draws made before
-  //     the pairing, and the pass below makes them in ant order, exactly
-  //     as step_rows' phase 1 does;
-  //   * the pass packs the active flags in ant order — the request ranks
-  //     step_rows' phase 1 assigns — and the pairing is the same
-  //     pair_active() call over them, so a sequential model draws the
-  //     same values from the same stream position, and a keyed model sees
-  //     the same ranks;
-  //   * the census draws nothing, so taking it before the pairing instead
-  //     of after is invisible even to the sequential models;
-  //   * the perception draws come last, in ant order and per ant in
-  //     phase 4's order, as they do in step_rows (record_matching() draws
-  //     nothing).
   const std::uint32_t k = num_nests();
   const AntId n = cfg_.num_ants;
   const bool validating = cfg_.enforce_model;
@@ -389,16 +293,17 @@ void HomeNestBackend::quiet_round(std::span<const MaskedOp> op,
   const bool recruits = !active.empty();
   stats_ = RoundStats{};
 
-  // Pass 1 — phase 1 + census fused: classification, location updates,
-  // search draws, request packing (AoS row + the dense active-flag lane
-  // the pairing reads), AND the count scatter, one ant-order sweep. A
-  // separate census would read location_ back; here each ant's
-  // end-of-round location is still in register. Go and recruit ants —
-  // the whole colony after round 1 — take the two hot arms. (A select
-  // form that gives go ants the recruit arm's stores too, so the arm
-  // choice needs no branch, compiles to the same branch with GCC 12 and
-  // only adds stores.) Searches and idles — round 1, fault and sleep
-  // lanes — take the cold arms.
+  // Pass 1 — validation (when enforced), classification, location
+  // updates, search draws, request packing (AoS row + the dense
+  // active-flag lane the pairing reads), AND the count scatter, one
+  // ant-order sweep. An illegal call throws before its ant is applied,
+  // after the ants before it were. A separate census would read location_
+  // back; here each ant's end-of-round location is still in register. Go
+  // and recruit ants — the whole colony after round 1 — take the two hot
+  // arms. (A select form that gives go ants the recruit arm's stores too,
+  // so the arm choice needs no branch, compiles to the same branch with
+  // GCC 12 and only adds stores.) Searches and idles — round 1, fault and
+  // sleep lanes — take the cold arms.
   count_.assign(k + 1, 0);
   auto& flags = pairing_scratch_.active;
   if (recruits) {
@@ -437,8 +342,7 @@ void HomeNestBackend::quiet_round(std::span<const MaskedOp> op,
       flag_rows[mreq] = b ? 1 : 0;
       ++mreq;
     } else if (o == MaskedOp::kSearch) {
-      // search(): i chosen uniformly at random from {1..k} — the same
-      // draw, in the same ant order, as step_rows' phase 1.
+      // search(): i chosen uniformly at random from {1..k}, in ant order.
       const auto found = static_cast<NestId>(1 + rng_.uniform_u64(k));
       loc[a] = found;
       if (knowing) grant_knowledge(a, found);
@@ -464,26 +368,25 @@ void HomeNestBackend::quiet_round(std::span<const MaskedOp> op,
   stats_.passive_recruits = mreq - n_rec_active;
 
   // Pass 2 — the pairing over the packed flags (flags aliases
-  // scratch.active, the buffer step_rows packs too), then the
-  // matched-pairs bookkeeping. A recruit-free round pairs the empty set:
-  // no draws, an empty matching.
+  // scratch.active), then the matched-pairs bookkeeping. A recruit-free
+  // round pairs the empty set: no draws, an empty matching.
   pairing_->pair_active(flags, PairingCtx{rng_, pairing_seed_, round_ + 1},
                         pairing_scratch_);
   HH_ENSURES(pairing_scratch_.recruited_by.size() == requests_.size());
   record_matching();
-  // The exact model is the identity and draws nothing: its callers read
+  // Exact observation is the identity and draws nothing: its callers read
   // the counts and qualities themselves.
-  if (!observe_exact_) perceive(op);
+  if (!observation_.exact()) perceive(op);
   ++round_;
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
 void HomeNestBackend::perceive(std::span<const MaskedOp> op) {
-  // step_rows' phase 4 without the Outcome array: the same perception
-  // calls, in ant order and in the same order per ant. A searcher or a
-  // go-er stands in the nest its call returns; a recruit's count is the
-  // home nest's.
-  const ObservationModel& model = *observation_;
+  // The round's last shared-stream draws, in ant order: a searcher
+  // perceives quality then count, a go-er count then quality, a recruit
+  // the home nest's count. A searcher or a go-er stands in the nest its
+  // call returns.
+  const Observation& model = observation_;
   for (AntId a = 0; a < cfg_.num_ants; ++a) {
     const NestId at = location_[a];
     switch (op[a]) {

@@ -9,10 +9,13 @@
 //      recruit-ers return to the home nest),
 //   2. the recruitment matching M is computed (Algorithm 1 by default),
 //   3. end-of-round counts c(i, r) are taken, and
-//   4. return values are delivered (counts possibly filtered through an
-//      ObservationModel — the Section 6 noisy-perception extension): as
-//      per-ant Outcomes by step(), or, by the masked SoA rounds, through
-//      the state accessors plus (noisy models) the perception lanes.
+//   4. return values are delivered (counts possibly filtered through the
+//      Section 6 noisy Observation): as per-ant Outcomes by step(), or, by
+//      the masked SoA rounds, through the state accessors plus (noisy
+//      models) the perception lanes.
+//
+// All three entry points resolve the round in one place, quiet_round();
+// step() adds the calls-as-lanes copy before it and the Outcome rows after.
 //
 // Model-rule enforcement: with EnvironmentConfig::enforce_model (default),
 // illegal calls throw hh::ModelViolation — e.g. go(i) to a nest the ant has
@@ -63,22 +66,24 @@ struct EnvironmentConfig {
 /// parameters), so their calls through the Backend contract devirtualize.
 class HomeNestBackend final : public Backend {
  public:
-  /// Construct with explicit strategies; pass nullptr for the defaults
-  /// (PermutationPairing / ExactObservation). `lanes` = kMasked builds no
-  /// Outcome rows and no knowledge table (the packed engine's world);
-  /// it requires cfg.enforce_model == false, since validation reads the
-  /// table.
+  /// Construct with an explicit pairing model (nullptr: the default
+  /// PermutationPairing) and observation noise (default: exact). `lanes` =
+  /// kMasked builds no Outcome rows, no knowledge table and no call lanes
+  /// (the packed engine's world); it requires cfg.enforce_model == false,
+  /// since validation reads the table.
   explicit HomeNestBackend(
       EnvironmentConfig cfg, std::unique_ptr<PairingModel> pairing = nullptr,
-      std::unique_ptr<ObservationModel> observation = nullptr,
-      WorldLanes lanes = WorldLanes::kFull);
+      const NoiseConfig& noise = {}, WorldLanes lanes = WorldLanes::kFull);
   ~HomeNestBackend() override = default;
 
   /// Execute one synchronous round. actions[a] is ant a's single call for
   /// this round; actions.size() must equal num_ants(). Returns one Outcome
   /// per ant (reference valid until the next step()). Throws ModelViolation
   /// for illegal calls when enforce_model is set. A kMasked world holds no
-  /// Outcome rows: step() fails HH_EXPECTS there.
+  /// Outcome rows: step() fails HH_EXPECTS there. The round is the masked
+  /// round over the calls copied into per-ant lanes, so every accessor
+  /// below (the recruit-result lane, the successful recruiters and the
+  /// perception lanes included) reads this round afterwards.
   ///
   /// Hot-path invariant: performs ZERO heap allocations after construction
   /// (all round state — outcomes, requests, pairing scratch — is owned by
@@ -99,17 +104,17 @@ class HomeNestBackend final : public Backend {
   // Any round in SoA form: op[a] selects ant a's call (see MaskedOp),
   // targets[a] its go destination or advertised nest, active[a] its b for
   // recruits. A colony-uniform round is just a masked round whose op lane
-  // is constant. RNG-equivalent to step() with the corresponding action
-  // vector, so the packed engine keeps the zero-allocation contract for
-  // every round composition (per-ant phase lanes, fault and sleep lanes)
-  // under every observation model. tests/test_environment.cpp pins the
-  // equivalence under every pairing model, exact and noisy.
+  // is constant. The same round as step() with the corresponding action
+  // vector, minus the per-ant Outcome array, so the packed engine keeps
+  // the zero-allocation contract for every round composition (per-ant
+  // phase lanes, fault and sleep lanes) under every observation model.
+  // tests/test_environment.cpp holds both forms and step() to a literal
+  // four-phase reference round under every pairing model, exact and noisy.
   //
-  // Both forms are the fused round (see quiet_round()) and skip the
-  // per-ant Outcome array: callers read counts(), location(),
-  // recruit_results(), the matching views and, under a noisy model, the
-  // perceived_counts()/perceived_qualities() lanes directly. (_quiet:
-  // no Outcomes, unlike step().)
+  // Callers read counts(), location(), recruit_results(), the matching
+  // views and, under a noisy model, the perceived_counts()/
+  // perceived_qualities() lanes directly. (_quiet: no Outcomes, unlike
+  // step().)
 
   /// One round that may contain recruiters. After it, last_pairing()
   /// holds the matching (indexed by request position) and
@@ -119,9 +124,9 @@ class HomeNestBackend final : public Backend {
                                  std::span<const NestId> targets) override;
 
   /// One round with NO recruiters (op values kGo/kSearch/kIdle only): the
-  /// fused round with an empty `active` lane. The request set is empty,
-  /// and pairing an empty set draws nothing, so it stays RNG-equivalent
-  /// to step(). `targets` is read only at kGo positions.
+  /// round with an empty `active` lane. The request set is empty, and
+  /// pairing an empty set draws nothing. `targets` is read only at kGo
+  /// positions.
   void step_masked_go_quiet(std::span<const MaskedOp> op,
                             std::span<const NestId> targets) override;
 
@@ -176,19 +181,19 @@ class HomeNestBackend final : public Backend {
   /// Ant-indexed view: whether `a` successfully recruited someone in the
   /// last round (same lookup as recruited_by_ant()).
   [[nodiscard]] bool recruit_succeeded_ant(AntId a) const;
-  /// The ants that appear as the RECRUITER in a pair of the last masked
-  /// round's matching, in request order (each at most once — matching
-  /// validity); empty after a masked round without pairs and after
-  /// reset(). Valid after every masked round; lets the driver attribute
-  /// tandem runs vs transports over the successes alone instead of
-  /// scanning every ant.
+  /// The ants that appear as the RECRUITER in a pair of the last round's
+  /// matching, in request order (each at most once — matching validity);
+  /// empty after a round without pairs and after reset(). Valid after
+  /// every round, step() included; lets the driver attribute tandem runs
+  /// vs transports over the successes alone instead of scanning every
+  /// ant.
   [[nodiscard]] std::span<const AntId> successful_recruiters() const {
     return success_ants_;
   }
   /// recruit_results()[a] = the recruit(b, i) return value j for every
-  /// ant whose op was kRecruit in the last masked round: the recruiter's
+  /// ant whose call was a recruit in the last round: the recruiter's
   /// advertised nest when `a` was recruited, a's own target otherwise.
-  /// Valid after every masked round. Entries of ants that made no
+  /// Valid after every round, step() included. Entries of ants that made no
   /// recruit() call hold no return value (they are stale), so callers
   /// must consult it only for their recruit lanes. One sequential lane
   /// load where recruited_by_ant() searches the request rows and then
@@ -197,7 +202,7 @@ class HomeNestBackend final : public Backend {
     return recruit_result_;
   }
   /// perceived_counts()[a] = the count ant a's call returned in the last
-  /// masked round under a noisy observation model: the perceived count of
+  /// round under a noisy observation model: the perceived count of
   /// the nest a searched or went to, or of the home nest for a recruit.
   /// perceived_qualities()[a] likewise holds the perceived quality of the
   /// nest a searched or went to. Entries of ants whose call returned no
@@ -230,40 +235,35 @@ class HomeNestBackend final : public Backend {
   [[nodiscard]] std::uint32_t request_of(AntId a) const;
   void validate(AntId a, const Action& action) const;
   void grant_knowledge(AntId a, NestId i);
-  /// Whether this world keeps the knowledge table and Outcome rows.
+  /// Whether this world keeps the knowledge table, the Outcome rows and
+  /// the call lanes.
   [[nodiscard]] bool full_lanes() const { return lanes_ == WorldLanes::kFull; }
 
-  /// step()'s round, one row at a time: `action_at(a)` yields ant a's
-  /// Action. The reference the masked rounds are held to.
-  template <typename ActionAt>
-  const std::vector<Outcome>& step_rows(const ActionAt& action_at);
-  /// The core of both masked entry points: one fused ant-order pass does
-  /// classification, the search draws, request packing AND the count
-  /// census, then the pairing runs over the packed active flags,
-  /// record_matching() does the bookkeeping, and under a noisy model
-  /// perceive() fills the perception lanes. Observably identical to
-  /// step_rows() — see the legality argument at the definition. An empty
+  /// The round, behind every entry point: one ant-order pass does
+  /// validation (when enforced), classification, the search draws,
+  /// request packing AND the count census, then the pairing runs over the
+  /// packed active flags, record_matching() does the bookkeeping, and
+  /// under a noisy model perceive() fills the perception lanes. An empty
   /// `active` lane marks a recruit-free round (no kRecruit in op;
   /// ContractViolation otherwise).
   void quiet_round(std::span<const MaskedOp> op,
                    std::span<const std::uint8_t> active,
                    std::span<const NestId> targets);
-  /// The matching bookkeeping after a masked round's pairing: walks the
+  /// The matching bookkeeping after the round's pairing: walks the
   /// matched pairs only — successful_recruiters(), recruit_results() for
   /// the recruited ants, tandem-run knowledge (full worlds), and stats_'s
   /// pair/self/cross-nest counts. Expects the round's first pass to have
   /// stored each recruit ant's own target in recruit_result_.
   void record_matching();
-  /// The perception pass of a masked round under a noisy model: each
-  /// non-idle ant's perceived count and quality, drawn as step_rows'
-  /// phase 4 draws them (see perceived_counts()).
+  /// The perception pass of a round under a noisy model: each non-idle
+  /// ant's perceived count and quality, in ant order (see
+  /// perceived_counts()).
   void perceive(std::span<const MaskedOp> op);
 
   EnvironmentConfig cfg_;
   WorldLanes lanes_;
   std::unique_ptr<PairingModel> pairing_;
-  std::unique_ptr<ObservationModel> observation_;
-  bool observe_exact_;  // cached observation_->exact(): branch, not virtual call
+  Observation observation_;
   util::Rng rng_;
   // Stable key for counter-based pairing streams, derived from cfg_.seed
   // at construction AND reset (identically — the arena-reuse invariant).
@@ -276,15 +276,19 @@ class HomeNestBackend final : public Backend {
   std::vector<std::uint32_t> count_;    // c(i, r), indexed by nest (0..k)
   // (k+1) slots per ant, flattened. uint8_t rather than vector<bool>:
   // branch-free byte loads/stores on the validation and knowledge paths.
-  // Empty in a kMasked world, as is outcomes_.
+  // Empty in a kMasked world, as are outcomes_ and the call lanes.
   std::vector<std::uint8_t> knowledge_;
   std::vector<Outcome> outcomes_;       // step()'s rows, reused each round
+  // step()'s calls as the round's op/active/target lanes (6 B/ant).
+  std::vector<MaskedOp> call_op_;
+  std::vector<std::uint8_t> call_active_;
+  std::vector<NestId> call_target_;
   // The last round's recruit calls in ant order (so their ant ids
   // ascend); empty before the first round, after a recruit-free round
   // and after reset().
   std::vector<RecruitRequest> requests_;
   PairingScratch pairing_scratch_;      // reused each round
-  // Per-round results of the masked rounds (see the accessors):
+  // Per-round results of every round (see the accessors):
   // success_ants_ holds this round's successful recruiters;
   // recruit_result_[a] holds ant a's recruit() return value j. The first
   // pass stores each recruit ant's own target, and the matching-

@@ -1,5 +1,5 @@
-// Observation models — exact (the paper's base model) and noisy (Section 6:
-// "real ants can only assess nest quality and population approximately").
+// Observation — exact (the paper's base model) or noisy (Section 6: "real
+// ants can only assess nest quality and population approximately").
 //
 // The noisy model provides *unbiased* estimators, matching the paper's
 // conjecture that Algorithm 3 stays correct "as long as ants have unbiased
@@ -9,80 +9,13 @@
 #define HH_ENV_OBSERVATION_HPP
 
 #include <cstdint>
-#include <memory>
-#include <string_view>
 
 #include "util/rng.hpp"
 
 namespace hh::env {
 
-/// Strategy for distorting what ants perceive. The environment passes true
-/// values through the observation model before returning them to ants.
-class ObservationModel {
- public:
-  virtual ~ObservationModel() = default;
-
-  /// Perceived population count given the true count.
-  [[nodiscard]] virtual std::uint32_t perceive_count(std::uint32_t true_count,
-                                                     util::Rng& rng) const = 0;
-
-  /// Perceived nest quality given the true quality (in [0,1]).
-  [[nodiscard]] virtual double perceive_quality(double true_quality,
-                                                util::Rng& rng) const = 0;
-
-  /// True iff this model is the identity (perceives exactly, draws no
-  /// randomness). The environment caches this to skip the two virtual
-  /// perception calls per ant per round on the exact hot path.
-  [[nodiscard]] virtual bool exact() const { return false; }
-
-  /// Short stable identifier for reports.
-  [[nodiscard]] virtual std::string_view name() const = 0;
-};
-
-/// The paper's base model: ants observe counts and qualities exactly.
-class ExactObservation final : public ObservationModel {
- public:
-  [[nodiscard]] std::uint32_t perceive_count(std::uint32_t true_count,
-                                             util::Rng&) const override {
-    return true_count;
-  }
-  [[nodiscard]] double perceive_quality(double true_quality,
-                                        util::Rng&) const override {
-    return true_quality;
-  }
-  [[nodiscard]] bool exact() const override { return true; }
-  [[nodiscard]] std::string_view name() const override { return "exact"; }
-};
-
-/// Section 6 noisy observation:
-///   * counts: multiplicative uniform noise count * U(1-sigma, 1+sigma),
-///     rounded to nearest — unbiased before rounding, bounded, and zero
-///     counts stay zero (an empty nest cannot look populated);
-///   * binary quality: flipped with probability quality_flip_prob
-///     (models "assessments by an individual ant are not always precise");
-///   * real-valued quality: additive uniform noise U(-q_sigma, +q_sigma),
-///     clamped to [0,1].
-class NoisyObservation final : public ObservationModel {
- public:
-  /// count_sigma >= 0: relative half-width of count noise.
-  /// quality_flip_prob in [0,1]: binary misperception probability.
-  /// quality_sigma >= 0: additive half-width for real-valued qualities.
-  NoisyObservation(double count_sigma, double quality_flip_prob,
-                   double quality_sigma = 0.0);
-
-  [[nodiscard]] std::uint32_t perceive_count(std::uint32_t true_count,
-                                             util::Rng& rng) const override;
-  [[nodiscard]] double perceive_quality(double true_quality,
-                                        util::Rng& rng) const override;
-  [[nodiscard]] std::string_view name() const override { return "noisy"; }
-
- private:
-  double count_sigma_;
-  double quality_flip_prob_;
-  double quality_sigma_;
-};
-
-/// Copyable description of an observation model, used inside configs.
+/// Copyable description of how ants perceive, used inside configs. All
+/// zero (the default) is exact observation.
 struct NoiseConfig {
   double count_sigma = 0.0;
   double quality_flip_prob = 0.0;
@@ -93,9 +26,42 @@ struct NoiseConfig {
   }
 };
 
-/// Instantiate the observation model a NoiseConfig describes.
-[[nodiscard]] std::unique_ptr<ObservationModel> make_observation_model(
-    const NoiseConfig& cfg);
+/// What an ant perceives of the true counts and qualities the environment
+/// returns. Without noise (the default) ants observe exactly and nothing
+/// is drawn. Section 6 noisy observation:
+///   * counts: multiplicative uniform noise count * U(1-sigma, 1+sigma),
+///     rounded to nearest — unbiased before rounding, bounded, and zero
+///     counts stay zero (an empty nest cannot look populated);
+///   * binary quality: flipped with probability quality_flip_prob
+///     (models "assessments by an individual ant are not always precise");
+///   * real-valued quality: additive uniform noise U(-q_sigma, +q_sigma),
+///     clamped to [0,1].
+class Observation {
+ public:
+  /// noise.count_sigma >= 0: relative half-width of count noise.
+  /// noise.quality_flip_prob in [0,1]: binary misperception probability.
+  /// noise.quality_sigma >= 0: additive half-width for real-valued
+  /// qualities.
+  explicit Observation(const NoiseConfig& noise = {});
+
+  /// True iff perception is the identity and draws nothing: the
+  /// environment then skips the perception pass, and callers read the true
+  /// counts and qualities.
+  [[nodiscard]] bool exact() const { return exact_; }
+
+  /// Perceived population count given the true count.
+  [[nodiscard]] std::uint32_t perceive_count(std::uint32_t true_count,
+                                             util::Rng& rng) const;
+  /// Perceived nest quality given the true quality (in [0,1]).
+  [[nodiscard]] double perceive_quality(double true_quality,
+                                        util::Rng& rng) const;
+
+ private:
+  double count_sigma_;
+  double quality_flip_prob_;
+  double quality_sigma_;
+  bool exact_;
+};
 
 }  // namespace hh::env
 

@@ -34,6 +34,7 @@
 
 #include "env/environment.hpp"
 #include "env/lattice.hpp"
+#include "reference_round.hpp"
 #include "util/contracts.hpp"
 
 namespace hh::env {
@@ -66,13 +67,12 @@ std::vector<BackendCase> backend_cases() {
   std::vector<BackendCase> cases;
   cases.push_back({"home-nest", [](std::uint64_t seed, WorldLanes lanes) {
                      return std::make_unique<HomeNestBackend>(
-                         home_nest_config(seed), nullptr, nullptr, lanes);
+                         home_nest_config(seed), nullptr, NoiseConfig{}, lanes);
                    }});
   cases.push_back({"home-nest-noisy", [](std::uint64_t seed, WorldLanes lanes) {
                      return std::make_unique<HomeNestBackend>(
                          home_nest_config(seed), nullptr,
-                         std::make_unique<NoisyObservation>(0.3, 0.1, 0.05),
-                         lanes);
+                         NoiseConfig{0.3, 0.1, 0.05}, lanes);
                    }});
   cases.push_back({"lattice", [](std::uint64_t seed, WorldLanes lanes) {
                      LatticeConfig cfg;
@@ -159,6 +159,39 @@ TEST(BackendContract, MaskedMatchesGenericExactly) {
   }
 }
 
+// The home-nest world's step() and masked entry points resolve one round,
+// so the check above cannot tell them apart from a shared mistake; this
+// one holds both home-nest cases to the literal four-phase round of
+// reference_round.hpp.
+TEST(BackendContract, HomeNestMatchesTheReferenceRound) {
+  for (const bool noisy : {false, true}) {
+    SCOPED_TRACE(noisy ? "home-nest-noisy" : "home-nest");
+    const NoiseConfig noise =
+        noisy ? NoiseConfig{0.3, 0.1, 0.05} : NoiseConfig{};
+    test::ReferenceWorld reference(home_nest_config(0xC0117AC7), nullptr,
+                                   noise);
+    std::vector<Snapshot> want;
+    std::vector<Action> actions(kAnts);
+    for (std::uint32_t r = 1; r <= kRounds; ++r) {
+      for (AntId a = 0; a < kAnts; ++a) actions[a] = action_for(r, a);
+      (void)reference.step(actions);
+      Snapshot s;
+      for (AntId a = 0; a < kAnts; ++a) {
+        s.locations.push_back(reference.location(a));
+      }
+      for (NestId i = 0; i <= reference.num_nests(); ++i) {
+        s.counts.push_back(reference.count(i));
+      }
+      s.round = reference.round();
+      want.push_back(std::move(s));
+    }
+    HomeNestBackend generic(home_nest_config(0xC0117AC7), nullptr, noise);
+    HomeNestBackend masked(home_nest_config(0xC0117AC7), nullptr, noise);
+    EXPECT_EQ(drive_generic(generic, kRounds), want);
+    EXPECT_EQ(drive_masked(masked, kRounds), want);
+  }
+}
+
 TEST(BackendContract, ResetEqualsFreshConstruction) {
   for (const BackendCase& c : backend_cases()) {
     SCOPED_TRACE(c.name);
@@ -240,15 +273,16 @@ TEST(BackendContract, MaskedLaneWorldsRefuseStep) {
 }
 
 TEST(BackendContract, MaskedHomeNestWorldKeepsNoKnowledge) {
-  HomeNestBackend masked(home_nest_config(3), nullptr, nullptr,
+  HomeNestBackend masked(home_nest_config(3), nullptr, NoiseConfig{},
                          WorldLanes::kMasked);
   EXPECT_THROW((void)masked.knows(0, 1), hh::ContractViolation);
   // Validation reads the knowledge table, so a validating world must keep
   // it.
   EnvironmentConfig strict = home_nest_config(3);
   strict.enforce_model = true;
-  EXPECT_THROW(HomeNestBackend(strict, nullptr, nullptr, WorldLanes::kMasked),
-               hh::ContractViolation);
+  EXPECT_THROW(
+      HomeNestBackend(strict, nullptr, NoiseConfig{}, WorldLanes::kMasked),
+      hh::ContractViolation);
 
   // Recruit rounds: the lean world resolves the same matching as the
   // full one (the knowledge stores it skips feed nothing else).

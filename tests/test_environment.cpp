@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "reference_round.hpp"
+#include "util/binary_io.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
@@ -271,7 +273,7 @@ TEST(Environment, CrossNestRecruitmentTracked) {
   // produce cross-nest recruitments when pairing succeeds.
   auto cfg = config(2, {1.0, 1.0});
   cfg.enforce_model = false;  // let us place ants directly
-  Environment e(std::move(cfg), nullptr, nullptr);
+  Environment e(std::move(cfg));
   std::vector<Action> place{Action::go(1), Action::go(2)};
   e.step(place);
   std::uint32_t cross = 0;
@@ -296,15 +298,15 @@ TEST(Environment, DeterministicGivenSeed) {
   EXPECT_NE(run(42), run(43));
 }
 
-// The masked SoA entry points (step_masked_recruit_quiet and
-// step_masked_go_quiet) must be RNG- and state-equivalent to step() with
-// the corresponding action vector — every packed round rests on this, from
+// step() and the masked SoA entry points (step_masked_recruit_quiet and
+// step_masked_go_quiet) against the literal four-phase round of
+// tests/reference_round.hpp, every round: step()'s Outcomes, the masked
+// lanes, the matching views and the full state must be what the reference
+// world returns for the same calls — every packed round rests on this, from
 // colony-uniform rounds (a constant op lane) to Algorithm 2's mixed block
-// rounds with fault lanes. Run under every pairing model (the masked round
-// is the fused single-pass round, a separate implementation of the same
-// round, for all three) and under both observation models: a noisy masked
-// round ends with the perception pass, whose lanes must hold exactly what
-// step()'s Outcomes return.
+// rounds with fault lanes. Run under every pairing model and under both
+// observation models: a noisy round ends with the perception pass, whose
+// lanes must hold exactly what the reference's Outcomes return.
 class EnvironmentPairing : public ::testing::TestWithParam<PairingKind> {};
 
 TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
@@ -312,24 +314,23 @@ TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
   const std::vector<double> qualities = {1.0, 1.0, 0.0, 0.0};
   auto cfg = config(n, qualities, 91);
   cfg.allow_idle = true;  // masked rounds carry crashed (idle) ants
+  test::ReferenceWorld reference(cfg, make_pairing_model(GetParam()));
   Environment generic(cfg, make_pairing_model(GetParam()));
   Environment quiet(cfg, make_pairing_model(GetParam()));
-  // The noisy pair runs the same calls. Its perception draws shift the
-  // shared stream, so after round 1 its ants know other nests than the
-  // exact pair's, which chooses the calls: it skips the model checks.
+  // The noisy worlds run the same calls. Their perception draws shift the
+  // shared stream, so after round 1 their ants know other nests than the
+  // exact worlds', which choose the calls: they skip the model checks.
   auto noisy_cfg = cfg;
   noisy_cfg.enforce_model = false;
-  const auto noisy_model = [] {
-    return std::make_unique<NoisyObservation>(0.3, 0.1, 0.05);
-  };
-  Environment noisy_generic(noisy_cfg, make_pairing_model(GetParam()),
-                            noisy_model());
-  Environment noisy_quiet(noisy_cfg, make_pairing_model(GetParam()),
-                          noisy_model());
+  const NoiseConfig noise{0.3, 0.1, 0.05};
+  test::ReferenceWorld noisy_reference(noisy_cfg,
+                                       make_pairing_model(GetParam()), noise);
+  Environment noisy_generic(noisy_cfg, make_pairing_model(GetParam()), noise);
+  Environment noisy_quiet(noisy_cfg, make_pairing_model(GetParam()), noise);
   ASSERT_TRUE(quiet.perceived_counts().empty());
   ASSERT_EQ(noisy_quiet.perceived_counts().size(), n);
 
-  const auto expect_same_state = [&](const Environment& want,
+  const auto expect_same_state = [&](const test::ReferenceWorld& want,
                                      const Environment& got,
                                      const std::string& label) {
     for (NestId i = 0; i <= want.num_nests(); ++i) {
@@ -340,6 +341,10 @@ TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
       for (NestId i = 0; i <= want.num_nests(); ++i) {
         EXPECT_EQ(want.knows(a, i), got.knows(a, i)) << label;
       }
+      EXPECT_EQ(want.recruited_by_ant(a), got.recruited_by_ant(a))
+          << label << " ant " << a;
+      EXPECT_EQ(want.recruit_succeeded_ant(a), got.recruit_succeeded_ant(a))
+          << label << " ant " << a;
     }
     const RoundStats& w = want.last_round_stats();
     const RoundStats& g = got.last_round_stats();
@@ -366,17 +371,36 @@ TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
         EXPECT_FALSE(e->recruit_succeeded_ant(a)) << label << " ant " << a;
       }
     }
-    EXPECT_TRUE(quiet.successful_recruiters().empty()) << label;
-    EXPECT_TRUE(noisy_quiet.successful_recruiters().empty()) << label;
+    for (const Environment* e :
+         {&generic, &quiet, &noisy_generic, &noisy_quiet}) {
+      EXPECT_TRUE(e->successful_recruiters().empty()) << label;
+    }
   };
 
   std::vector<Action> actions(n);
   std::vector<MaskedOp> op(n);
   std::vector<std::uint8_t> active(n, 0);
   std::vector<NestId> targets(n, kHomeNest);
-  // Perceived values that differ from the true ones: the noisy pair must
-  // actually be noisy for its checks to mean anything.
+  // Perceived values that differ from the true ones: the noisy worlds must
+  // actually be noisy for their checks to mean anything.
   std::uint32_t perturbed = 0;
+
+  // step()'s Outcomes against the reference's, field by field.
+  const auto expect_same_outcomes = [&](const std::vector<Outcome>& want_out,
+                                        const std::vector<Outcome>& got_out,
+                                        const std::string& label) {
+    for (AntId a = 0; a < n; ++a) {
+      const Outcome& w = want_out[a];
+      const Outcome& g = got_out[a];
+      const std::string where = label + " ant " + std::to_string(a);
+      EXPECT_EQ(w.kind, g.kind) << where;
+      EXPECT_EQ(w.nest, g.nest) << where;
+      EXPECT_EQ(w.quality, g.quality) << where;
+      EXPECT_EQ(w.count, g.count) << where;
+      EXPECT_EQ(w.recruited, g.recruited) << where;
+      EXPECT_EQ(w.recruit_succeeded, g.recruit_succeeded) << where;
+    }
+  };
 
   // Every call's return against the masked environment, read the way the
   // packs read it: the ant's location for a search or go (an idle ant's
@@ -386,7 +410,8 @@ TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
   // lanes under noise. Then the matching views against the Outcomes, the
   // successful-recruiter list, and the full state.
   const auto expect_match = [&](const std::vector<Outcome>& want_out,
-                                const Environment& want, const Environment& got,
+                                const test::ReferenceWorld& want,
+                                const Environment& got,
                                 const std::string& label) {
     const bool noisy = !got.perceived_counts().empty();
     std::vector<AntId> recruiters;  // in request (= ant) order
@@ -416,7 +441,6 @@ TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
       EXPECT_EQ(out.recruited, got.recruited_by_ant(a) != kNotRecruited)
           << where;
       EXPECT_EQ(out.recruit_succeeded, got.recruit_succeeded_ant(a)) << where;
-      EXPECT_EQ(want.recruited_by_ant(a), got.recruited_by_ant(a)) << where;
       if (out.recruited) {
         const std::int32_t recruiter = got.recruited_by_ant(a);
         ASSERT_GE(recruiter, 0) << where;
@@ -431,25 +455,37 @@ TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
     expect_same_state(want, got, label);
   };
 
+  // One round on a reference world and its two backends: step() and the
+  // masked entry point (with or without the recruit lane) against the
+  // reference. step() runs the masked round, so its world's lanes hold
+  // the round's return values too.
+  const auto round_on = [&](test::ReferenceWorld& ref, Environment& gen,
+                            Environment& masked, bool recruit_lane,
+                            const std::string& label) {
+    const std::vector<Outcome> want_out = ref.step(actions);
+    expect_same_outcomes(want_out, gen.step(actions), label + " step()");
+    expect_match(want_out, ref, gen, label + " step()");
+    if (recruit_lane) {
+      masked.step_masked_recruit_quiet(op, active, targets);
+    } else {
+      masked.step_masked_go_quiet(op, targets);
+    }
+    expect_match(want_out, ref, masked, label + " masked");
+  };
+
   // A recruit-free round through step_masked_go_quiet, exact and noisy.
   const auto go_round = [&](const std::string& label) {
-    const std::vector<Outcome> exact_out = generic.step(actions);
-    quiet.step_masked_go_quiet(op, targets);
-    expect_match(exact_out, generic, quiet, label + " (exact)");
-    const std::vector<Outcome> noisy_out = noisy_generic.step(actions);
-    noisy_quiet.step_masked_go_quiet(op, targets);
-    expect_match(noisy_out, noisy_generic, noisy_quiet, label + " (noisy)");
+    round_on(reference, generic, quiet, false, label + " (exact)");
+    round_on(noisy_reference, noisy_generic, noisy_quiet, false,
+             label + " (noisy)");
   };
 
   // A round that may carry recruit calls through
   // step_masked_recruit_quiet, exact and noisy.
   const auto recruit_round = [&](const std::string& label) {
-    const std::vector<Outcome> exact_out = generic.step(actions);
-    quiet.step_masked_recruit_quiet(op, active, targets);
-    expect_match(exact_out, generic, quiet, label + " (exact)");
-    const std::vector<Outcome> noisy_out = noisy_generic.step(actions);
-    noisy_quiet.step_masked_recruit_quiet(op, active, targets);
-    expect_match(noisy_out, noisy_generic, noisy_quiet, label + " (noisy)");
+    round_on(reference, generic, quiet, true, label + " (exact)");
+    round_on(noisy_reference, noisy_generic, noisy_quiet, true,
+             label + " (noisy)");
   };
 
   expect_empty_matching("before round 1");
@@ -468,10 +504,10 @@ TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
   // other ant actively.
   for (AntId a = 0; a < n; ++a) {
     const bool b = a % 2 == 0;
-    actions[a] = Action::recruit(b, generic.location(a));
+    actions[a] = Action::recruit(b, reference.location(a));
     op[a] = MaskedOp::kRecruit;
     active[a] = b ? 1 : 0;
-    targets[a] = generic.location(a);
+    targets[a] = reference.location(a);
   }
   recruit_round("all-recruit round 2");
 
@@ -491,7 +527,7 @@ TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
   // searchers, and idlers in one round, as an Algorithm-2 block round
   // with fault lanes would produce.
   for (AntId a = 0; a < n; ++a) {
-    const NestId known = generic.location(a);
+    const NestId known = reference.location(a);
     switch (a % 4) {
       case 0:
         actions[a] = Action::idle();
@@ -528,8 +564,8 @@ TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
       actions[a] = Action::search();
       op[a] = MaskedOp::kSearch;
     } else {
-      targets[a] = generic.knows(a, 1) ? 1 : generic.knows(a, 2) ? 2
-                   : generic.knows(a, 3) ? 3 : 4;
+      targets[a] = reference.knows(a, 1) ? 1 : reference.knows(a, 2) ? 2
+                   : reference.knows(a, 3) ? 3 : 4;
       actions[a] = Action::go(targets[a]);
       op[a] = MaskedOp::kGo;
     }
@@ -540,13 +576,14 @@ TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
   // Rounds 6-13: a steady-state-like mix, mostly recruits (nine in ten
   // active) and goes with a few searchers and idlers, redrawn each round
   // so the pairs, self-recruitments and cross-nest returns vary. Targets
-  // are a nest the ant knows, kept legal by the generic environment.
+  // are a nest the ant knows, kept legal by the exact worlds' checks.
   util::Rng mix(17);
   for (std::uint32_t round = 6; round <= 13; ++round) {
     for (AntId a = 0; a < n; ++a) {
       NestId known = kHomeNest;
-      for (NestId i = 1; i <= generic.num_nests() && known == kHomeNest; ++i) {
-        if (generic.knows(a, i) && mix.bernoulli(0.7)) known = i;
+      for (NestId i = 1; i <= reference.num_nests() && known == kHomeNest;
+           ++i) {
+        if (reference.knows(a, i) && mix.bernoulli(0.7)) known = i;
       }
       const double u = mix.uniform_double();
       if (u < 0.75) {
@@ -574,25 +611,186 @@ TEST_P(EnvironmentPairing, MaskedEntryPointsMatchGenericStep) {
   EXPECT_GT(perturbed, 0u);
 
   // reset() right after a recruit round: round 0 again, with no matching
-  // and the perception lanes of a fresh build.
+  // and the perception lanes of a fresh build; then a round against fresh
+  // reference worlds with the new seed.
   generic.reset(5);
   quiet.reset(5);
   noisy_generic.reset(5);
   noisy_quiet.reset(5);
   expect_empty_matching("after reset");
   noisy_cfg.seed = 5;
-  const Environment fresh(noisy_cfg, make_pairing_model(GetParam()),
-                          noisy_model());
+  const Environment fresh(noisy_cfg, make_pairing_model(GetParam()), noise);
   EXPECT_TRUE(std::ranges::equal(noisy_quiet.perceived_counts(),
                                  fresh.perceived_counts()));
   EXPECT_TRUE(std::ranges::equal(noisy_quiet.perceived_qualities(),
                                  fresh.perceived_qualities()));
+  cfg.seed = 5;
+  test::ReferenceWorld reset_reference(cfg, make_pairing_model(GetParam()));
+  test::ReferenceWorld reset_noisy_reference(
+      noisy_cfg, make_pairing_model(GetParam()), noise);
   for (AntId a = 0; a < n; ++a) {
     actions[a] = Action::search();
     op[a] = MaskedOp::kSearch;
   }
-  go_round("all-search round after reset");
+  round_on(reset_reference, generic, quiet, false,
+           "all-search round after reset (exact)");
+  round_on(reset_noisy_reference, noisy_generic, noisy_quiet, false,
+           "all-search round after reset (noisy)");
   EXPECT_EQ(quiet.round(), 1u);
+}
+
+// A ModelViolation is thrown at the same ant, with the same message, after
+// the same draws. Round 3 places an illegal call after searchers and
+// recruiters have been applied; the message and a digest of the three
+// legal rounds after the caught throw (every Outcome, location, count,
+// knowledge byte and stat) are pinned, and the reference world must agree
+// with both. The pins were recorded on the four-phase row-at-a-time round.
+template <typename World>
+std::uint64_t digest_round(const World& world,
+                           const std::vector<Outcome>& outcomes) {
+  util::Fnv64 h;
+  h.u32(world.round());
+  for (AntId a = 0; a < world.num_ants(); ++a) {
+    const Outcome& o = outcomes[a];
+    h.u8(static_cast<std::uint8_t>(o.kind));
+    h.u32(o.nest);
+    h.f64(o.quality);
+    h.u32(o.count);
+    h.u8(o.recruited ? 1 : 0);
+    h.u8(o.recruit_succeeded ? 1 : 0);
+    h.u32(world.location(a));
+    for (NestId i = 0; i <= world.num_nests(); ++i) {
+      h.u8(world.knows(a, i) ? 1 : 0);
+    }
+  }
+  for (NestId i = 0; i <= world.num_nests(); ++i) h.u32(world.count(i));
+  const RoundStats& s = world.last_round_stats();
+  for (const std::uint32_t v :
+       {s.searches, s.gos, s.active_recruits, s.passive_recruits, s.idles,
+        s.successful_recruitments, s.self_recruitments,
+        s.cross_nest_recruitments}) {
+    h.u32(v);
+  }
+  return h.digest();
+}
+
+struct ViolationRun {
+  std::string message;
+  std::uint64_t digest = 0;
+};
+
+/// The illegal calls: each fails a different check of validate().
+enum class Illegal { kRecruitHome, kGoUnknown, kIdle };
+
+/// Rounds 1-2 legal, round 3 illegal at ant 40 (after 40 ants' searches,
+/// recruits and goes), then three legal rounds whose digests are folded.
+template <typename World>
+ViolationRun run_violation(World& world, Illegal illegal) {
+  const AntId n = world.num_ants();
+  util::Rng mix(23);
+  std::vector<Action> actions(n);
+  const auto known_nest = [&](AntId a) {
+    NestId known = kHomeNest;
+    for (NestId i = 1; i <= world.num_nests(); ++i) {
+      if (world.knows(a, i) && (known == kHomeNest || mix.bernoulli(0.5))) {
+        known = i;
+      }
+    }
+    return known;
+  };
+  const auto legal_round = [&] {
+    for (AntId a = 0; a < n; ++a) {
+      const NestId known = known_nest(a);
+      const double u = mix.uniform_double();
+      if (known == kHomeNest || u < 0.2) {
+        actions[a] = Action::search();
+      } else if (u < 0.75) {
+        actions[a] = Action::recruit(mix.bernoulli(0.8), known);
+      } else {
+        actions[a] = Action::go(known);
+      }
+    }
+    return world.step(actions);
+  };
+  ViolationRun run;
+  for (int r = 0; r < 2; ++r) (void)legal_round();
+  for (AntId a = 0; a < n; ++a) {
+    const NestId known = known_nest(a);
+    actions[a] = a % 3 == 0   ? Action::search()
+                 : a % 3 == 1 ? Action::recruit(a % 2 == 0, known)
+                              : Action::go(known);
+  }
+  switch (illegal) {
+    case Illegal::kRecruitHome:  // recruit(1, 0) is never legal
+      actions[40] = Action::recruit(true, kHomeNest);
+      break;
+    case Illegal::kGoUnknown: {
+      NestId unknown = 1;
+      while (world.knows(40, unknown)) ++unknown;
+      actions[40] = Action::go(unknown);
+      break;
+    }
+    case Illegal::kIdle:  // the world does not allow idle
+      actions[40] = Action::idle();
+      break;
+  }
+  try {
+    (void)world.step(actions);
+  } catch (const ModelViolation& e) {
+    run.message = e.what();
+  }
+  util::Fnv64 h;
+  for (int r = 0; r < 3; ++r) {
+    const std::vector<Outcome> outcomes = legal_round();
+    h.u64(digest_round(world, outcomes));
+  }
+  run.digest = h.digest();
+  return run;
+}
+
+TEST_P(EnvironmentPairing, ModelViolationParity) {
+  struct Pin {
+    PairingKind pairing;
+    bool noisy;
+    Illegal illegal;
+    const char* message;
+    std::uint64_t digest;
+  };
+  constexpr const char* kIdleMessage =
+      "ant 40, round 3: idle is not part of the model (enable allow_idle "
+      "for the fault/asynchrony extensions)";
+  const Pin pins[] = {
+      {PairingKind::kPermutation, false, Illegal::kRecruitHome,
+       "ant 40, round 3: recruit(1, 0) must advertise a candidate nest",
+       0x3c760a5932c9e910ULL},
+      {PairingKind::kPermutation, true, Illegal::kGoUnknown,
+       "ant 40, round 3: go(2) without knowledge", 0x0a566e835d009033ULL},
+      {PairingKind::kUniformProposal, false, Illegal::kIdle, kIdleMessage,
+       0x8b497bc862852c83ULL},
+      {PairingKind::kUniformProposal, true, Illegal::kRecruitHome,
+       "ant 40, round 3: recruit(1, 0) must advertise a candidate nest",
+       0x05707b8650f8b950ULL},
+      {PairingKind::kCounter, false, Illegal::kGoUnknown,
+       "ant 40, round 3: go(1) without knowledge", 0x3dd0eeb3549f095cULL},
+      {PairingKind::kCounter, true, Illegal::kIdle, kIdleMessage,
+       0x7760baf9c30c9860ULL},
+  };
+  const NoiseConfig noise{0.2, 0.05, 0.0};
+  for (const Pin& pin : pins) {
+    if (pin.pairing != GetParam()) continue;
+    const auto cfg = config(60, {1.0, 0.0, 1.0, 0.0, 0.5}, 57);
+    const NoiseConfig observe = pin.noisy ? noise : NoiseConfig{};
+    Environment world(cfg, make_pairing_model(pin.pairing), observe);
+    test::ReferenceWorld reference(cfg, make_pairing_model(pin.pairing),
+                                   observe);
+    const ViolationRun got = run_violation(world, pin.illegal);
+    const ViolationRun want = run_violation(reference, pin.illegal);
+    const std::string label = pin.noisy ? "noisy" : "exact";
+    EXPECT_EQ(got.message, want.message) << label;
+    EXPECT_EQ(got.digest, want.digest) << label;
+    EXPECT_EQ(got.message, pin.message) << label;
+    EXPECT_EQ(got.digest, pin.digest) << label;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -24,8 +24,7 @@ struct FuzzWorld {
             PairingKind pairing)
       : n(n_),
         k(k_),
-        environment(make_config(n_, k_, seed), make_pairing_model(pairing),
-                    nullptr),
+        environment(make_config(n_, k_, seed), make_pairing_model(pairing)),
         known(n_) {}
 
   static EnvironmentConfig make_config(std::uint32_t n, std::uint32_t k,

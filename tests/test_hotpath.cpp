@@ -67,6 +67,36 @@ TEST(HotPath, EnvironmentStepNeverAllocates) {
               }),
               0u)
         << "recruit rounds, pairing " << static_cast<int>(kind);
+
+    // Under noise step() runs the perception pass too.
+    env::Environment noisy(env_config(512, kind), env::make_pairing_model(kind),
+                           env::NoiseConfig{0.2, 0.02});
+    EXPECT_EQ(allocations_during([&] {
+                noisy.step(search);
+                for (int round = 0; round < 20; ++round) noisy.step(recruit);
+              }),
+              0u)
+        << "noisy rounds, pairing " << static_cast<int>(kind);
+
+    // A mixed go/idle/search round, idle allowed: the idle arm of the
+    // round's first pass (crashed or sleeping ants on the scalar engine).
+    auto idle_cfg = env_config(512, kind);
+    idle_cfg.allow_idle = true;
+    env::Environment mixed(std::move(idle_cfg), env::make_pairing_model(kind));
+    mixed.step(search);
+    std::vector<env::Action> go_idle_search(512);
+    for (env::AntId a = 0; a < 512; ++a) {
+      go_idle_search[a] = a % 3 == 0   ? env::Action::go(mixed.location(a))
+                          : a % 3 == 1 ? env::Action::idle()
+                                       : env::Action::search();
+    }
+    EXPECT_EQ(allocations_during([&] {
+                for (int round = 0; round < 20; ++round) {
+                  mixed.step(go_idle_search);
+                }
+              }),
+              0u)
+        << "go/idle/search rounds, pairing " << static_cast<int>(kind);
   }
 }
 

@@ -22,8 +22,7 @@ EnvironmentConfig base_config(std::uint32_t n) {
 
 TEST(NoiseIntegration, GoCountsAreDistortedButUnbiased) {
   constexpr std::uint32_t kN = 100;
-  Environment e(base_config(kN), nullptr,
-                std::make_unique<NoisyObservation>(0.5, 0.0));
+  Environment e(base_config(kN), nullptr, NoiseConfig{0.5, 0.0});
   // Funnel everyone onto nest 1: ants that know it go there, the rest
   // keep searching until they land on it (k = 2, so a few rounds suffice).
   std::vector<Action> search(kN, Action::search());
@@ -65,8 +64,7 @@ TEST(NoiseIntegration, QualityFlipsReachSearchOutcomes) {
   constexpr std::uint32_t kN = 2000;
   auto cfg = base_config(kN);
   cfg.qualities = {1.0};  // k = 1: every search sees the same good nest
-  Environment e(std::move(cfg), nullptr,
-                std::make_unique<NoisyObservation>(0.0, 0.2));
+  Environment e(std::move(cfg), nullptr, NoiseConfig{0.0, 0.2});
   std::vector<Action> search(kN, Action::search());
   const auto& outcomes = e.step(search);
   int flipped = 0;
@@ -78,8 +76,7 @@ TEST(NoiseIntegration, QualityFlipsReachSearchOutcomes) {
 
 TEST(NoiseIntegration, RecruitHomeCountDistorted) {
   constexpr std::uint32_t kN = 64;
-  Environment e(base_config(kN), nullptr,
-                std::make_unique<NoisyObservation>(0.4, 0.0));
+  Environment e(base_config(kN), nullptr, NoiseConfig{0.4, 0.0});
   std::vector<Action> wait(kN, Action::recruit(false, kHomeNest));
   const auto& outcomes = e.step(wait);
   bool any_differs = false;
@@ -91,7 +88,7 @@ TEST(NoiseIntegration, RecruitHomeCountDistorted) {
 
 TEST(NoiseIntegration, ExactModelNeverDistorts) {
   constexpr std::uint32_t kN = 64;
-  Environment e(base_config(kN));  // default ExactObservation
+  Environment e(base_config(kN));  // default: exact observation
   std::vector<Action> wait(kN, Action::recruit(false, kHomeNest));
   const auto& outcomes = e.step(wait);
   for (AntId a = 0; a < kN; ++a) EXPECT_EQ(outcomes[a].count, kN);
@@ -101,7 +98,7 @@ TEST(NoiseIntegration, PairingModelAccessorReportsConfiguredModel) {
   Environment def(base_config(4));
   EXPECT_EQ(def.pairing_model().name(), "permutation");
   Environment alt(base_config(4),
-                  make_pairing_model(PairingKind::kUniformProposal), nullptr);
+                  make_pairing_model(PairingKind::kUniformProposal));
   EXPECT_EQ(alt.pairing_model().name(), "uniform-proposal");
 }
 

@@ -10,7 +10,7 @@ namespace hh::env {
 namespace {
 
 TEST(ExactObservation, IsIdentity) {
-  ExactObservation obs;
+  const Observation obs;
   util::Rng rng(1);
   for (std::uint32_t c : {0u, 1u, 17u, 100000u}) {
     EXPECT_EQ(obs.perceive_count(c, rng), c);
@@ -18,17 +18,16 @@ TEST(ExactObservation, IsIdentity) {
   for (double q : {0.0, 0.5, 1.0}) {
     EXPECT_DOUBLE_EQ(obs.perceive_quality(q, rng), q);
   }
-  EXPECT_EQ(obs.name(), "exact");
 }
 
 TEST(NoisyObservation, ZeroCountStaysZero) {
-  NoisyObservation obs(0.5, 0.0);
+  const Observation obs(NoiseConfig{0.5, 0.0});
   util::Rng rng(2);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(obs.perceive_count(0, rng), 0u);
 }
 
 TEST(NoisyObservation, CountNoiseIsBoundedBySigma) {
-  NoisyObservation obs(0.2, 0.0);
+  const Observation obs(NoiseConfig{0.2, 0.0});
   util::Rng rng(3);
   for (int i = 0; i < 2000; ++i) {
     const std::uint32_t perceived = obs.perceive_count(100, rng);
@@ -40,7 +39,7 @@ TEST(NoisyObservation, CountNoiseIsBoundedBySigma) {
 TEST(NoisyObservation, CountNoiseIsUnbiased) {
   // Section 6 requires *unbiased* estimators; the mean over many draws
   // must match the true count.
-  NoisyObservation obs(0.5, 0.0);
+  const Observation obs(NoiseConfig{0.5, 0.0});
   util::Rng rng(4);
   constexpr int kDraws = 200000;
   double sum = 0.0;
@@ -49,13 +48,13 @@ TEST(NoisyObservation, CountNoiseIsUnbiased) {
 }
 
 TEST(NoisyObservation, ZeroSigmaCountIsExact) {
-  NoisyObservation obs(0.0, 0.5);
+  const Observation obs(NoiseConfig{0.0, 0.5});
   util::Rng rng(5);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(obs.perceive_count(73, rng), 73u);
 }
 
 TEST(NoisyObservation, BinaryQualityFlipsAtConfiguredRate) {
-  NoisyObservation obs(0.0, 0.25);
+  const Observation obs(NoiseConfig{0.0, 0.25});
   util::Rng rng(6);
   constexpr int kDraws = 100000;
   int flipped_good = 0;
@@ -69,7 +68,7 @@ TEST(NoisyObservation, BinaryQualityFlipsAtConfiguredRate) {
 }
 
 TEST(NoisyObservation, ContinuousQualityNoiseClampedToUnitInterval) {
-  NoisyObservation obs(0.0, 0.0, 0.5);
+  const Observation obs(NoiseConfig{0.0, 0.0, 0.5});
   util::Rng rng(7);
   for (int i = 0; i < 2000; ++i) {
     const double q = obs.perceive_quality(0.9, rng);
@@ -79,10 +78,10 @@ TEST(NoisyObservation, ContinuousQualityNoiseClampedToUnitInterval) {
 }
 
 TEST(NoisyObservation, ConstructorContracts) {
-  EXPECT_THROW(NoisyObservation(-0.1, 0.0), ContractViolation);
-  EXPECT_THROW(NoisyObservation(0.0, -0.1), ContractViolation);
-  EXPECT_THROW(NoisyObservation(0.0, 1.1), ContractViolation);
-  EXPECT_THROW(NoisyObservation(0.0, 0.0, -1.0), ContractViolation);
+  EXPECT_THROW(Observation(NoiseConfig{-0.1, 0.0}), ContractViolation);
+  EXPECT_THROW(Observation(NoiseConfig{0.0, -0.1}), ContractViolation);
+  EXPECT_THROW(Observation(NoiseConfig{0.0, 1.1}), ContractViolation);
+  EXPECT_THROW(Observation(NoiseConfig{0.0, 0.0, -1.0}), ContractViolation);
 }
 
 TEST(NoiseConfig, AnyDetectsAnyNoiseSource) {
@@ -92,11 +91,9 @@ TEST(NoiseConfig, AnyDetectsAnyNoiseSource) {
   EXPECT_TRUE((NoiseConfig{0.0, 0.0, 0.1}).any());
 }
 
-TEST(MakeObservationModel, SelectsExactForNoNoise) {
-  const auto exact = make_observation_model(NoiseConfig{});
-  EXPECT_EQ(exact->name(), "exact");
-  const auto noisy = make_observation_model(NoiseConfig{0.2, 0.0, 0.0});
-  EXPECT_EQ(noisy->name(), "noisy");
+TEST(Observation, ExactIffNoNoise) {
+  EXPECT_TRUE(Observation(NoiseConfig{}).exact());
+  EXPECT_FALSE(Observation(NoiseConfig{0.2, 0.0, 0.0}).exact());
 }
 
 }  // namespace

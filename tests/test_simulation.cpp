@@ -212,6 +212,18 @@ TEST(Simulation, ColonySizeMustMatchConfig) {
   EXPECT_THROW(Simulation(cfg, std::move(colony)), ContractViolation);
 }
 
+TEST(Simulation, NegativeSkipProbabilityRejected) {
+  // The spec layer refuses a skip probability below 0, and so does the
+  // C++ API, on both engines (it would otherwise run as full synchrony).
+  auto cfg = test::small_config(32, 4, 2, 3);
+  cfg.skip_probability = -0.5;
+  for (const EngineKind engine : {EngineKind::kScalar, EngineKind::kPacked}) {
+    cfg.engine = engine;
+    EXPECT_THROW(Simulation(cfg, AlgorithmKind::kSimple), ContractViolation)
+        << engine_name(engine);
+  }
+}
+
 TEST(Simulation, TotalRecruitmentsAccumulate) {
   const RunResult r =
       test::run_once(test::small_config(64, 4, 2, 5), AlgorithmKind::kSimple);
