@@ -22,20 +22,9 @@
 
 namespace {
 
-std::string capability_summary(const hh::core::AlgorithmSpec& spec) {
-  if (!spec.pack) return "scalar-only";
-  const hh::core::Capabilities& caps = spec.capabilities;
-  std::string out = "packed";
-  if (caps.crash_faults) out += "+crash";
-  if (caps.byzantine_faults) out += "+byz";
-  if (caps.count_noise || caps.quality_noise) out += "+noise";
-  if (caps.partial_synchrony) out += "+skip";
-  return out;
-}
-
 int list_algorithms() {
   auto& registry = hh::core::AlgorithmRegistry::instance();
-  hh::util::Table table({"algorithm", "engines", "params", "summary"});
+  hh::util::Table table({"algorithm", "engines", "world", "params", "summary"});
   for (const std::string& name : registry.names()) {
     const auto spec = registry.find(name);
     std::string params;
@@ -45,7 +34,8 @@ int list_algorithms() {
     }
     table.begin_row()
         .cell(name)
-        .cell(capability_summary(*spec))
+        .cell(spec->pack ? "packed" : "scalar-only")
+        .cell(std::string(hh::env::backend_name(spec->env_backend)))
         .cell(params.empty() ? "-" : params)
         .cell(spec->summary.empty() ? "-" : spec->summary);
   }

@@ -334,8 +334,14 @@ core::SimulationConfig config_from_json(const Json& json,
     config.stability_rounds = read_u32(*v, at(path, "stability_rounds"));
   }
   if (const Json* v = reader.get("convergence_tolerance")) {
-    config.convergence_tolerance =
-        read_number_in(*v, at(path, "convergence_tolerance"), 0.0, 1.0);
+    // [0, 1): at 1 one committed ant would count as agreement.
+    const std::string tpath = at(path, "convergence_tolerance");
+    const double tolerance = read_number(*v, tpath);
+    if (!(tolerance >= 0.0 && tolerance < 1.0)) {
+      fail(tpath, "value " + util::format_double(tolerance) +
+                      " is outside [0, 1)");
+    }
+    config.convergence_tolerance = tolerance;
   }
   if (const Json* v = reader.get("enforce_model")) {
     config.enforce_model = read_bool(*v, at(path, "enforce_model"));

@@ -56,7 +56,6 @@
 #include "analysis/spec.hpp"
 #include "core/ant.hpp"
 #include "core/ant_pack.hpp"
-#include "core/capabilities.hpp"
 #include "core/colony.hpp"
 #include "core/convergence.hpp"
 #include "core/idle_search_ant.hpp"

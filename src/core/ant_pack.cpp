@@ -50,11 +50,10 @@ class SimpleFamilyPack final : public AntPack {
       halving_period_.resize(n);
     }
     if (faults != nullptr) install_fault_plan(*faults);
-    const bool did_reset = reset(colony_seed);
-    HH_ASSERT(did_reset);
+    reset(colony_seed);
   }
 
-  [[nodiscard]] bool do_reset(std::uint64_t colony_seed) override {
+  void do_reset(std::uint64_t colony_seed) override {
     const auto num_ants = size();
     reset_commitments();
     std::fill(phase_.begin(), phase_.end(), Phase::kInit);
@@ -83,7 +82,6 @@ class SimpleFamilyPack final : public AntPack {
                              std::max(believed_n_[a], 2u)))));
       }
     }
-    return true;
   }
 
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
@@ -276,11 +274,10 @@ class QuorumPack final : public AntPack {
     phase_.resize(num_ants);
     count_.resize(num_ants);
     if (faults != nullptr) install_fault_plan(*faults);
-    const bool did_reset = reset(colony_seed);
-    HH_ASSERT(did_reset);
+    reset(colony_seed);
   }
 
-  [[nodiscard]] bool do_reset(std::uint64_t colony_seed) override {
+  void do_reset(std::uint64_t colony_seed) override {
     for (env::AntId a = 0; a < size(); ++a) {
       rng_[a].reseed(util::mix_seed(colony_seed, a, 0xA17));
     }
@@ -290,7 +287,6 @@ class QuorumPack final : public AntPack {
     std::fill(count_.begin(), count_.end(), 0u);
     reset_commitments();
     finalized_count_ = 0;
-    return true;
   }
 
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
@@ -310,12 +306,14 @@ class QuorumPack final : public AntPack {
     });
   }
 
-  [[nodiscard]] bool finalized(env::AntId a) const override {
-    return static_cast<Stage>(stage_[a]) == Stage::kQuorumMet;
-  }
-
-  [[nodiscard]] bool any_finalized() const override {
-    return finalized_count_ > 0;
+  [[nodiscard]] std::uint32_t count_finalized(
+      std::span<const env::AntId> ants) const override {
+    if (finalized_count_ == 0) return 0;
+    std::uint32_t c = 0;
+    for (const env::AntId a : ants) {
+      c += static_cast<Stage>(stage_[a]) == Stage::kQuorumMet ? 1u : 0u;
+    }
+    return c;
   }
 
   [[nodiscard]] std::string_view name() const override {
@@ -491,8 +489,8 @@ void AntPack::install_fault_plan(const env::FaultPlan& plan) {
   has_faults_ = correct_count_ != num_ants_;
 }
 
-bool AntPack::reset(std::uint64_t colony_seed) {
-  if (!do_reset(colony_seed)) return false;
+void AntPack::reset(std::uint64_t colony_seed) {
+  do_reset(colony_seed);
   if (has_faults_) {
     // Re-derive the Byzantine scout state; the installed plan (types,
     // crash rounds) persists — Simulation::reset reinstalls it when the
@@ -503,7 +501,6 @@ bool AntPack::reset(std::uint64_t colony_seed) {
     std::fill(byz_scouted_.begin(), byz_scouted_.end(), std::uint8_t{0});
     byz_scouting_ = byz_count_;
   }
-  return true;
 }
 
 void AntPack::acting_lane(std::uint32_t round,
@@ -621,15 +618,9 @@ std::uint32_t AntPack::agreement_census(ConvergenceMode mode,
   return correct_count();
 }
 
-bool AntPack::finalized(env::AntId /*a*/) const { return false; }
-
-bool AntPack::any_finalized() const { return false; }
-
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-std::uint32_t AntPack::count_finalized(std::span<const env::AntId> ants) const {
-  std::uint32_t c = 0;
-  for (const env::AntId a : ants) c += finalized(a) ? 1u : 0u;
-  return c;
+std::uint32_t AntPack::count_finalized(
+    std::span<const env::AntId> /*ants*/) const {
+  return 0;
 }
 
 std::unique_ptr<AntPack> make_ant_pack(AlgorithmKind kind,

@@ -106,10 +106,9 @@ class AntPack {
 
   /// Overwrite `census` (size k+1, indexed by nest) with the number of
   /// CORRECT ants committed to each nest (faulty ants are exempt from
-  /// convergence, matching the scalar path's committed_census). The base
-  /// serves it from the shared commitment lanes; packs that adopt nests
-  /// exclusively through adopt() need no override.
-  virtual void committed_census(std::span<std::uint32_t> census) const;
+  /// convergence, matching the scalar path's committed_census), served
+  /// from the shared commitment lanes every pack maintains through adopt().
+  void committed_census(std::span<std::uint32_t> census) const;
 
   /// The agreement census the convergence detector consumes, under the
   /// algorithm's convergence notion (see core::current_agreement):
@@ -123,20 +122,13 @@ class AntPack {
       ConvergenceMode mode, const env::Environment& env,
       std::span<std::uint32_t> census) const;
 
-  /// Whether ant a has durably decided (see Ant::finalized). Byzantine
-  /// ants never report finalized (their lanes never run the correct-ant
-  /// kernels), matching core::ByzantineAnt.
-  [[nodiscard]] virtual bool finalized(env::AntId a) const;
-
-  /// True iff any ant is finalized — lets the driver skip the per-ant
-  /// finalized() scan when attributing tandem runs vs transports.
-  [[nodiscard]] virtual bool any_finalized() const;
-
-  /// Number of `ants` (each listed at most once) that are finalized — the
-  /// batch form of finalized() the driver feeds the round's successful
-  /// recruiters (env::Environment::successful_recruiters()) to attribute
-  /// transports. One virtual call per round instead of one per ant; packs
-  /// with a state lane override it with a flat counted loop.
+  /// Number of `ants` (each listed at most once) that have durably
+  /// decided (see Ant::finalized) — the driver feeds it the round's
+  /// successful recruiters (env::Environment::successful_recruiters()) to
+  /// attribute transports, one virtual call per round. The base returns
+  /// 0: only packs whose algorithms finalize override it. Byzantine ants
+  /// never count (their lanes never run the correct-ant kernels),
+  /// matching core::ByzantineAnt.
   [[nodiscard]] virtual std::uint32_t count_finalized(
       std::span<const env::AntId> ants) const;
 
@@ -154,10 +146,8 @@ class AntPack {
   /// seed, reusing every lane — per-ant RNG streams are re-derived exactly
   /// as construction derives them (mix_seed(colony_seed, ant, 0xA17),
   /// including the believed-n draw order), so a reset pack is
-  /// indistinguishable from a freshly built one. Returns false when the
-  /// pack does not support in-place reset (the caller reconstructs); the
-  /// built-in packs all return true. Allocation-free.
-  [[nodiscard]] bool reset(std::uint64_t colony_seed);
+  /// indistinguishable from a freshly built one. Allocation-free.
+  void reset(std::uint64_t colony_seed);
 
   /// Colony size n.
   [[nodiscard]] std::uint32_t size() const { return num_ants_; }
@@ -173,8 +163,8 @@ class AntPack {
   /// reset() body: re-derive every lane from `colony_seed`. Byzantine
   /// positions must skip the algorithm's per-ant construction draws
   /// (their scalar counterparts never construct the inner ant); use
-  /// byzantine(a). Return false if in-place reset is unsupported.
-  [[nodiscard]] virtual bool do_reset(std::uint64_t colony_seed) = 0;
+  /// byzantine(a).
+  virtual void do_reset(std::uint64_t colony_seed) = 0;
 
   /// Which ants run the round kernel: `acted_lane` for the round being
   /// absorbed, `acts_lane` for the round being planned (1 = correct, not

@@ -27,16 +27,16 @@ ConvergenceMode default_mode(AlgorithmKind kind) {
 
 std::optional<env::NestId> agreement_from_census(
     std::span<const std::uint32_t> census, std::uint32_t correct_total,
-    const env::Environment& environment, double tolerance) {
+    std::span<const double> qualities, double tolerance) {
   HH_EXPECTS(tolerance >= 0.0 && tolerance < 1.0);
-  HH_EXPECTS(census.size() == environment.num_nests() + 1);
+  HH_EXPECTS(census.size() == qualities.size() + 1);
   if (correct_total == 0) return std::nullopt;
   env::NestId best = env::kHomeNest;
-  for (env::NestId i = 1; i <= environment.num_nests(); ++i) {
+  for (env::NestId i = 1; i < census.size(); ++i) {
     if (census[i] > census[best] || best == env::kHomeNest) best = i;
   }
   if (best == env::kHomeNest || census[best] == 0) return std::nullopt;
-  if (environment.quality(best) <= 0.0) return std::nullopt;
+  if (qualities[best - 1] <= 0.0) return std::nullopt;
   const double required =
       (1.0 - tolerance) * static_cast<double>(correct_total);
   if (static_cast<double>(census[best]) < required) return std::nullopt;
@@ -71,7 +71,8 @@ std::optional<env::NestId> current_agreement(
     const bool counts = mode == ConvergenceMode::kCommitment || ant.finalized();
     if (counts) ++census[nest];
   }
-  return agreement_from_census(census, correct_total, environment, tolerance);
+  return agreement_from_census(census, correct_total, environment.qualities(),
+                               tolerance);
 }
 
 bool ConvergenceDetector::update(const Colony& colony,
@@ -85,11 +86,12 @@ bool ConvergenceDetector::update(const Colony& colony,
 
 bool ConvergenceDetector::update(std::span<const std::uint32_t> census,
                                  std::uint32_t correct_total,
-                                 const env::Environment& environment) {
+                                 std::span<const double> qualities,
+                                 std::uint32_t round) {
   if (converged_) return true;
   return observe_agreement(
-      agreement_from_census(census, correct_total, environment, tolerance_),
-      environment.round());
+      agreement_from_census(census, correct_total, qualities, tolerance_),
+      round);
 }
 
 bool ConvergenceDetector::observe_agreement(

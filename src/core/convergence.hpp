@@ -54,13 +54,15 @@ enum class ConvergenceMode : std::uint8_t {
     const Colony& colony, const env::Environment& environment,
     ConvergenceMode mode, double tolerance, std::span<std::uint32_t> census);
 
-/// Census-form agreement check shared by the per-object and packed
-/// engines: `census[i]` counts the agreeing ants per nest (size k+1) and
+/// Census-form agreement check shared by both engines and both worlds:
+/// `census[i]` counts the agreeing ants per nest (size k+1),
 /// `correct_total` is the number of correct ants the census was taken
-/// over. Same winner/tolerance semantics as current_agreement.
+/// over, and `qualities[i - 1]` is nest i's quality (size k; the lattice
+/// passes its one pseudo-nest, "reached the target"). Same
+/// winner/tolerance semantics as current_agreement.
 [[nodiscard]] std::optional<env::NestId> agreement_from_census(
     std::span<const std::uint32_t> census, std::uint32_t correct_total,
-    const env::Environment& environment, double tolerance = 0.0);
+    std::span<const double> qualities, double tolerance = 0.0);
 
 /// Streak-tracking detector: update() once per round; fires when agreement
 /// on one nest has held for `stability_rounds + 1` consecutive rounds.
@@ -79,11 +81,12 @@ class ConvergenceDetector {
   bool update(const Colony& colony, const env::Environment& environment,
               std::span<std::uint32_t> census);
 
-  /// Census-form update for the packed engine (kCommitment semantics: the
-  /// census is the commitment census over all `correct_total` ants).
+  /// Census-form update (see agreement_from_census): the packed engine's
+  /// agreement census, or a lattice colony's {walking, reached} census.
+  /// `round` is the 1-based round just completed.
   bool update(std::span<const std::uint32_t> census,
-              std::uint32_t correct_total,
-              const env::Environment& environment);
+              std::uint32_t correct_total, std::span<const double> qualities,
+              std::uint32_t round);
 
   /// The streak bookkeeping both update() overloads feed: `agreement` is
   /// the round's agreed nest (nullopt = none), `round` the 1-based round

@@ -86,9 +86,9 @@ void register_idle_search_algorithm(AlgorithmRegistry& registry) {
       "re-scout as a reserve workforce";
   spec.mode = ConvergenceMode::kCommitment;
   spec.params = {"n_estimate_error", "idle_search_prob"};
-  // No pack factory and a default (empty) capability matrix: every kAuto
-  // run falls back to the per-object engine with the gap named on
-  // RunResult::engine_fallback; engine=kPacked throws naming it.
+  // No pack factory: every kAuto run falls back to the per-object engine
+  // with the reason on RunResult::engine_fallback; engine=kPacked throws
+  // naming it.
   spec.colony = [](const SimulationConfig& config, env::FaultPlan plan,
                    std::uint64_t colony_seed, const AlgorithmParams& params) {
     const double search_prob = params.idle_search_prob;

@@ -17,10 +17,10 @@
 //     activates itself, feeding discoveries into the urn dynamic that
 //     pure Algorithm 3 would only reach through recruitment chains.
 //
-// Scalar-only by declaration: the spec carries no pack factory, so every
-// kAuto run lands on the per-object engine with a loud capability-gap
-// fallback ("no packed implementation") — the registry's data-driven
-// engine selection at work.
+// Scalar-only: the spec carries no pack factory, so every kAuto run lands
+// on the per-object engine with a loud fallback reason ("algorithm
+// 'idle-search' has no packed implementation"), and engine=kPacked throws
+// with the same reason.
 #ifndef HH_CORE_IDLE_SEARCH_ANT_HPP
 #define HH_CORE_IDLE_SEARCH_ANT_HPP
 
@@ -68,9 +68,9 @@ class IdleSearchAnt final : public Ant {
 /// The stable registry name of the variant.
 inline constexpr std::string_view kIdleSearchAlgorithmName = "idle-search";
 
-/// Register the variant's AlgorithmSpec (capability matrix: scalar-only;
-/// params: n_estimate_error, idle_search_prob). Called once by the
-/// registry's built-in bootstrap; safe to call again (replacement).
+/// Register the variant's AlgorithmSpec (no pack: scalar-only; params:
+/// n_estimate_error, idle_search_prob). Called once by the registry's
+/// built-in bootstrap; safe to call again (replacement).
 void register_idle_search_algorithm(AlgorithmRegistry& registry);
 
 }  // namespace hh::core

@@ -45,11 +45,10 @@ class OptimalPack final : public AntPack {
     passive_ants_ = std::make_unique_for_overwrite<env::AntId[]>(n);
     other_ants_ = std::make_unique_for_overwrite<env::AntId[]>(n);
     if (faults != nullptr) install_fault_plan(*faults);
-    const bool did_reset = reset(colony_seed);
-    HH_ASSERT(did_reset);
+    reset(colony_seed);
   }
 
-  [[nodiscard]] bool do_reset(std::uint64_t /*colony_seed*/) override {
+  void do_reset(std::uint64_t /*colony_seed*/) override {
     // OptimalAnt consumes no per-ant RNG stream (the factory discards it),
     // so reset is pure lane re-initialization.
     std::fill(state_.begin(), state_.end(),
@@ -68,7 +67,6 @@ class OptimalPack final : public AntPack {
     std::fill(fin_census_.begin(), fin_census_.end(), 0u);
     finalized_count_ = 0;
     listed_ = false;
-    return true;
   }
 
   /// One ant's masked decision (OptimalAnt::decide), read off its state
@@ -165,17 +163,9 @@ class OptimalPack final : public AntPack {
     return correct_count();
   }
 
-  [[nodiscard]] bool finalized(env::AntId a) const override {
-    const auto state = static_cast<State>(state_[a]);
-    return state == State::kFinal || state == State::kSettled;
-  }
-
-  [[nodiscard]] bool any_finalized() const override {
-    return finalized_count_ > 0;
-  }
-
   [[nodiscard]] std::uint32_t count_finalized(
       std::span<const env::AntId> ants) const override {
+    if (finalized_count_ == 0) return 0;
     std::uint32_t c = 0;
     for (const env::AntId a : ants) {
       const auto state = static_cast<State>(state_[a]);

@@ -111,10 +111,9 @@ AlgorithmSpec builtin_algorithm_spec(AlgorithmKind kind) {
                        params);
   };
   // Every built-in pack rides the AntPack base, whose fault lanes, sleep
-  // overlay, exact/noisy observe views and agreement censuses supply the
-  // whole standard matrix; tests/test_registry.cpp holds the declaration
-  // to what tests/test_ant_pack.cpp exercises.
-  spec.capabilities = Capabilities::standard_pack();
+  // overlay and exact/noisy observe views run every Section 6 extension,
+  // and serves its algorithm's default_mode(); tests/test_registry.cpp
+  // holds kAuto to the packed engine across them.
   spec.pack = [kind](const SimulationConfig& config, std::uint64_t colony_seed,
                      const AlgorithmParams& params,
                      const env::FaultPlan* faults) {

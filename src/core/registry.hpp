@@ -1,12 +1,12 @@
-// Registry v2 — the capability-driven algorithm catalog.
+// Registry v2 — the algorithm catalog.
 //
 // An algorithm plugs into every sweep, bench, spec file, and example
 // through ONE typed artifact: an AlgorithmSpec bundling
 //   * the scalar colony factory (required — the reference path),
-//   * an optional packed-engine factory plus its DECLARED capability
-//     matrix (core/capabilities.hpp) — kAuto engine selection, fallback
-//     messages, and engine=kPacked errors are computed as a diff of the
-//     config against this declaration, never hand-coded,
+//   * an optional packed-engine factory — a spec runs packed iff it
+//     ships one (unless kScalar is requested); without one, kAuto falls
+//     back to the colony factory and kPacked throws,
+//   * the world its decision kernels are written for (env_backend),
 //   * the algorithm's convergence mode, and
 //   * its parameter schema: which AlgorithmParams fields it consults,
 //     keyed into the data-driven algorithm_param_table() that the JSON
@@ -27,7 +27,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/capabilities.hpp"
 #include "core/colony.hpp"
 #include "core/simulation.hpp"
 
@@ -64,7 +63,9 @@ using ColonyFactory = std::function<Colony(
 /// Builds the packed colony for one trial. `faults`, when non-null, is
 /// the sampled plan to install as pack-level fault lanes. Must reproduce
 /// the colony factory's ants BIT-IDENTICALLY (the §1 equivalence
-/// contract) for every configuration inside the declared capabilities.
+/// contract) for every configuration its world admits, and must serve
+/// the spec's convergence mode in AntPack::agreement_census (a pack that
+/// cannot fails there, at round 1).
 using PackFactory = std::function<std::unique_ptr<AntPack>(
     const SimulationConfig&, std::uint64_t colony_seed,
     const AlgorithmParams&, const env::FaultPlan* faults)>;
@@ -76,7 +77,9 @@ struct AlgorithmSpec {
 
   ColonyFactory colony;           ///< required
   PackFactory pack;               ///< optional packed fast path
-  Capabilities capabilities;      ///< declared coverage of `pack`
+  /// The world the algorithm's decision kernels are written for. A
+  /// config naming another world is refused on both engines.
+  env::BackendKind env_backend = env::BackendKind::kHomeNest;
   /// The convergence notion the algorithm is verified under.
   ConvergenceMode mode = ConvergenceMode::kCommitment;
   /// Parameter schema: algorithm_param_table() keys this algorithm
@@ -114,8 +117,8 @@ class AlgorithmRegistry {
 
   /// Build a simulation for `name`. Throws std::out_of_range for an
   /// unknown name (listing the registered ones); std::invalid_argument
-  /// when config.engine = kPacked demands a pack the spec's capability
-  /// matrix rules out (the message names the exact gaps).
+  /// when config.engine = kPacked demands a pack the spec does not ship,
+  /// or when the config names another world than the spec's.
   [[nodiscard]] std::unique_ptr<Simulation> make(
       std::string_view name, const SimulationConfig& config,
       const AlgorithmParams& params = {}) const;
@@ -150,8 +153,8 @@ class AlgorithmRegistry {
 /// Every built-in AlgorithmKind, in declaration order.
 [[nodiscard]] const std::vector<AlgorithmKind>& all_algorithm_kinds();
 
-/// The AlgorithmSpec registered for built-in `kind` (the standard pack
-/// capability matrix, factories over make_colony/make_ant_pack).
+/// The AlgorithmSpec registered for built-in `kind` (home-nest world,
+/// factories over make_colony/make_ant_pack).
 [[nodiscard]] AlgorithmSpec builtin_algorithm_spec(AlgorithmKind kind);
 
 }  // namespace hh::core

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "core/ant_pack.hpp"
-#include "core/capabilities.hpp"
 #include "core/registry.hpp"
 #include "util/contracts.hpp"
 
@@ -81,17 +80,6 @@ Colony packed_colony_shell(std::string algorithm) {
   return colony;
 }
 
-/// Why `config` cannot run on `spec`'s packed engine: the data-driven
-/// diff of the config against the spec's DECLARED capability matrix
-/// (core/capabilities.hpp). No other code decides kAuto eligibility.
-std::vector<std::string> engine_gaps(const SimulationConfig& config,
-                                     const AlgorithmSpec& spec) {
-  if (!spec.pack) {
-    return {"algorithm '" + spec.name + "' has no packed implementation"};
-  }
-  return capability_gaps(config, spec.mode, spec.capabilities);
-}
-
 /// Build the world `config` names. The home-nest world keeps its exact
 /// pre-seam construction (strategies, seed derivation); the lattice world
 /// derives its seed through the same kEnvSeedTag so a given master seed
@@ -162,11 +150,11 @@ Simulation::EngineParts Simulation::build_engine(
     throw std::invalid_argument("algorithm spec '" + spec.name +
                                 "' has no colony factory");
   }
-  // Backend support gates BOTH engines — decision kernels are written for
-  // one world, and routing them into another is a programming error the
+  // The world gates BOTH engines — decision kernels are written for one
+  // world, and routing them into another is a programming error the
   // scalar reference path cannot absorb either. Hard error, never a
-  // fallback (see Capabilities::backends).
-  if (!spec.capabilities.supports(config.env_backend)) {
+  // fallback.
+  if (config.env_backend != spec.env_backend) {
     throw std::invalid_argument(
         "algorithm '" + spec.name + "' does not run in the '" +
         std::string(env::backend_name(config.env_backend)) +
@@ -179,28 +167,30 @@ Simulation::EngineParts Simulation::build_engine(
         "' backend models no faults or observation noise; clear "
         "config.faults/config.noise");
   }
-  const std::vector<std::string> gaps = engine_gaps(config, spec);
-  if (config.engine == EngineKind::kPacked && !gaps.empty()) {
-    throw std::invalid_argument(
-        "engine=packed requested but " + join_gaps(gaps) +
-        "; use kAuto to fall back to the per-object engine");
-  }
-  if (config.engine != EngineKind::kScalar && gaps.empty()) {
+  // A spec runs packed iff it ships a pack, unless kScalar is requested.
+  if (spec.pack && config.engine != EngineKind::kScalar) {
     const bool faulted = config.faults.any();
     const env::FaultPlan plan =
         faulted ? sample_fault_plan(config, config.seed) : env::FaultPlan{};
-    return EngineParts{
-        packed_colony_shell(spec.name),
-        spec.pack(config, colony_seed(config), params,
-                  faulted ? &plan : nullptr),
-        {}};
+    return EngineParts{packed_colony_shell(spec.name),
+                       spec.pack(config, colony_seed(config), params,
+                                 faulted ? &plan : nullptr),
+                       {}};
   }
-  // kScalar by request carries no fallback reason; a degraded kAuto does.
-  return EngineParts{
-      spec.colony(config, sample_fault_plan(config, config.seed),
-                  colony_seed(config), params),
-      nullptr,
-      config.engine == EngineKind::kAuto ? join_gaps(gaps) : std::string{}};
+  // kScalar by request carries no fallback reason; a kAuto run of a
+  // pack-less spec does, and kPacked throws it.
+  std::string fallback;
+  if (config.engine != EngineKind::kScalar) {
+    fallback = "algorithm '" + spec.name + "' has no packed implementation";
+    if (config.engine == EngineKind::kPacked) {
+      throw std::invalid_argument(
+          "engine=packed requested but " + fallback +
+          "; use kAuto to fall back to the per-object engine");
+    }
+  }
+  return EngineParts{spec.colony(config, sample_fault_plan(config, config.seed),
+                                 colony_seed(config), params),
+                     nullptr, std::move(fallback)};
 }
 
 Simulation::Simulation(const SimulationConfig& config, EngineParts engine,
@@ -219,6 +209,10 @@ Simulation::Simulation(const SimulationConfig& config, EngineParts engine,
   // The scheduler runs a skip probability <= 0 as full synchrony; a
   // negative one is a config error, as the spec layer has it.
   HH_EXPECTS(config.skip_probability >= 0.0);
+  // At a tolerance of 1 one committed ant would count as agreement, and a
+  // negative one could never be met (the lattice would run to its cap).
+  HH_EXPECTS(config.convergence_tolerance >= 0.0 &&
+             config.convergence_tolerance < 1.0);
   if (world_->kind() == env::BackendKind::kLattice) {
     lattice_ = static_cast<env::LatticeBackend*>(world_.get());
     // The lattice's convergence/winner bookkeeping runs over pseudo-nest
@@ -227,8 +221,8 @@ Simulation::Simulation(const SimulationConfig& config, EngineParts engine,
     HH_EXPECTS(config.qualities.size() == 1 && config.qualities[0] > 0.0);
   } else {
     home_ = static_cast<env::HomeNestBackend*>(world_.get());
-    census_.resize(config.qualities.size() + 1);
   }
+  census_.resize(config.qualities.size() + 1);
   engine_fallback_ = std::move(engine.fallback);
   if (pack_) {
     HH_EXPECTS(pack_->size() == config.num_ants);
@@ -282,9 +276,9 @@ bool Simulation::reset(std::uint64_t seed) {
   if (config_.faults.any()) {
     pack_->install_fault_plan(sample_fault_plan(config_, seed));
   }
-  if (!pack_->reset(util::mix_seed(seed, kColonySeedTag))) return false;
-  // From here the reset cannot fail; every derivation mirrors the
-  // constructor's (make_env_config / colony_seed / scheduler seeds).
+  // Every derivation mirrors the constructor's (make_env_config /
+  // colony_seed / scheduler seeds).
+  pack_->reset(util::mix_seed(seed, kColonySeedTag));
   config_.seed = seed;
   world_->reset(util::mix_seed(seed, kEnvSeedTag));
   scheduler_rng_.reseed(util::mix_seed(seed, kSchedulerSeedTag));
@@ -353,10 +347,7 @@ bool Simulation::step_lattice_packed() {
 }
 
 bool Simulation::update_lattice_convergence() {
-  // Mirror of core::agreement_from_census over the lattice's two-slot
-  // census {kHomeNest: still walking, 1: reached}: agreement on nest 1
-  // exists iff anyone reached, its quality is positive, and the reached
-  // count clears the same (1 - tolerance) * correct_total bar.
+  // The lattice's census: {kHomeNest: still walking, 1: reached}.
   std::uint32_t reached = 0;
   std::uint32_t correct_total = 0;
   if (pack_) {
@@ -369,13 +360,10 @@ bool Simulation::update_lattice_convergence() {
       if (colony_.ants[a]->committed_nest() != env::kHomeNest) ++reached;
     }
   }
-  std::optional<env::NestId> agreement;
-  if (correct_total > 0 && reached > 0 && config_.qualities[0] > 0.0) {
-    const double required = (1.0 - config_.convergence_tolerance) *
-                            static_cast<double>(correct_total);
-    if (static_cast<double>(reached) >= required) agreement = env::NestId{1};
-  }
-  return detector_.observe_agreement(agreement, world_->round());
+  census_[env::kHomeNest] = correct_total - reached;
+  census_[1] = reached;
+  return detector_.update(census_, correct_total, config_.qualities,
+                          world_->round());
 }
 
 bool Simulation::step_packed() {
@@ -406,12 +394,10 @@ bool Simulation::step_packed() {
   // ant's attribution), so attributing before the batch observe is
   // equivalent. The env hands over this round's successful recruiters
   // directly, so attribution touches the successes alone (one batch
-  // finalized() count) instead of testing every ant. Every success that
-  // is not a transport is a tandem run.
-  std::uint32_t transport = 0;
-  if (pack_->any_finalized()) {
-    transport = pack_->count_finalized(home_->successful_recruiters());
-  }
+  // count) instead of testing every ant. Every success that is not a
+  // transport is a tandem run.
+  const std::uint32_t transport =
+      pack_->count_finalized(home_->successful_recruiters());
   // Absorb this round and plan the next in one pass. Round r + 1's mask
   // is drawn before that pass rather than at the start of round r + 1:
   // nothing else draws from the scheduler stream in between, so the draws
@@ -425,7 +411,8 @@ bool Simulation::step_packed() {
   record_round(tandem, transport);
   const std::uint32_t correct_total =
       pack_->agreement_census(detector_.mode(), *home_, census_);
-  return detector_.update(census_, correct_total, *home_);
+  return detector_.update(census_, correct_total, config_.qualities,
+                          home_->round());
 }
 
 void Simulation::record_round(std::uint32_t tandem, std::uint32_t transport) {

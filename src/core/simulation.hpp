@@ -42,13 +42,14 @@ struct AlgorithmSpec;  // core/registry.hpp
 ///     fault plan (pack-level fault lanes), every convergence mode, noisy
 ///     observation, and partial synchrony (the driver pre-draws each
 ///     round's awake mask and the pack idles sleepers through its per-ant
-///     phase lanes); caller-built colonies are the remaining scalar-only
-///     case. Skips model validation (the packed FSMs are trusted — the
-///     reference path exists to validate semantics).
-///   * kAuto — kPacked whenever eligible, else kScalar. The default:
-///     large sweeps get the fast path, and any fallback is LOUD — the
-///     engine that ran and the reason land on RunResult::engine /
-///     engine_fallback.
+///     phase lanes). Registered algorithms without a pack (idle-search)
+///     and caller-built colonies are the scalar-only cases. Skips model
+///     validation (the packed FSMs are trusted — the reference path
+///     exists to validate semantics).
+///   * kAuto — kPacked whenever the algorithm ships a pack, else kScalar.
+///     The default: large sweeps get the fast path, and any fallback is
+///     LOUD — the engine that ran and the reason land on
+///     RunResult::engine / engine_fallback.
 enum class EngineKind : std::uint8_t { kAuto, kScalar, kPacked };
 
 /// Stable engine name for reports/tables.
@@ -69,8 +70,8 @@ struct SimulationConfig {
   /// Extra consecutive rounds the agreement must hold before convergence
   /// is declared (the HouseHunting predicate is "for all r >= T").
   std::uint32_t stability_rounds = 0;
-  /// Fraction of correct ants allowed to disagree (0 = strict unanimity).
-  /// Use a positive value under Byzantine faults: persistent adversaries
+  /// Fraction of correct ants allowed to disagree (0 = strict unanimity),
+  /// in [0, 1) (ContractViolation otherwise). Use a positive value under Byzantine faults: persistent adversaries
   /// keep a small rotating pool of correct ants kidnapped at any instant.
   double convergence_tolerance = 0.0;
   /// Validate every call against the model rules (throws ModelViolation).
@@ -84,16 +85,16 @@ struct SimulationConfig {
   env::FaultConfig faults;        ///< crash / Byzantine ants
   env::PairingKind pairing = env::PairingKind::kPermutation;
   /// Colony engine selection (see EngineKind). kAuto picks the packed
-  /// fast path when the algorithm has one and the config is eligible;
-  /// kPacked demands it (throws std::invalid_argument otherwise); kScalar
-  /// forces the per-object reference path.
+  /// fast path when the algorithm has one; kPacked demands it (throws
+  /// std::invalid_argument otherwise); kScalar forces the per-object
+  /// reference path.
   EngineKind engine = EngineKind::kAuto;
   /// Which world the colony runs in (env/backend.hpp). The default
   /// home-nest world is the paper's model and serializes exactly as
   /// before the backend seam existed; any other backend is part of the
   /// scenario's identity (new fingerprint vocabulary — DESIGN.md §9).
-  /// Algorithms gate on it through Capabilities::backends: a mismatch is
-  /// a hard std::invalid_argument on BOTH engines, never a silent
+  /// Algorithms gate on it through AlgorithmSpec::env_backend: a mismatch
+  /// is a hard std::invalid_argument on BOTH engines, never a silent
   /// fallback. Faults and noise are home-nest extensions; combining them
   /// with another backend also throws.
   env::BackendKind env_backend = env::BackendKind::kHomeNest;
@@ -175,17 +176,18 @@ class Simulation {
 
   /// Convenience: build the colony for `kind` internally. Sugar over the
   /// AlgorithmSpec constructor with the built-in spec for `kind` — engine
-  /// selection follows config.engine through the same capability diff.
+  /// selection follows config.engine by the same rules.
   Simulation(const SimulationConfig& config, AlgorithmKind kind,
              const AlgorithmParams& params = {});
 
   /// Registry-v2 path: assemble the engine from an AlgorithmSpec
-  /// (core/registry.hpp). Engine selection is a data-driven diff of the
-  /// config against spec.capabilities (core/capabilities.hpp): with
-  /// kAuto, any gap lands the run on the spec's colony factory and the
-  /// joined gap list on engine_fallback(); with kPacked, a gap throws
-  /// std::invalid_argument naming the exact capabilities missing. The
-  /// spec must carry a colony factory (std::invalid_argument otherwise).
+  /// (core/registry.hpp). A spec that ships a pack runs packed unless
+  /// config.engine is kScalar. Without one, kAuto lands the run on the
+  /// spec's colony factory with the reason on engine_fallback(), and
+  /// kPacked throws std::invalid_argument with the same reason. A config
+  /// naming another world than spec.env_backend throws on both engines.
+  /// The spec must carry a colony factory (std::invalid_argument
+  /// otherwise).
   Simulation(const SimulationConfig& config, const AlgorithmSpec& spec,
              const AlgorithmParams& params = {});
 
@@ -276,8 +278,8 @@ class Simulation {
   /// reached lanes (AntPack's kernel interface is home-nest-shaped, so
   /// the WalkerPack shell is bypassed).
   bool step_lattice_packed();
-  /// Census + streak update for lattice runs (both engines); mirrors
-  /// core::agreement_from_census over the {walking, reached} census.
+  /// Census + streak update for lattice runs (both engines): the
+  /// {walking, reached} census through the shared detector update.
   bool update_lattice_convergence();
   void record_round(std::uint32_t tandem, std::uint32_t transport);
 

@@ -17,14 +17,7 @@ void register_lattice_walker_algorithm(AlgorithmRegistry& registry) {
   spec.mode = ConvergenceMode::kCommitment;
   // The motility knobs live in SimulationConfig::lattice (world identity,
   // not algorithm params), so the param schema is empty.
-  Capabilities caps;
-  caps.only(env::BackendKind::kLattice);
-  caps.partial_synchrony = true;  // sleepers just pause their walk
-  caps.with(env::PairingKind::kPermutation)
-      .with(env::PairingKind::kUniformProposal)  // no pairing happens; a
-      .with(env::PairingKind::kCounter)          // config default is no gap
-      .with(ConvergenceMode::kCommitment);
-  spec.capabilities = caps;
+  spec.env_backend = env::BackendKind::kLattice;
   spec.colony = [](const SimulationConfig& config, env::FaultPlan plan,
                    std::uint64_t colony_seed, const AlgorithmParams&) {
     const env::NestId target = env::lattice_target_site(config.lattice);

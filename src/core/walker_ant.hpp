@@ -13,9 +13,10 @@
 //
 // Because walkers draw no RNG of their own, the packed engine needs no
 // per-ant lanes at all: WalkerPack is a stateless shell that exists so
-// engine selection, reset, and spec plumbing treat the algorithm like
-// any other packed one, while the Simulation driver runs rounds straight
-// off the backend's reached lanes (see Simulation::step_lattice_packed).
+// engine selection (a spec with a pack runs packed), reset, and spec
+// plumbing treat the algorithm like any other packed one, while the
+// Simulation driver runs rounds straight off the backend's reached lanes
+// (see Simulation::step_lattice_packed).
 #ifndef HH_CORE_WALKER_ANT_HPP
 #define HH_CORE_WALKER_ANT_HPP
 
@@ -66,13 +67,11 @@ class WalkerPack final : public AntPack {
  public:
   WalkerPack(std::uint32_t num_ants, std::uint64_t colony_seed)
       : AntPack(num_ants, 1) {
-    const bool did_reset = reset(colony_seed);
-    HH_ASSERT(did_reset);
+    reset(colony_seed);
   }
 
-  [[nodiscard]] bool do_reset(std::uint64_t /*colony_seed*/) override {
+  void do_reset(std::uint64_t /*colony_seed*/) override {
     reset_commitments();
-    return true;
   }
   /// Never called: the lattice driver bypasses the home-nest kernel.
   void observe_decide(const env::Environment& /*env*/, Acting /*acting*/,
@@ -90,11 +89,12 @@ class WalkerPack final : public AntPack {
 inline constexpr std::string_view kLatticeWalkerAlgorithmName =
     "lattice-walker";
 
-/// Register the walker's AlgorithmSpec: lattice-backend-only (the first
-/// declaration exercising Capabilities::backends), partial synchrony
-/// supported, both pairing models (irrelevant on the lattice but not a
-/// gap), kCommitment convergence, no fault/noise support. Called once by
-/// the registry's built-in bootstrap.
+/// Register the walker's AlgorithmSpec: the lattice world
+/// (AlgorithmSpec::env_backend), a pack, kCommitment convergence. Partial
+/// synchrony runs on both engines (sleepers just pause their walk); the
+/// pairing model is irrelevant, since no pairing happens; faults and
+/// noise are refused off the home nest. Called once by the registry's
+/// built-in bootstrap.
 void register_lattice_walker_algorithm(AlgorithmRegistry& registry);
 
 }  // namespace hh::core

@@ -185,9 +185,8 @@ class CounterLotteryPairing final : public PairingModel {
 enum class PairingKind : std::uint8_t { kPermutation, kUniformProposal, kCounter };
 
 /// Stable pairing-model name ("permutation" / "uniform-proposal" /
-/// "counter-lottery"),
-/// matching the model's name() — THE vocabulary reports, capability-gap
-/// messages, and spec files share (analysis/spec.cpp parses it back).
+/// "counter-lottery"), matching the model's name() — THE vocabulary
+/// reports and spec files share (analysis/spec.cpp parses it back).
 [[nodiscard]] std::string_view pairing_name(PairingKind kind);
 
 /// The PairingKind whose pairing_name() is `name`, if any.

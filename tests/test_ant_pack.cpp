@@ -517,10 +517,9 @@ TEST(AntPack, CounterPairingSweepsAreIdenticalAcrossEnginesAndThreadCounts) {
 }
 
 TEST(AntPack, CounterPairingRunsPackedUnderAutoForEveryFaultPlan) {
-  // counter-lottery is a DECLARED capability of the standard pack: kAuto
-  // must pick the packed engine with no fallback for every packed
-  // algorithm x fault plan the pack supports — crash, Byzantine, both,
-  // and partial synchrony.
+  // Every built-in pack runs counter-lottery pairing: kAuto must pick the
+  // packed engine with no fallback for every packed algorithm x fault
+  // plan — crash, Byzantine, both, and partial synchrony.
   auto psync = base_config(21);
   psync.skip_probability = 0.2;
   auto plans = fault_configs(21);
@@ -577,7 +576,7 @@ TEST(AntPack, PartialSynchronySweepsAreIdenticalAcrossEnginesAndThreadCounts) {
   }
 
   // Cross-engine equivalence at equal trial seeds for every packed cell,
-  // and no fallback: partial synchrony is a declared capability now.
+  // and no fallback: the packs run partial synchrony.
   for (const auto& scenario : scenarios) {
     if (scenario.config.engine != EngineKind::kPacked) continue;
     auto scalar_scenario = scenario;

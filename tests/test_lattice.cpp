@@ -1,6 +1,6 @@
 // The honeycomb-lattice backend and its walker workload: geometry,
 // first-passage accounting, engine equivalence through the Simulation
-// driver, capability gating on the backend axis, and the identity rule
+// driver, world gating (AlgorithmSpec::env_backend), and the identity rule
 // (home-nest fingerprints unchanged; lattice scenarios get their own
 // fingerprint vocabulary).
 #include "env/lattice.hpp"
@@ -183,6 +183,44 @@ TEST(LatticeWalkers, PartialSynchronyRunsPackedAndStaysEquivalent) {
   EXPECT_EQ(a.first_passage, b.first_passage);
 }
 
+TEST(LatticeWalkers, RunResultsArePinned) {
+  // ScalarAndPackedAreBitIdentical compares the engines with each other,
+  // so it cannot see a change both engines share (the lattice detector is
+  // one); these pins, recorded on a separate agreement rule, can.
+  struct Pin {
+    std::uint64_t seed;
+    double tolerance;
+    double skip;
+    std::uint32_t rounds;  // == rounds_executed: stability 0, converged
+  };
+  const Pin pins[] = {
+      {1, 0.0, 0.0, 634},       {1, 0.0, 0.3, 528},
+      {1, 0.05, 0.0, 296},      {1, 0.05, 0.3, 371},
+      {42, 0.0, 0.0, 352},      {42, 0.0, 0.3, 975},
+      {42, 0.05, 0.0, 274},     {42, 0.05, 0.3, 529},
+      {0xFEED, 0.0, 0.0, 476},  {0xFEED, 0.0, 0.3, 464},
+      {0xFEED, 0.05, 0.0, 356}, {0xFEED, 0.05, 0.3, 335},
+  };
+  for (const Pin& pin : pins) {
+    for (const auto engine :
+         {core::EngineKind::kScalar, core::EngineKind::kPacked}) {
+      auto config = walker_config(pin.seed);
+      config.convergence_tolerance = pin.tolerance;
+      config.skip_probability = pin.skip;
+      config.engine = engine;
+      const core::RunResult r = make_walker_sim(config).run();
+      const std::string label = std::to_string(pin.seed) + " tol " +
+                                std::to_string(pin.tolerance) + " skip " +
+                                std::to_string(pin.skip) + " " +
+                                std::string(core::engine_name(engine));
+      EXPECT_TRUE(r.converged) << label;
+      EXPECT_EQ(r.rounds, pin.rounds) << label;
+      EXPECT_EQ(r.rounds_executed, pin.rounds) << label;
+      EXPECT_EQ(r.winner, 1u) << label;
+    }
+  }
+}
+
 TEST(LatticeWalkers, FirstPassageLandsOnTheRunResult) {
   auto sim = make_walker_sim(walker_config());
   const core::RunResult result = sim.run();
@@ -198,20 +236,47 @@ TEST(LatticeWalkers, FirstPassageLandsOnTheRunResult) {
   EXPECT_GE(reached, 61u);
 }
 
-// --- capability gating on the backend axis ----------------------------------
+// --- world gating (AlgorithmSpec::env_backend) ------------------------------
+
+constexpr core::EngineKind kEveryEngine[] = {
+    core::EngineKind::kAuto, core::EngineKind::kScalar,
+    core::EngineKind::kPacked};
 
 TEST(LatticeCapabilities, HomeNestAlgorithmsRefuseTheLattice) {
-  auto config = walker_config();
-  EXPECT_THROW(core::Simulation(config, core::AlgorithmKind::kSimple),
-               std::invalid_argument);
+  for (const core::EngineKind engine : kEveryEngine) {
+    auto config = walker_config();
+    config.engine = engine;
+    try {
+      core::Simulation sim(config, core::AlgorithmKind::kSimple);
+      ADD_FAILURE() << "expected invalid_argument on "
+                    << core::engine_name(engine);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(),
+                   "algorithm 'simple' does not run in the 'lattice' "
+                   "environment backend (its declared worlds gate both "
+                   "engines)");
+    }
+  }
 }
 
 TEST(LatticeCapabilities, WalkersRefuseTheHomeNestWorld) {
-  core::SimulationConfig config;
-  config.num_ants = 16;
-  config.qualities = {1.0};
-  config.seed = 3;
-  EXPECT_THROW(make_walker_sim(config), std::invalid_argument);
+  for (const core::EngineKind engine : kEveryEngine) {
+    core::SimulationConfig config;
+    config.num_ants = 16;
+    config.qualities = {1.0};
+    config.seed = 3;
+    config.engine = engine;
+    try {
+      (void)make_walker_sim(config);
+      ADD_FAILURE() << "expected invalid_argument on "
+                    << core::engine_name(engine);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(),
+                   "algorithm 'lattice-walker' does not run in the "
+                   "'home-nest' environment backend (its declared worlds "
+                   "gate both engines)");
+    }
+  }
 }
 
 TEST(LatticeCapabilities, FaultsAndNoiseAreRefusedOffTheHomeNest) {

@@ -97,20 +97,16 @@ TEST(Registry, NamesAreSortedAndIncludeBuiltins) {
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }
 
-// --- registry v2: specs, capability matrices, param schemas -----------------
+// --- registry v2: specs, engine selection, param schemas -------------------
 
-TEST(RegistryV2, BuiltinSpecsDeclareTheStandardPackMatrix) {
+TEST(RegistryV2, BuiltinSpecsShipAPackForTheHomeNestWorld) {
   for (AlgorithmKind kind : all_algorithm_kinds()) {
     const AlgorithmSpec spec = builtin_algorithm_spec(kind);
     EXPECT_EQ(spec.name, algorithm_name(kind));
     EXPECT_EQ(spec.mode, default_mode(kind));
     ASSERT_TRUE(static_cast<bool>(spec.pack)) << spec.name;
     ASSERT_TRUE(static_cast<bool>(spec.colony));
-    // Every built-in pack rides the AntPack base, whose fault lanes,
-    // exact/noisy observe views and awake mask supply the whole standard
-    // matrix, partial synchrony included.
-    EXPECT_EQ(spec.capabilities, Capabilities::standard_pack()) << spec.name;
-    EXPECT_TRUE(spec.capabilities.partial_synchrony);
+    EXPECT_EQ(spec.env_backend, env::BackendKind::kHomeNest) << spec.name;
     // The declared param schema only names real table keys.
     for (const std::string& key : spec.params) {
       EXPECT_NE(find_param(key), nullptr) << spec.name << "." << key;
@@ -118,41 +114,51 @@ TEST(RegistryV2, BuiltinSpecsDeclareTheStandardPackMatrix) {
   }
 }
 
-TEST(RegistryV2, DeclaredCapabilitiesPredictEngineSelection) {
-  // The declared matrix must match what tests/test_ant_pack.cpp actually
-  // exercises packed: crash and Byzantine fault lanes, count and quality
-  // noise, both pairing models, and partial synchrony. Engine selection
-  // is a pure function of the declaration (capability_gaps), so each
-  // declared capability demanded via kPacked must build packed.
+TEST(RegistryV2, EveryBuiltinRunsPackedUnderEverySection6Extension) {
+  // A spec runs packed iff it ships a pack, so every built-in algorithm
+  // must run packed, under kPacked and with no fallback under kAuto, for
+  // each Section 6 extension and all three pairing models — and its pack
+  // must serve the algorithm's convergence mode through a whole run.
+  using Mutate = void (*)(SimulationConfig&);
+  const std::vector<std::pair<const char*, Mutate>> inputs = {
+      {"exact", [](SimulationConfig&) {}},
+      {"crash", [](SimulationConfig& cfg) { cfg.faults.crash_fraction = 0.25; }},
+      {"byzantine",
+       [](SimulationConfig& cfg) {
+         cfg.faults.byzantine_fraction = 0.1;
+         cfg.convergence_tolerance = 0.3;
+       }},
+      {"count noise", [](SimulationConfig& cfg) { cfg.noise.count_sigma = 0.5; }},
+      {"quality flips",
+       [](SimulationConfig& cfg) { cfg.noise.quality_flip_prob = 0.05; }},
+      {"quality sigma",
+       [](SimulationConfig& cfg) { cfg.noise.quality_sigma = 0.1; }},
+      {"uniform-proposal",
+       [](SimulationConfig& cfg) {
+         cfg.pairing = env::PairingKind::kUniformProposal;
+       }},
+      {"counter-lottery",
+       [](SimulationConfig& cfg) { cfg.pairing = env::PairingKind::kCounter; }},
+      {"partial synchrony",
+       [](SimulationConfig& cfg) { cfg.skip_probability = 0.2; }},
+  };
   for (AlgorithmKind kind : all_algorithm_kinds()) {
-    ASSERT_TRUE(builtin_algorithm_spec(kind).pack) << algorithm_name(kind);
-    const auto demand_packed = [&](auto mutate) {
+    for (const auto& [label, mutate] : inputs) {
       auto cfg = test::small_config(32, 4, 2);
-      cfg.engine = EngineKind::kPacked;
+      cfg.max_rounds = 400;
       mutate(cfg);
+      cfg.engine = EngineKind::kPacked;
+      EXPECT_TRUE(Simulation(cfg, kind).packed())
+          << algorithm_name(kind) << " / " << label;
+      cfg.engine = EngineKind::kAuto;
       Simulation sim(cfg, kind);
-      EXPECT_TRUE(sim.packed()) << algorithm_name(kind);
-    };
-    demand_packed([](SimulationConfig& cfg) {
-      cfg.faults.crash_fraction = 0.25;  // declared: crash_faults
-    });
-    demand_packed([](SimulationConfig& cfg) {
-      cfg.faults.byzantine_fraction = 0.1;  // declared: byzantine_faults
-      cfg.convergence_tolerance = 0.3;
-    });
-    demand_packed([](SimulationConfig& cfg) {
-      cfg.noise.count_sigma = 0.5;  // declared: count_noise
-    });
-    demand_packed([](SimulationConfig& cfg) {
-      cfg.noise.quality_flip_prob = 0.05;  // declared: quality_noise
-    });
-    demand_packed([](SimulationConfig& cfg) {
-      cfg.pairing = env::PairingKind::kUniformProposal;  // declared
-    });
-
-    demand_packed([](SimulationConfig& cfg) {
-      cfg.skip_probability = 0.2;  // declared: partial_synchrony
-    });
+      EXPECT_TRUE(sim.packed()) << algorithm_name(kind) << " / " << label;
+      const RunResult result = sim.run();
+      EXPECT_EQ(result.engine, EngineKind::kPacked)
+          << algorithm_name(kind) << " / " << label;
+      EXPECT_EQ(result.engine_fallback, "")
+          << algorithm_name(kind) << " / " << label;
+    }
   }
 }
 
@@ -171,8 +177,9 @@ TEST(RegistryV2, IdleSearchVariantIsRegisteredPurelyThroughTheSpecApi) {
   EXPECT_FALSE(sim->packed());
   const RunResult result = sim->run();
   EXPECT_TRUE(result.converged);
-  EXPECT_NE(result.engine_fallback.find("no packed implementation"),
-            std::string::npos);
+  // Manifests and the daemon's job records carry the reason verbatim.
+  EXPECT_EQ(result.engine_fallback,
+            "algorithm 'idle-search' has no packed implementation");
 
   // ...honors its param schema (idle_search_prob = 0 behaves like plain
   // waiting passives; still converges)...
@@ -187,9 +194,10 @@ TEST(RegistryV2, IdleSearchVariantIsRegisteredPurelyThroughTheSpecApi) {
     (void)registry.make("idle-search", packed_cfg);
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("idle-search"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("no packed implementation"),
-              std::string::npos);
+    EXPECT_STREQ(e.what(),
+                 "engine=packed requested but algorithm 'idle-search' has no "
+                 "packed implementation; use kAuto to fall back to the "
+                 "per-object engine");
   }
 
   // Under fault plans the generic wrappers apply (the variant wrote no
@@ -224,9 +232,9 @@ TEST(RegistryV2, AddValidatesSpecs) {
   EXPECT_THROW(registry.add(std::move(bad_param)), std::invalid_argument);
 }
 
-TEST(RegistryV2, SpecRegisteredPackIsSelectedByTheCapabilityDiff) {
-  // A third-party spec that ships a pack + the standard matrix gets kAuto
-  // packed selection with zero engine edits — the tentpole's promise.
+TEST(RegistryV2, SpecRegisteredPackIsSelectedBecauseItShipsOne) {
+  // A third-party spec that ships a pack gets kAuto packed selection with
+  // zero engine edits.
   auto& registry = AlgorithmRegistry::instance();
   AlgorithmSpec spec = builtin_algorithm_spec(AlgorithmKind::kSimple);
   spec.name = "test-packed-clone";
@@ -243,7 +251,7 @@ TEST(RegistryV2, SpecRegisteredPackIsSelectedByTheCapabilityDiff) {
   EXPECT_EQ(a.winner, b.winner);
   EXPECT_EQ(a.total_recruitments, b.total_recruitments);
 
-  // Partial synchrony rides the same diff: declared, so still packed.
+  // Partial synchrony runs on the same pack: still packed.
   auto skewed = cfg;
   skewed.skip_probability = 0.1;
   auto slow = registry.make("test-packed-clone", skewed);

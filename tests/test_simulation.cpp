@@ -7,6 +7,8 @@
 #include <limits>
 #include <memory>
 
+#include "core/registry.hpp"
+#include "core/walker_ant.hpp"
 #include "test_util.hpp"
 
 namespace hh::core {
@@ -221,6 +223,34 @@ TEST(Simulation, NegativeSkipProbabilityRejected) {
     cfg.engine = engine;
     EXPECT_THROW(Simulation(cfg, AlgorithmKind::kSimple), ContractViolation)
         << engine_name(engine);
+  }
+}
+
+TEST(Simulation, ConvergenceToleranceOutsideTheUnitIntervalRejected) {
+  // Agreement needs a (1 - tolerance) share of the correct ants: at 1 one
+  // committed ant would do, and below 0 no census ever does. Both are
+  // refused at construction, on both engines and in both worlds.
+  auto home = test::small_config(32, 4, 2, 3);
+  SimulationConfig lattice;
+  lattice.num_ants = 16;
+  lattice.qualities = {1.0};
+  lattice.env_backend = env::BackendKind::kLattice;
+  lattice.lattice.width = 8;
+  lattice.lattice.height = 8;
+  const auto walker =
+      AlgorithmRegistry::instance().find(kLatticeWalkerAlgorithmName);
+  ASSERT_NE(walker, nullptr);
+  for (const double tolerance : {-0.5, 1.0}) {
+    for (const EngineKind engine : {EngineKind::kScalar, EngineKind::kPacked}) {
+      home.convergence_tolerance = tolerance;
+      home.engine = engine;
+      EXPECT_THROW(Simulation(home, AlgorithmKind::kSimple), ContractViolation)
+          << tolerance << " " << engine_name(engine);
+      lattice.convergence_tolerance = tolerance;
+      lattice.engine = engine;
+      EXPECT_THROW(Simulation(lattice, *walker), ContractViolation)
+          << tolerance << " " << engine_name(engine) << " lattice";
+    }
   }
 }
 

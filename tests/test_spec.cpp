@@ -298,6 +298,17 @@ TEST(SpecErrors, TypeEnumAndRangeProblemsNameTheElement) {
       "params.quorum_fractoin", "unknown key");
 }
 
+TEST(SpecErrors, ConvergenceToleranceIsHalfOpen) {
+  // [0, 1): at 1 one committed ant would count as agreement, so
+  // Simulation refuses it and the reader does too, at the field's path.
+  expect_spec_error(minimal_spec(R"(, "convergence_tolerance": 1)"),
+                    "config.convergence_tolerance", "outside [0, 1)");
+  expect_spec_error(minimal_spec(R"(, "convergence_tolerance": -0.5)"),
+                    "config.convergence_tolerance", "outside [0, 1)");
+  EXPECT_NO_THROW((void)parse_experiment_spec(
+      minimal_spec(R"(, "convergence_tolerance": 0.999)")));
+}
+
 TEST(SpecErrors, StructuralProblemsAreCaught) {
   // Declarative and concrete forms are mutually exclusive.
   expect_spec_error(
