@@ -1,5 +1,7 @@
 #include "analysis/spec.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -254,40 +256,55 @@ env::LatticeConfig lattice_from_json(const Json& json,
   return lattice;
 }
 
-/// Full canonical config (every field, fixed order).
-Json config_to_json(const core::SimulationConfig& config) {
-  Json j{Json::Object{}};
-  j.set("num_ants", Json(static_cast<double>(config.num_ants)));
-  j.set("qualities", qualities_json(config.qualities));
-  j.set("seed", u64_json(config.seed));
-  j.set("max_rounds", Json(static_cast<double>(config.max_rounds)));
-  j.set("stability_rounds",
-        Json(static_cast<double>(config.stability_rounds)));
-  j.set("convergence_tolerance", Json(config.convergence_tolerance));
-  j.set("enforce_model", Json(config.enforce_model));
-  j.set("record_trajectories", Json(config.record_trajectories));
-  j.set("skip_probability", Json(config.skip_probability));
+/// Why env::FaultPlan::sample would refuse the fractions of `faults`
+/// ("" when it accepts them): its crash and Byzantine victim sets are
+/// disjoint, so the two fractions may sum to at most 1.
+std::string fault_fractions_error(const env::FaultConfig& faults) {
+  if (faults.crash_fraction + faults.byzantine_fraction <= 1.0) return {};
+  return "crash_fraction " + util::format_double(faults.crash_fraction) +
+         " + byzantine_fraction " +
+         util::format_double(faults.byzantine_fraction) +
+         " exceeds 1 (crashed and Byzantine ants are disjoint sets)";
+}
+
+/// Full canonical config (every field, fixed order), as object members.
+Json::Object config_members(const core::SimulationConfig& config) {
+  Json::Object m;
+  m.emplace_back("num_ants", Json(static_cast<double>(config.num_ants)));
+  m.emplace_back("qualities", qualities_json(config.qualities));
+  m.emplace_back("seed", u64_json(config.seed));
+  m.emplace_back("max_rounds", Json(static_cast<double>(config.max_rounds)));
+  m.emplace_back("stability_rounds",
+                 Json(static_cast<double>(config.stability_rounds)));
+  m.emplace_back("convergence_tolerance", Json(config.convergence_tolerance));
+  m.emplace_back("enforce_model", Json(config.enforce_model));
+  m.emplace_back("record_trajectories", Json(config.record_trajectories));
+  m.emplace_back("skip_probability", Json(config.skip_probability));
   Json noise{Json::Object{}};
   noise.set("count_sigma", Json(config.noise.count_sigma));
   noise.set("quality_flip_prob", Json(config.noise.quality_flip_prob));
   noise.set("quality_sigma", Json(config.noise.quality_sigma));
-  j.set("noise", std::move(noise));
+  m.emplace_back("noise", std::move(noise));
   Json faults{Json::Object{}};
   faults.set("crash_fraction", Json(config.faults.crash_fraction));
   faults.set("byzantine_fraction", Json(config.faults.byzantine_fraction));
   faults.set("crash_horizon",
              Json(static_cast<double>(config.faults.crash_horizon)));
-  j.set("faults", std::move(faults));
-  j.set("pairing", Json(env::pairing_name(config.pairing)));
-  j.set("engine", Json(core::engine_name(config.engine)));
+  m.emplace_back("faults", std::move(faults));
+  m.emplace_back("pairing", Json(env::pairing_name(config.pairing)));
+  m.emplace_back("engine", Json(core::engine_name(config.engine)));
   // Backend vocabulary is ADDITIVE: home-nest configs serialize exactly
   // as they did pre-seam (no env_backend key), so every existing spec
   // file and fingerprint is untouched. New worlds add their block.
   if (config.env_backend != env::BackendKind::kHomeNest) {
-    j.set("env_backend", Json(env::backend_name(config.env_backend)));
-    j.set("lattice", lattice_to_json(config.lattice));
+    m.emplace_back("env_backend", Json(env::backend_name(config.env_backend)));
+    m.emplace_back("lattice", lattice_to_json(config.lattice));
   }
-  return j;
+  return m;
+}
+
+Json config_to_json(const core::SimulationConfig& config) {
+  return Json(config_members(config));
 }
 
 /// Whether a config must be runnable on its own. A SCENARIO config must
@@ -387,8 +404,16 @@ core::SimulationConfig config_from_json(const Json& json,
     if (const Json* f = faults.get("crash_horizon")) {
       config.faults.crash_horizon =
           read_u32(*f, at(fpath, "crash_horizon"));
+      if (config.faults.crash_horizon == 0) {
+        fail(at(fpath, "crash_horizon"),
+             "must be >= 1 (crashes land in rounds [1, crash_horizon])");
+      }
     }
     faults.finish();
+    if (const std::string error = fault_fractions_error(config.faults);
+        !error.empty()) {
+      fail(fpath, error);
+    }
   }
   if (const Json* v = reader.get("pairing")) {
     config.pairing = pairing_from_name(
@@ -519,39 +544,23 @@ Scenario scenario_from_json(const Json& json, const std::string& path) {
 
 std::string scenario_identity_json(const Scenario& scenario) {
   // EXACTLY the outcome-determining fields (see scenario_fingerprint's
-  // contract): no name/axes (presentation), no seed (per trial), no
-  // engine (the §1 equivalence contract shares cache across engines), no
-  // enforce_model/record_trajectories (side-effect-free).
-  const core::SimulationConfig& c = scenario.config;
-  Json config{Json::Object{}};
-  config.set("num_ants", Json(static_cast<double>(c.num_ants)));
-  config.set("qualities", qualities_json(c.qualities));
-  config.set("max_rounds", Json(static_cast<double>(c.max_rounds)));
-  config.set("stability_rounds", Json(static_cast<double>(c.stability_rounds)));
-  config.set("convergence_tolerance", Json(c.convergence_tolerance));
-  config.set("skip_probability", Json(c.skip_probability));
-  Json noise{Json::Object{}};
-  noise.set("count_sigma", Json(c.noise.count_sigma));
-  noise.set("quality_flip_prob", Json(c.noise.quality_flip_prob));
-  noise.set("quality_sigma", Json(c.noise.quality_sigma));
-  config.set("noise", std::move(noise));
-  Json faults{Json::Object{}};
-  faults.set("crash_fraction", Json(c.faults.crash_fraction));
-  faults.set("byzantine_fraction", Json(c.faults.byzantine_fraction));
-  faults.set("crash_horizon", Json(static_cast<double>(c.faults.crash_horizon)));
-  config.set("faults", std::move(faults));
-  config.set("pairing", Json(env::pairing_name(c.pairing)));
-  // Identity vocabulary grows with the backend: home-nest identity JSON
-  // is byte-identical to pre-seam output (fingerprints unchanged); any
-  // other world names itself plus its full geometry/motility block.
-  if (c.env_backend != env::BackendKind::kHomeNest) {
-    config.set("env_backend", Json(env::backend_name(c.env_backend)));
-    config.set("lattice", lattice_to_json(c.lattice));
-  }
+  // contract): the canonical config minus what cannot change an outcome,
+  // in config_to_json's key order, so a new config field joins the
+  // identity unless it is excluded here on purpose. Out: the seed (per
+  // trial), the engine (the §1 equivalence contract shares cache across
+  // engines), enforce_model and record_trajectories (side-effect-free);
+  // the scenario's name and axes (presentation) are never emitted.
+  constexpr std::array<std::string_view, 4> kNotIdentity = {
+      "seed", "engine", "enforce_model", "record_trajectories"};
+  Json::Object config = config_members(scenario.config);
+  std::erase_if(config, [&](const auto& member) {
+    return std::find(kNotIdentity.begin(), kNotIdentity.end(),
+                     member.first) != kNotIdentity.end();
+  });
 
   Json j{Json::Object{}};
   j.set("algorithm", Json(scenario.algorithm));
-  j.set("config", std::move(config));
+  j.set("config", Json(std::move(config)));
   j.set("params", params_to_json(scenario.params));
   return util::dump_json(j, /*indent=*/0);
 }
@@ -823,6 +832,13 @@ SweepEntry sweep_entry_from_json(const Json& json, const std::string& path) {
         fail(path, "scenario '" + expanded.name +
                        "' has no candidate nests: set base.config.qualities "
                        "or add a nest_counts/quality_sets axis");
+      }
+      // A crash_fractions or byzantine_fractions axis can push the sum
+      // past 1 where the base config alone does not.
+      if (const std::string error =
+              fault_fractions_error(expanded.config.faults);
+          !error.empty()) {
+        fail(path, "scenario '" + expanded.name + "': " + error);
       }
     }
     entry.sweep = std::move(spec);

@@ -1,25 +1,16 @@
 #include "core/ant_pack.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "core/optimal_pack.hpp"
+#include "core/quality_aware_ant.hpp"
+#include "core/quorum_ant.hpp"
+#include "core/rate_boosted_ant.hpp"
+#include "core/simple_ant.hpp"
 #include "util/contracts.hpp"
 
 namespace hh::core {
 
 namespace {
-
-/// Mirror of colony.cpp's believed_n: an ant's private belief of n, drawn
-/// (or not) off the ant's own stream exactly as the per-object factories
-/// draw it — the packed path must consume the identical RNG prefix.
-std::uint32_t believed_n(std::uint32_t num_ants, double error, util::Rng& rng) {
-  if (error <= 0.0) return num_ants;
-  const double lo = static_cast<double>(num_ants) * (1.0 - error);
-  const double hi = static_cast<double>(num_ants) * (1.0 + error);
-  const double belief = lo + (hi - lo) * rng.uniform_double();
-  return std::max<std::uint32_t>(1, static_cast<std::uint32_t>(belief));
-}
 
 /// The Algorithm-3 family (SimpleAnt and its subclasses) as state arrays.
 /// All four variants share one FSM and differ only in the
@@ -66,7 +57,7 @@ class SimpleFamilyPack final : public AntPack {
       believed_n_[a] =
           (kind_ == AlgorithmKind::kUniformRecruit || byzantine(a))
               ? num_ants
-              : believed_n(num_ants, n_estimate_error_, rng_[a]);
+              : believed_colony_size(num_ants, n_estimate_error_, rng_[a]);
     }
     std::fill(active_.begin(), active_.end(),
               std::uint8_t{1});  // initially active (Algorithm 3, line 1)
@@ -75,11 +66,7 @@ class SimpleFamilyPack final : public AntPack {
     if (kind_ == AlgorithmKind::kRateBoosted) {
       std::fill(initial_k_.begin(), initial_k_.end(), 0.0);
       for (std::size_t a = 0; a < num_ants; ++a) {
-        // Mirror of RateBoostedAnt's constructor (tau from the believed n).
-        halving_period_[a] = std::max<std::uint32_t>(
-            8, static_cast<std::uint32_t>(
-                   3.0 * std::log2(static_cast<double>(
-                             std::max(believed_n_[a], 2u)))));
+        halving_period_[a] = RateBoostedAnt::halving_period(believed_n_[a]);
       }
     }
   }
@@ -102,10 +89,6 @@ class SimpleFamilyPack final : public AntPack {
     });
   }
 
-  [[nodiscard]] std::string_view name() const override {
-    return algorithm_name(kind_);
-  }
-
  private:
   enum class Phase : std::uint8_t { kInit, kRecruit, kAssess };
 
@@ -125,10 +108,7 @@ class SimpleFamilyPack final : public AntPack {
     quality_[a] = quality;
     if (quality <= 0.0) active_[a] = 0;
     if (kind_ == AlgorithmKind::kRateBoosted) {
-      // RateBoostedAnt's one-shot k^ = n / c0 from the initial spread.
-      const double observed = std::max<std::uint32_t>(count, 1);
-      initial_k_[a] =
-          std::max(1.0, static_cast<double>(believed_n_[a]) / observed);
+      initial_k_[a] = RateBoostedAnt::initial_k_estimate(believed_n_[a], count);
     }
   }
 
@@ -205,33 +185,25 @@ class SimpleFamilyPack final : public AntPack {
     advance(a);
   }
 
-  /// The variant's b-probability — the exact floating-point expressions of
-  /// SimpleAnt / RateBoostedAnt / QualityAwareAnt / UniformRecruitAnt
-  /// (equivalence requires identical operation order, not just identical
-  /// math).
+  /// The variant's b-probability, through the scalar ants' own rules
+  /// (SimpleAnt / RateBoostedAnt / QualityAwareAnt; UniformRecruitAnt's
+  /// is its constant): equivalence requires identical operation order,
+  /// not just identical math.
   [[nodiscard]] double recruit_probability(std::size_t a,
                                            std::uint32_t round) const {
-    const double base = static_cast<double>(count_[a]) /
-                        static_cast<double>(believed_n_[a]);
+    const double base =
+        SimpleAnt::proportional_rate(count_[a], believed_n_[a]);
     switch (kind_) {
       case AlgorithmKind::kSimple:
         return base;
       case AlgorithmKind::kUniformRecruit:
         return uniform_prob_;
       case AlgorithmKind::kQualityAware:
-        return base * std::clamp(quality_[a], 0.0, 1.0);
-      case AlgorithmKind::kRateBoosted: {
-        double k_estimate = 0.0;
-        if (initial_k_[a] != 0.0) {
-          const std::uint32_t halvings = round / halving_period_[a];
-          const double decayed =
-              (halvings >= 63)
-                  ? 1.0
-                  : initial_k_[a] / static_cast<double>(1ULL << halvings);
-          k_estimate = std::max(1.0, decayed);
-        }
-        return std::max(base, std::min(0.5, base * k_estimate / 8.0));
-      }
+        return QualityAwareAnt::quality_weighted_rate(base, quality_[a]);
+      case AlgorithmKind::kRateBoosted:
+        return RateBoostedAnt::boosted_rate(
+            base, RateBoostedAnt::k_estimate_at(initial_k_[a], round,
+                                                halving_period_[a]));
       default:
         break;
     }
@@ -263,9 +235,7 @@ class QuorumPack final : public AntPack {
              std::uint64_t colony_seed, const AlgorithmParams& params,
              const env::FaultPlan* faults)
       : AntPack(num_ants, num_nests),
-        // Mirror of factory_for's threshold derivation (colony.cpp).
-        threshold_(std::max<std::uint32_t>(
-            1, static_cast<std::uint32_t>(params.quorum_fraction * num_ants))),
+        threshold_(quorum_threshold(num_ants, params.quorum_fraction)),
         tandem_rate_(params.quorum_tandem_rate) {
     HH_EXPECTS(num_ants >= 1);
     HH_EXPECTS(tandem_rate_ >= 0.0 && tandem_rate_ <= 1.0);
@@ -316,10 +286,6 @@ class QuorumPack final : public AntPack {
     return c;
   }
 
-  [[nodiscard]] std::string_view name() const override {
-    return algorithm_name(AlgorithmKind::kQuorum);
-  }
-
  private:
   enum class Stage : std::uint8_t { kInit, kPassive, kPreQuorum, kQuorumMet };
   enum class Phase : std::uint8_t { kInit, kRecruit, kAssess };
@@ -329,12 +295,9 @@ class QuorumPack final : public AntPack {
     switch (static_cast<Stage>(stage_[a])) {
       case Stage::kPassive:
         return false;
-      case Stage::kPreQuorum: {
-        // Population-proportional tandem running, slowed by tandem_rate.
-        const double p = tandem_rate_ * static_cast<double>(count_[a]) /
-                         static_cast<double>(size());
-        return rng_[a].bernoulli(p);
-      }
+      case Stage::kPreQuorum:
+        return rng_[a].bernoulli(
+            QuorumAnt::tandem_probability(tandem_rate_, count_[a], size()));
       case Stage::kQuorumMet:
         return true;
       case Stage::kInit:
@@ -623,30 +586,20 @@ std::uint32_t AntPack::count_finalized(
   return 0;
 }
 
-std::unique_ptr<AntPack> make_ant_pack(AlgorithmKind kind,
-                                       std::uint32_t num_ants,
-                                       std::uint32_t num_nests,
-                                       std::uint64_t colony_seed,
-                                       const AlgorithmParams& params,
-                                       const env::FaultPlan* faults) {
-  switch (kind) {
-    case AlgorithmKind::kSimple:
-    case AlgorithmKind::kRateBoosted:
-    case AlgorithmKind::kQualityAware:
-    case AlgorithmKind::kUniformRecruit:
-      return std::make_unique<SimpleFamilyPack>(kind, num_ants, num_nests,
-                                                colony_seed, params, faults);
-    case AlgorithmKind::kQuorum:
-      return std::make_unique<QuorumPack>(num_ants, num_nests, colony_seed,
-                                          params, faults);
-    case AlgorithmKind::kOptimal:
-      return make_optimal_pack(num_ants, num_nests, colony_seed,
-                               /*settle=*/false, faults);
-    case AlgorithmKind::kOptimalSettle:
-      return make_optimal_pack(num_ants, num_nests, colony_seed,
-                               /*settle=*/true, faults);
-  }
-  return nullptr;
+std::unique_ptr<AntPack> make_simple_family_pack(
+    AlgorithmKind variant, std::uint32_t num_ants, std::uint32_t num_nests,
+    std::uint64_t colony_seed, const AlgorithmParams& params,
+    const env::FaultPlan* faults) {
+  return std::make_unique<SimpleFamilyPack>(variant, num_ants, num_nests,
+                                            colony_seed, params, faults);
+}
+
+std::unique_ptr<AntPack> make_quorum_pack(
+    AlgorithmKind /*variant*/, std::uint32_t num_ants, std::uint32_t num_nests,
+    std::uint64_t colony_seed, const AlgorithmParams& params,
+    const env::FaultPlan* faults) {
+  return std::make_unique<QuorumPack>(num_ants, num_nests, colony_seed, params,
+                                      faults);
 }
 
 }  // namespace hh::core

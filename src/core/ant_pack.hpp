@@ -54,7 +54,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "core/colony.hpp"
@@ -151,9 +150,6 @@ class AntPack {
 
   /// Colony size n.
   [[nodiscard]] std::uint32_t size() const { return num_ants_; }
-
-  /// Stable algorithm name (matches algorithm_name(kind)).
-  [[nodiscard]] virtual std::string_view name() const = 0;
 
  protected:
   AntPack(std::uint32_t num_ants, std::uint32_t num_nests);
@@ -337,16 +333,27 @@ class AntPack {
   std::uint32_t byz_scouting_ = 0;
 };
 
-/// Build the packed colony for `kind` (every built-in kind has one).
-/// `colony_seed` is the same seed make_colony would receive; per-ant RNG
-/// streams are derived from it identically to the per-object path.
-/// `num_nests` is k (packs keep an incrementally-maintained commitment
-/// census of size k+1). `faults`, when non-null, is the sampled plan the
-/// scalar path would wrap ants with — installed as pack-level fault lanes.
-[[nodiscard]] std::unique_ptr<AntPack> make_ant_pack(
-    AlgorithmKind kind, std::uint32_t num_ants, std::uint32_t num_nests,
+// The pack modules' factories (Algorithm 2's is in optimal_pack.hpp)
+// share one signature, so the built-in catalog (core/registry.cpp) names
+// them directly. `variant` is the built-in to build, `num_nests` is k
+// (packs keep a commitment census of size k+1), `colony_seed` the seed
+// make_colony would receive (per-ant streams are derived from it exactly
+// as the per-object path derives them), and `faults`, when non-null, the
+// sampled plan the scalar path would wrap ants with, installed as
+// pack-level fault lanes.
+
+/// The Algorithm-3 family's pack (simple, rate-boosted, quality-aware,
+/// uniform-recruit).
+[[nodiscard]] std::unique_ptr<AntPack> make_simple_family_pack(
+    AlgorithmKind variant, std::uint32_t num_ants, std::uint32_t num_nests,
     std::uint64_t colony_seed, const AlgorithmParams& params,
-    const env::FaultPlan* faults = nullptr);
+    const env::FaultPlan* faults);
+
+/// The quorum baseline's pack (one variant: `variant` is not read).
+[[nodiscard]] std::unique_ptr<AntPack> make_quorum_pack(
+    AlgorithmKind variant, std::uint32_t num_ants, std::uint32_t num_nests,
+    std::uint64_t colony_seed, const AlgorithmParams& params,
+    const env::FaultPlan* faults);
 
 }  // namespace hh::core
 

@@ -2,29 +2,9 @@
 
 #include <algorithm>
 
-#include "core/optimal_ant.hpp"
-#include "core/quality_aware_ant.hpp"
-#include "core/quorum_ant.hpp"
-#include "core/rate_boosted_ant.hpp"
-#include "core/simple_ant.hpp"
-#include "core/uniform_recruit_ant.hpp"
 #include "util/contracts.hpp"
 
 namespace hh::core {
-
-std::string_view algorithm_name(AlgorithmKind kind) {
-  switch (kind) {
-    case AlgorithmKind::kOptimal: return "optimal";
-    case AlgorithmKind::kOptimalSettle: return "optimal+settle";
-    case AlgorithmKind::kSimple: return "simple";
-    case AlgorithmKind::kRateBoosted: return "rate-boosted";
-    case AlgorithmKind::kQualityAware: return "quality-aware";
-    case AlgorithmKind::kUniformRecruit: return "uniform-recruit";
-    case AlgorithmKind::kQuorum: return "quorum";
-  }
-  HH_ASSERT(false);
-  return "?";
-}
 
 Colony make_colony(std::uint32_t num_ants, const AntFactory& factory,
                    env::FaultPlan plan, std::uint64_t seed,
@@ -60,67 +40,6 @@ std::uint32_t believed_colony_size(std::uint32_t num_ants, double error,
   const double hi = static_cast<double>(num_ants) * (1.0 + error);
   const double belief = lo + (hi - lo) * rng.uniform_double();
   return std::max<std::uint32_t>(1, static_cast<std::uint32_t>(belief));
-}
-
-namespace {
-
-AntFactory factory_for(std::uint32_t num_ants, AlgorithmKind kind,
-                       const AlgorithmParams& params) {
-  switch (kind) {
-    case AlgorithmKind::kOptimal:
-      return [num_ants](env::AntId, util::Rng) {
-        return std::make_unique<OptimalAnt>(num_ants, /*settle=*/false);
-      };
-    case AlgorithmKind::kOptimalSettle:
-      return [num_ants](env::AntId, util::Rng) {
-        return std::make_unique<OptimalAnt>(num_ants, /*settle=*/true);
-      };
-    case AlgorithmKind::kSimple:
-      return [num_ants, params](env::AntId, util::Rng rng) {
-        const std::uint32_t n = believed_colony_size(num_ants, params.n_estimate_error, rng);
-        return std::make_unique<SimpleAnt>(n, rng);
-      };
-    case AlgorithmKind::kRateBoosted:
-      return [num_ants, params](env::AntId, util::Rng rng) {
-        const std::uint32_t n = believed_colony_size(num_ants, params.n_estimate_error, rng);
-        return std::make_unique<RateBoostedAnt>(n, rng);
-      };
-    case AlgorithmKind::kQualityAware:
-      return [num_ants, params](env::AntId, util::Rng rng) {
-        const std::uint32_t n = believed_colony_size(num_ants, params.n_estimate_error, rng);
-        return std::make_unique<QualityAwareAnt>(n, rng);
-      };
-    case AlgorithmKind::kUniformRecruit:
-      return [num_ants, params](env::AntId, util::Rng rng) {
-        return std::make_unique<UniformRecruitAnt>(num_ants, rng,
-                                                   params.uniform_recruit_prob);
-      };
-    case AlgorithmKind::kQuorum: {
-      const auto threshold = std::max<std::uint32_t>(
-          1, static_cast<std::uint32_t>(params.quorum_fraction * num_ants));
-      return [num_ants, threshold, params](env::AntId, util::Rng rng) {
-        return std::make_unique<QuorumAnt>(num_ants, rng, threshold,
-                                           params.quorum_tandem_rate);
-      };
-    }
-  }
-  HH_ASSERT(false);
-  return {};
-}
-
-}  // namespace
-
-Colony make_colony(std::uint32_t num_ants, AlgorithmKind kind,
-                   std::uint64_t seed, const AlgorithmParams& params) {
-  return make_colony(num_ants, kind, env::FaultPlan::none(num_ants), seed,
-                     params);
-}
-
-Colony make_colony(std::uint32_t num_ants, AlgorithmKind kind,
-                   env::FaultPlan plan, std::uint64_t seed,
-                   const AlgorithmParams& params) {
-  return make_colony(num_ants, factory_for(num_ants, kind, params),
-                     std::move(plan), seed, std::string(algorithm_name(kind)));
 }
 
 CrashProneAnt::CrashProneAnt(std::unique_ptr<Ant> inner,

@@ -26,7 +26,8 @@ enum class AlgorithmKind : std::uint8_t {
   kQuorum,         ///< biology-inspired quorum-threshold baseline
 };
 
-/// Human-readable algorithm name.
+/// Human-readable algorithm name (the kind's row of the built-in
+/// catalog, core/registry.cpp).
 [[nodiscard]] std::string_view algorithm_name(AlgorithmKind kind);
 
 /// Tunables for the algorithms that take parameters.
@@ -69,9 +70,10 @@ using AntFactory =
 
 /// Section 6 extension: an ant's private belief of the colony size, drawn
 /// uniformly from [n(1-e), n(1+e)] off the ant's own stream. e = 0 returns
-/// the exact n (the base model) without touching the stream. Shared by
-/// the Algorithm-3 family and registered variants so believed-n draws
-/// stay identical across per-object and packed engines.
+/// the exact n (the base model) without touching the stream. The one
+/// definition of the draw: the Algorithm-3 family's catalog rows, its
+/// pack (SimpleFamilyPack's reset) and registered variants all call it,
+/// so believed-n draws stay identical across both engines.
 [[nodiscard]] std::uint32_t believed_colony_size(std::uint32_t num_ants,
                                                  double error, util::Rng& rng);
 
@@ -83,12 +85,14 @@ using AntFactory =
                                  env::FaultPlan plan, std::uint64_t seed,
                                  std::string algorithm);
 
-/// Assemble a colony running a named algorithm with no faults.
+/// Assemble a colony running a built-in algorithm with no faults. Both
+/// built-in overloads build each ant with the kind's catalog row
+/// (core/registry.cpp).
 [[nodiscard]] Colony make_colony(std::uint32_t num_ants, AlgorithmKind kind,
                                  std::uint64_t seed,
                                  const AlgorithmParams& params = {});
 
-/// Assemble a colony running a named algorithm under a fault plan.
+/// Assemble a colony running a built-in algorithm under a fault plan.
 [[nodiscard]] Colony make_colony(std::uint32_t num_ants, AlgorithmKind kind,
                                  env::FaultPlan plan, std::uint64_t seed,
                                  const AlgorithmParams& params = {});

@@ -7,24 +7,6 @@
 
 namespace hh::core {
 
-ConvergenceMode default_mode(AlgorithmKind kind) {
-  switch (kind) {
-    case AlgorithmKind::kOptimal:
-      return ConvergenceMode::kCommitmentFinalized;
-    case AlgorithmKind::kOptimalSettle:
-      return ConvergenceMode::kPhysical;
-    case AlgorithmKind::kSimple:
-    case AlgorithmKind::kRateBoosted:
-    case AlgorithmKind::kQualityAware:
-    case AlgorithmKind::kUniformRecruit:
-      return ConvergenceMode::kCommitment;
-    case AlgorithmKind::kQuorum:
-      return ConvergenceMode::kCommitment;
-  }
-  HH_ASSERT(false);
-  return ConvergenceMode::kCommitment;
-}
-
 std::optional<env::NestId> agreement_from_census(
     std::span<const std::uint32_t> census, std::uint32_t correct_total,
     std::span<const double> qualities, double tolerance) {

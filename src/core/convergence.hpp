@@ -31,7 +31,8 @@ enum class ConvergenceMode : std::uint8_t {
   kPhysical,
 };
 
-/// The detection mode each built-in algorithm is verified under.
+/// The detection mode each built-in algorithm is verified under (the
+/// kind's row of the built-in catalog, core/registry.cpp).
 [[nodiscard]] ConvergenceMode default_mode(AlgorithmKind kind);
 
 /// If the correct ants currently agree per `mode`, the agreed nest.

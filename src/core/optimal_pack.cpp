@@ -174,11 +174,6 @@ class OptimalPack final : public AntPack {
     return c;
   }
 
-  [[nodiscard]] std::string_view name() const override {
-    return algorithm_name(settle_ ? AlgorithmKind::kOptimalSettle
-                                  : AlgorithmKind::kOptimal);
-  }
-
  private:
   // Mirrors of OptimalAnt's enums (kept numerically byte-sized for lanes).
   enum class State : std::uint8_t {
@@ -764,13 +759,13 @@ class OptimalPack final : public AntPack {
 
 }  // namespace
 
-std::unique_ptr<AntPack> make_optimal_pack(std::uint32_t num_ants,
-                                           std::uint32_t num_nests,
-                                           std::uint64_t colony_seed,
-                                           bool settle,
-                                           const env::FaultPlan* faults) {
-  return std::make_unique<OptimalPack>(num_ants, num_nests, colony_seed,
-                                       settle, faults);
+std::unique_ptr<AntPack> make_optimal_pack(
+    AlgorithmKind variant, std::uint32_t num_ants, std::uint32_t num_nests,
+    std::uint64_t colony_seed, const AlgorithmParams& /*params*/,
+    const env::FaultPlan* faults) {
+  return std::make_unique<OptimalPack>(
+      num_ants, num_nests, colony_seed,
+      /*settle=*/variant == AlgorithmKind::kOptimalSettle, faults);
 }
 
 }  // namespace hh::core

@@ -31,12 +31,14 @@
 
 namespace hh::core {
 
-/// Build the packed Algorithm-2 colony (`settle` selects the Section 4.2
-/// termination fix — the kOptimalSettle variant). Parameters as
-/// make_ant_pack.
+/// Build the packed Algorithm-2 colony, with the Section 4.2 termination
+/// fix iff `variant` is kOptimalSettle. The parameters are the pack
+/// factories' shared ones (ant_pack.hpp); Algorithm 2 reads no
+/// AlgorithmParams.
 [[nodiscard]] std::unique_ptr<AntPack> make_optimal_pack(
-    std::uint32_t num_ants, std::uint32_t num_nests, std::uint64_t colony_seed,
-    bool settle, const env::FaultPlan* faults);
+    AlgorithmKind variant, std::uint32_t num_ants, std::uint32_t num_nests,
+    std::uint64_t colony_seed, const AlgorithmParams& params,
+    const env::FaultPlan* faults);
 
 }  // namespace hh::core
 

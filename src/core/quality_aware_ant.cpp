@@ -1,14 +1,12 @@
 #include "core/quality_aware_ant.hpp"
 
-#include <algorithm>
-
 namespace hh::core {
 
 QualityAwareAnt::QualityAwareAnt(std::uint32_t num_ants, util::Rng rng)
     : SimpleAnt(num_ants, rng) {}
 
 double QualityAwareAnt::recruit_probability() const {
-  return SimpleAnt::recruit_probability() * std::clamp(quality(), 0.0, 1.0);
+  return quality_weighted_rate(SimpleAnt::recruit_probability(), quality());
 }
 
 }  // namespace hh::core

@@ -15,6 +15,8 @@
 #ifndef HH_CORE_QUALITY_AWARE_ANT_HPP
 #define HH_CORE_QUALITY_AWARE_ANT_HPP
 
+#include <algorithm>
+
 #include "core/simple_ant.hpp"
 
 namespace hh::core {
@@ -25,6 +27,13 @@ class QualityAwareAnt final : public SimpleAnt {
   QualityAwareAnt(std::uint32_t num_ants, util::Rng rng);
 
   [[nodiscard]] std::string_view name() const override { return "quality-aware"; }
+
+  /// P[recruit] = base * quality from the base rate count/n, quality
+  /// clamped to [0, 1] (SimpleFamilyPack calls it too).
+  [[nodiscard]] static double quality_weighted_rate(double base,
+                                                    double quality) {
+    return base * std::clamp(quality, 0.0, 1.0);
+  }
 
  protected:
   [[nodiscard]] double recruit_probability() const override;

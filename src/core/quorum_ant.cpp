@@ -24,9 +24,7 @@ env::Action QuorumAnt::decide(std::uint32_t /*round*/) {
       return env::Action::go(nest_);
     case Stage::kPreQuorum:
       if (phase_ == Phase::kRecruit) {
-        // Population-proportional tandem running, slowed by tandem_rate.
-        const double p = tandem_rate_ * static_cast<double>(count_) /
-                         static_cast<double>(num_ants_);
+        const double p = tandem_probability(tandem_rate_, count_, num_ants_);
         return env::Action::recruit(rng_.bernoulli(p), nest_);
       }
       return env::Action::go(nest_);

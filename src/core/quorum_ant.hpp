@@ -11,12 +11,21 @@
 #ifndef HH_CORE_QUORUM_ANT_HPP
 #define HH_CORE_QUORUM_ANT_HPP
 
+#include <algorithm>
 #include <cstdint>
 
 #include "core/ant.hpp"
 #include "util/rng.hpp"
 
 namespace hh::core {
+
+/// QuorumAnt's threshold in an n-ant colony: floor(fraction * n), at
+/// least 1 (both engines derive it here).
+[[nodiscard]] inline std::uint32_t quorum_threshold(std::uint32_t num_ants,
+                                                    double fraction) {
+  return std::max<std::uint32_t>(
+      1, static_cast<std::uint32_t>(fraction * num_ants));
+}
 
 /// Quorum-sensing ant: tandem-run until the nest's population exceeds the
 /// threshold, then transport (recruit every round, commitment locked).
@@ -45,6 +54,15 @@ class QuorumAnt final : public Ant {
 
   /// True once this ant has sensed a quorum (transport stage).
   [[nodiscard]] bool quorum_met() const { return stage_ == Stage::kQuorumMet; }
+
+  /// A pre-quorum ant's b-probability: population-proportional tandem
+  /// running, slowed by `tandem_rate` (QuorumPack calls it too).
+  [[nodiscard]] static double tandem_probability(double tandem_rate,
+                                                 std::uint32_t count,
+                                                 std::uint32_t num_ants) {
+    return tandem_rate * static_cast<double>(count) /
+           static_cast<double>(num_ants);
+  }
 
  private:
   enum class Stage : std::uint8_t {

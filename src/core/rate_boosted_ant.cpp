@@ -6,38 +6,29 @@
 namespace hh::core {
 
 RateBoostedAnt::RateBoostedAnt(std::uint32_t num_ants, util::Rng rng)
-    : SimpleAnt(num_ants, rng),
-      halving_period_(std::max<std::uint32_t>(
-          8, static_cast<std::uint32_t>(
-                 3.0 * std::log2(static_cast<double>(std::max(num_ants, 2u)))))) {}
+    : SimpleAnt(num_ants, rng), halving_period_(halving_period(num_ants)) {}
+
+std::uint32_t RateBoostedAnt::halving_period(std::uint32_t num_ants) {
+  return std::max<std::uint32_t>(
+      8, static_cast<std::uint32_t>(
+             3.0 * std::log2(static_cast<double>(std::max(num_ants, 2u)))));
+}
 
 void RateBoostedAnt::observe(const env::Outcome& outcome) {
   const bool first_observation = initial_k_estimate_ == 0.0;
   SimpleAnt::observe(outcome);
   if (first_observation && outcome.kind == env::ActionKind::kSearch) {
     // One-shot estimate from the initial spread: ~n/k ants per nest.
-    const double observed = std::max<std::uint32_t>(outcome.count, 1);
-    initial_k_estimate_ =
-        std::max(1.0, static_cast<double>(num_ants()) / observed);
+    initial_k_estimate_ = initial_k_estimate(num_ants(), outcome.count);
   }
 }
 
 double RateBoostedAnt::k_estimate() const {
-  if (initial_k_estimate_ == 0.0) return 0.0;
-  const std::uint32_t halvings = current_round() / halving_period_;
-  // 2^halvings without pow(); past 63 halvings k~ is 1 regardless.
-  const double decayed = (halvings >= 63)
-                             ? 1.0
-                             : initial_k_estimate_ /
-                                   static_cast<double>(1ULL << halvings);
-  return std::max(1.0, decayed);
+  return k_estimate_at(initial_k_estimate_, current_round(), halving_period_);
 }
 
 double RateBoostedAnt::recruit_probability() const {
-  const double base = SimpleAnt::recruit_probability();  // count / n
-  // Never below Algorithm 3's own rate: at small k the base rate is
-  // already Theta(1) and beats the conservatively-capped boost.
-  return std::max(base, std::min(0.5, base * k_estimate() / 8.0));
+  return boosted_rate(SimpleAnt::recruit_probability(), k_estimate());
 }
 
 }  // namespace hh::core

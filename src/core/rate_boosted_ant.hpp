@@ -35,6 +35,8 @@
 #ifndef HH_CORE_RATE_BOOSTED_ANT_HPP
 #define HH_CORE_RATE_BOOSTED_ANT_HPP
 
+#include <algorithm>
+
 #include "core/simple_ant.hpp"
 
 namespace hh::core {
@@ -50,6 +52,34 @@ class RateBoostedAnt final : public SimpleAnt {
   /// The ant's current competition estimate k~(r); 0 before the first
   /// search lands.
   [[nodiscard]] double k_estimate() const;
+
+  // The variant's rules (formulas above) for an ant that believes the
+  // colony has n ants; SimpleFamilyPack calls them too.
+
+  /// tau (at least 8 rounds).
+  [[nodiscard]] static std::uint32_t halving_period(std::uint32_t num_ants);
+  /// k^ from the count c0 the search returned.
+  [[nodiscard]] static double initial_k_estimate(std::uint32_t num_ants,
+                                                 std::uint32_t count) {
+    const double observed = std::max<std::uint32_t>(count, 1);
+    return std::max(1.0, static_cast<double>(num_ants) / observed);
+  }
+  /// k~(r); 0 while k^ is 0 (before the search lands).
+  [[nodiscard]] static double k_estimate_at(double initial_k,
+                                            std::uint32_t round,
+                                            std::uint32_t halving_period) {
+    if (initial_k == 0.0) return 0.0;
+    const std::uint32_t halvings = round / halving_period;
+    // 2^halvings without pow(); past 63 halvings k~ is 1 regardless.
+    const double decayed =
+        (halvings >= 63) ? 1.0
+                         : initial_k / static_cast<double>(1ULL << halvings);
+    return std::max(1.0, decayed);
+  }
+  /// P[recruit] from the base rate count/n and k~(r).
+  [[nodiscard]] static double boosted_rate(double base, double k_estimate) {
+    return std::max(base, std::min(0.5, base * k_estimate / 8.0));
+  }
 
  protected:
   [[nodiscard]] double recruit_probability() const override;

@@ -64,8 +64,8 @@ using ColonyFactory = std::function<Colony(
 /// the sampled plan to install as pack-level fault lanes. Must reproduce
 /// the colony factory's ants BIT-IDENTICALLY (the §1 equivalence
 /// contract) for every configuration its world admits, and must serve
-/// the spec's convergence mode in AntPack::agreement_census (a pack that
-/// cannot fails there, at round 1).
+/// the spec's convergence mode in AntPack::agreement_census (a home-nest
+/// pack that cannot fails there when the Simulation is constructed).
 using PackFactory = std::function<std::unique_ptr<AntPack>(
     const SimulationConfig&, std::uint64_t colony_seed,
     const AlgorithmParams&, const env::FaultPlan* faults)>;
@@ -153,9 +153,12 @@ class AlgorithmRegistry {
 /// Every built-in AlgorithmKind, in declaration order.
 [[nodiscard]] const std::vector<AlgorithmKind>& all_algorithm_kinds();
 
-/// The AlgorithmSpec registered for built-in `kind` (home-nest world,
-/// factories over make_colony/make_ant_pack).
-[[nodiscard]] AlgorithmSpec builtin_algorithm_spec(AlgorithmKind kind);
+/// The AlgorithmSpec registered for built-in `kind`, built once from its
+/// catalog row in core/registry.cpp: the home-nest world, a colony
+/// factory over make_colony(n, kind, ...), and the pack module's factory
+/// (make_simple_family_pack, make_quorum_pack, make_optimal_pack). Copy
+/// it to register a variant under another name.
+[[nodiscard]] const AlgorithmSpec& builtin_algorithm_spec(AlgorithmKind kind);
 
 }  // namespace hh::core
 

@@ -12,7 +12,7 @@ SimpleAnt::SimpleAnt(std::uint32_t num_ants, util::Rng rng)
 double SimpleAnt::recruit_probability() const {
   // Line 6: b := 1 with probability count/n. The perceived count can
   // exceed n under the noisy-observation extension; bernoulli() clamps.
-  return static_cast<double>(count_) / static_cast<double>(num_ants_);
+  return proportional_rate(count_, num_ants_);
 }
 
 env::Action SimpleAnt::decide(std::uint32_t round) {

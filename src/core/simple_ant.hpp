@@ -40,6 +40,13 @@ class SimpleAnt : public Ant {
   /// The ant's latest population estimate for its nest.
   [[nodiscard]] std::uint32_t count() const { return count_; }
 
+  /// Line 6's rate count/n, the base of every variant's rule (the packed
+  /// engine calls it too: equivalence needs the same expression).
+  [[nodiscard]] static double proportional_rate(std::uint32_t count,
+                                                std::uint32_t num_ants) {
+    return static_cast<double>(count) / static_cast<double>(num_ants);
+  }
+
  protected:
   /// The probability with which an active ant chooses b = 1 this round.
   /// Algorithm 3 uses count/n (line 6); the Section 6 variants override.

@@ -71,15 +71,6 @@ env::FaultPlan sample_fault_plan(const SimulationConfig& config,
              : env::FaultPlan::none(config.num_ants);
 }
 
-/// An ant-less colony shell for the packed engine (keeps colony().algorithm
-/// and the fault-plan invariants intact; the ant state lives in the pack).
-Colony packed_colony_shell(std::string algorithm) {
-  Colony colony;
-  colony.algorithm = std::move(algorithm);
-  colony.faults = env::FaultPlan::none(0);
-  return colony;
-}
-
 /// Build the world `config` names. The home-nest world keeps its exact
 /// pre-seam construction (strategies, seed derivation); the lattice world
 /// derives its seed through the same kEnvSeedTag so a given master seed
@@ -98,21 +89,6 @@ std::unique_ptr<env::Backend> make_world(const SimulationConfig& config,
   return std::make_unique<env::HomeNestBackend>(
       make_env_config(config, trusted_engine),
       env::make_pairing_model(config.pairing), config.noise, lanes);
-}
-
-/// The cached built-in AlgorithmSpec for `kind` (the kind constructor
-/// runs per trial; the spec is immutable data, built once).
-const AlgorithmSpec& builtin_spec_cached(AlgorithmKind kind) {
-  static const std::vector<AlgorithmSpec> specs = [] {
-    std::vector<AlgorithmSpec> out;
-    for (AlgorithmKind k : all_algorithm_kinds()) {
-      // Indexable by enum value: declaration order == registry order.
-      HH_ASSERT(static_cast<std::size_t>(k) == out.size());
-      out.push_back(builtin_algorithm_spec(k));
-    }
-    return out;
-  }();
-  return specs[static_cast<std::size_t>(kind)];
 }
 
 }  // namespace
@@ -172,7 +148,7 @@ Simulation::EngineParts Simulation::build_engine(
     const bool faulted = config.faults.any();
     const env::FaultPlan plan =
         faulted ? sample_fault_plan(config, config.seed) : env::FaultPlan{};
-    return EngineParts{packed_colony_shell(spec.name),
+    return EngineParts{spec.name, Colony{},
                        spec.pack(config, colony_seed(config), params,
                                  faulted ? &plan : nullptr),
                        {}};
@@ -188,14 +164,16 @@ Simulation::EngineParts Simulation::build_engine(
           "; use kAuto to fall back to the per-object engine");
     }
   }
-  return EngineParts{spec.colony(config, sample_fault_plan(config, config.seed),
-                                 colony_seed(config), params),
-                     nullptr, std::move(fallback)};
+  Colony colony = spec.colony(config, sample_fault_plan(config, config.seed),
+                              colony_seed(config), params);
+  return EngineParts{colony.algorithm, std::move(colony), nullptr,
+                     std::move(fallback)};
 }
 
 Simulation::Simulation(const SimulationConfig& config, EngineParts engine,
                        ConvergenceMode mode)
     : config_(config),
+      algorithm_(std::move(engine.algorithm)),
       colony_(std::move(engine.colony)),
       pack_(std::move(engine.pack)),
       world_(make_world(config, pack_ != nullptr)),
@@ -226,6 +204,11 @@ Simulation::Simulation(const SimulationConfig& config, EngineParts engine,
   engine_fallback_ = std::move(engine.fallback);
   if (pack_) {
     HH_EXPECTS(pack_->size() == config.num_ants);
+    // One census now, so a pack that cannot serve the spec's convergence
+    // mode fails where the simulation is made, before any round runs.
+    if (home_ != nullptr) {
+      (void)pack_->agreement_census(detector_.mode(), *home_, census_);
+    }
     recruit_active_.resize(config.num_ants);
     masked_op_.resize(config.num_ants);
     masked_targets_.resize(config.num_ants);
@@ -243,7 +226,7 @@ Simulation::Simulation(const SimulationConfig& config, EngineParts engine,
 Simulation::Simulation(const SimulationConfig& config, Colony colony,
                        std::optional<ConvergenceMode> mode)
     : Simulation(config,
-                 EngineParts{std::move(colony), nullptr,
+                 EngineParts{colony.algorithm, std::move(colony), nullptr,
                              // A caller-built colony ignores config.engine
                              // (documented), so BOTH kAuto and kPacked are
                              // effectively fallbacks here — record the
@@ -256,7 +239,7 @@ Simulation::Simulation(const SimulationConfig& config, Colony colony,
 
 Simulation::Simulation(const SimulationConfig& config, AlgorithmKind kind,
                        const AlgorithmParams& params)
-    : Simulation(config, builtin_spec_cached(kind), params) {}
+    : Simulation(config, builtin_algorithm_spec(kind), params) {}
 
 Simulation::Simulation(const SimulationConfig& config,
                        const AlgorithmSpec& spec,

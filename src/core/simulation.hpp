@@ -220,10 +220,6 @@ class Simulation {
   /// the packed engine it holds only the masked rounds' lanes
   /// (env::WorldLanes::kMasked): knows() fails HH_EXPECTS there.
   [[nodiscard]] const env::Environment& environment() const;
-  /// The per-object colony. On the packed engine this holds no ants (the
-  /// state lives in SoA arrays) — use algorithm()/num_ants()/
-  /// committed_census(), which work on both engines.
-  [[nodiscard]] const Colony& colony() const { return colony_; }
   /// True when this simulation runs on the packed SoA engine.
   [[nodiscard]] bool packed() const { return pack_ != nullptr; }
   /// The engine executing this simulation (kScalar or kPacked).
@@ -235,11 +231,10 @@ class Simulation {
   [[nodiscard]] const std::string& engine_fallback() const {
     return engine_fallback_;
   }
-  /// The algorithm's registry name (valid on both engines).
-  [[nodiscard]] std::string_view algorithm() const {
-    return colony_.algorithm;
-  }
-  /// Colony size n (valid on both engines, unlike colony().size()).
+  /// The algorithm's name: the spec's on the packed engine, the colony's
+  /// on the per-object one.
+  [[nodiscard]] std::string_view algorithm() const { return algorithm_; }
+  /// Colony size n.
   [[nodiscard]] std::uint32_t num_ants() const { return config_.num_ants; }
   [[nodiscard]] std::uint32_t round() const { return world_->round(); }
   [[nodiscard]] bool converged() const { return detector_.converged(); }
@@ -259,6 +254,7 @@ class Simulation {
   /// Exactly one of `colony` (per-object engine) or `pack` (packed
   /// engine) is populated; built once by build_engine().
   struct EngineParts {
+    std::string algorithm;  ///< what algorithm() reports
     Colony colony;
     std::unique_ptr<AntPack> pack;
     /// Why kAuto fell back to the per-object engine ("" = no fallback).
@@ -284,7 +280,8 @@ class Simulation {
   void record_round(std::uint32_t tandem, std::uint32_t transport);
 
   SimulationConfig config_;
-  Colony colony_;
+  std::string algorithm_;
+  Colony colony_;                  // empty on the packed engine
   std::unique_ptr<AntPack> pack_;  // non-null iff packed engine
   /// The world. Exactly one of the concrete pointers below aliases it —
   /// the engine hot paths devirtualize through them (both backends are

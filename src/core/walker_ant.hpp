@@ -80,9 +80,6 @@ class WalkerPack final : public AntPack {
                       std::span<env::NestId> /*targets*/) override {
     HH_ASSERT(false);
   }
-  [[nodiscard]] std::string_view name() const override {
-    return "lattice-walker";
-  }
 };
 
 /// The stable registry name of the workload.

@@ -116,9 +116,10 @@ class HomeNestBackend final : public Backend {
   // perceived_qualities() lanes directly. (_quiet: no Outcomes, unlike
   // step().)
 
-  /// One round that may contain recruiters. After it, last_pairing()
-  /// holds the matching (indexed by request position) and
-  /// recruited_by_ant()/recruit_succeeded_ant() give the ant-indexed view.
+  /// One round that may contain recruiters. After it, recruit_results()
+  /// and successful_recruiters() hold what the packs read, and
+  /// recruited_by_ant()/recruit_succeeded_ant() give the ant-indexed view
+  /// of the matching.
   void step_masked_recruit_quiet(std::span<const MaskedOp> op,
                                  std::span<const std::uint8_t> active,
                                  std::span<const NestId> targets) override;
@@ -162,11 +163,6 @@ class HomeNestBackend final : public Backend {
   /// All true qualities; nest i's quality is at index i-1 (size k).
   [[nodiscard]] std::span<const double> qualities() const {
     return cfg_.qualities;
-  }
-  /// The matching of the most recent recruit round (valid until the next
-  /// round that performs pairing).
-  [[nodiscard]] const PairingScratch& last_pairing() const {
-    return pairing_scratch_;
   }
   /// Ant-indexed view of the LAST ROUND's matching: the AntId that
   /// recruited `a`, or kNotRecruited — including when `a` made no

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/ant_pack.hpp"
+#include "util/contracts.hpp"
 
 #include "test_util.hpp"
 
@@ -99,19 +100,92 @@ TEST(Registry, NamesAreSortedAndIncludeBuiltins) {
 
 // --- registry v2: specs, engine selection, param schemas -------------------
 
-TEST(RegistryV2, BuiltinSpecsShipAPackForTheHomeNestWorld) {
-  for (AlgorithmKind kind : all_algorithm_kinds()) {
-    const AlgorithmSpec spec = builtin_algorithm_spec(kind);
-    EXPECT_EQ(spec.name, algorithm_name(kind));
-    EXPECT_EQ(spec.mode, default_mode(kind));
-    ASSERT_TRUE(static_cast<bool>(spec.pack)) << spec.name;
-    ASSERT_TRUE(static_cast<bool>(spec.colony));
-    EXPECT_EQ(spec.env_backend, env::BackendKind::kHomeNest) << spec.name;
-    // The declared param schema only names real table keys.
+TEST(RegistryV2, BuiltinCatalogIsPinned) {
+  // Every built-in, in AlgorithmKind declaration order, as the code
+  // before the one-row-per-built-in catalog defined it: name, summary,
+  // convergence mode, parameter keys and world, plus both factories (each
+  // built-in ships a pack for the home-nest world).
+  struct Pin {
+    AlgorithmKind kind;
+    std::string name;
+    std::string summary;
+    ConvergenceMode mode;
+    std::vector<std::string> params;
+  };
+  const std::vector<Pin> pins = {
+      {AlgorithmKind::kOptimal, "optimal",
+       "Algorithm 2: O(log n) tournament of nest pairs (Section 4)",
+       ConvergenceMode::kCommitmentFinalized, {}},
+      {AlgorithmKind::kOptimalSettle, "optimal+settle",
+       "Algorithm 2 + the Section 4.2 settle/termination extension",
+       ConvergenceMode::kPhysical, {}},
+      {AlgorithmKind::kSimple, "simple",
+       "Algorithm 3: population-proportional feedback, O(k log n)",
+       ConvergenceMode::kCommitment, {"n_estimate_error"}},
+      {AlgorithmKind::kRateBoosted, "rate-boosted",
+       "Section 6 boosted-rate variant (removes the Theta(k) factor)",
+       ConvergenceMode::kCommitment, {"n_estimate_error"}},
+      {AlgorithmKind::kQualityAware, "quality-aware",
+       "Section 6 non-binary-quality variant", ConvergenceMode::kCommitment,
+       {"n_estimate_error"}},
+      {AlgorithmKind::kUniformRecruit, "uniform-recruit",
+       "no-feedback baseline (negative control)", ConvergenceMode::kCommitment,
+       {"uniform_recruit_prob"}},
+      {AlgorithmKind::kQuorum, "quorum",
+       "biology-inspired quorum-threshold baseline",
+       ConvergenceMode::kCommitment,
+       {"quorum_fraction", "quorum_tandem_rate"}},
+  };
+  ASSERT_EQ(all_algorithm_kinds().size(), pins.size());
+  const auto cfg = test::small_config(8, 2, 1, 5);
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    const Pin& pin = pins[i];
+    SCOPED_TRACE(pin.name);
+    EXPECT_EQ(all_algorithm_kinds()[i], pin.kind);
+    EXPECT_EQ(static_cast<std::size_t>(pin.kind), i);
+    EXPECT_EQ(algorithm_name(pin.kind), pin.name);
+    EXPECT_EQ(default_mode(pin.kind), pin.mode);
+    EXPECT_EQ(algorithm_from_name(pin.name), pin.kind);
+    const AlgorithmSpec& spec = builtin_algorithm_spec(pin.kind);
+    EXPECT_EQ(spec.name, pin.name);
+    EXPECT_EQ(spec.summary, pin.summary);
+    EXPECT_EQ(spec.mode, pin.mode);
+    EXPECT_EQ(spec.params, pin.params);
     for (const std::string& key : spec.params) {
-      EXPECT_NE(find_param(key), nullptr) << spec.name << "." << key;
+      EXPECT_NE(find_param(key), nullptr) << key;  // real table keys only
     }
+    EXPECT_EQ(spec.env_backend, env::BackendKind::kHomeNest);
+    ASSERT_TRUE(static_cast<bool>(spec.colony));
+    ASSERT_TRUE(static_cast<bool>(spec.pack));
+    const Colony colony = spec.colony(cfg, env::FaultPlan::none(8), 11, {});
+    EXPECT_EQ(colony.algorithm, pin.name);
+    EXPECT_EQ(colony.size(), 8u);
+    EXPECT_EQ(spec.pack(cfg, 11, {}, nullptr)->size(), 8u);
+    // The registry serves the same row under the name.
+    const auto registered = AlgorithmRegistry::instance().find(pin.name);
+    ASSERT_NE(registered, nullptr);
+    EXPECT_EQ(registered->summary, pin.summary);
+    EXPECT_EQ(registered->mode, pin.mode);
+    EXPECT_EQ(registered->params, pin.params);
   }
+}
+
+TEST(RegistryV2, PackThatCannotServeTheSpecModeFailsAtConstruction) {
+  // A clone of simple registered under kPhysical: its pack keeps only the
+  // commitment census, so the Simulation refuses it where it is made,
+  // before any round runs.
+  auto& registry = AlgorithmRegistry::instance();
+  AlgorithmSpec spec = builtin_algorithm_spec(AlgorithmKind::kSimple);
+  spec.name = "test-physical-clone";
+  spec.mode = ConvergenceMode::kPhysical;
+  registry.add(spec);
+  const auto cfg = test::small_config(64, 4, 2, 9);
+  EXPECT_THROW((void)registry.make("test-physical-clone", cfg),
+               ContractViolation);
+  // The per-object engine serves every mode.
+  auto scalar = cfg;
+  scalar.engine = EngineKind::kScalar;
+  EXPECT_NO_THROW((void)registry.make("test-physical-clone", scalar));
 }
 
 TEST(RegistryV2, EveryBuiltinRunsPackedUnderEverySection6Extension) {

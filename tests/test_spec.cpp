@@ -309,6 +309,39 @@ TEST(SpecErrors, ConvergenceToleranceIsHalfOpen) {
       minimal_spec(R"(, "convergence_tolerance": 0.999)")));
 }
 
+TEST(SpecErrors, FaultPlansTheSamplerRefusesAreRejectedAtTheirPath) {
+  // env::FaultPlan::sample refuses a crash horizon of 0 and fractions
+  // summing past 1 (its two victim sets are disjoint); the reader refuses
+  // them first, at the field's path, instead of the first trial throwing
+  // ContractViolation. A concrete scenario:
+  expect_spec_error(minimal_spec(R"(, "faults": {"crash_horizon": 0})"),
+                    "config.faults.crash_horizon", ">= 1");
+  expect_spec_error(
+      minimal_spec(
+          R"(, "faults": {"crash_fraction": 0.75, "byzantine_fraction": 0.5})"),
+      "sweeps[0].scenarios[0].config.faults", "exceeds 1");
+  EXPECT_NO_THROW((void)parse_experiment_spec(minimal_spec(
+      R"(, "faults": {"crash_fraction": 0.5, "byzantine_fraction": 0.5,
+                      "crash_horizon": 1})")));
+  // A sweep's base config:
+  expect_spec_error(
+      R"({"anthill_spec": 1, "sweeps": [{"name": "x", "trials": 1,
+          "base_seed": 1, "base": {"algorithm": "simple", "config": {
+            "num_ants": 8, "qualities": [1],
+            "faults": {"crash_fraction": 0.75, "byzantine_fraction": 0.5}}},
+          "axes": [{"kind": "colony_sizes", "values": [8, 16]}]}]})",
+      "sweeps[0].base.config.faults", "exceeds 1");
+  // A sweep whose crash_fractions axis crosses 1 over the base's
+  // Byzantine fraction: the base alone is fine, its second cell is not.
+  expect_spec_error(
+      R"({"anthill_spec": 1, "sweeps": [{"name": "x", "trials": 1,
+          "base_seed": 1, "base": {"algorithm": "simple", "config": {
+            "num_ants": 8, "qualities": [1],
+            "faults": {"byzantine_fraction": 0.5}}},
+          "axes": [{"kind": "crash_fractions", "values": [0.25, 0.75]}]}]})",
+      "sweeps[0]", "exceeds 1");
+}
+
 TEST(SpecErrors, StructuralProblemsAreCaught) {
   // Declarative and concrete forms are mutually exclusive.
   expect_spec_error(
